@@ -1,19 +1,25 @@
 """Automorphism groups of binary codes: Aut(C) = {sigma in S_N : sigma(C) = C}.
 
 Exact order computation by orbit-stabilizer counting over the chain of
-pointwise column stabilizers.  Each orbit question "is there sigma in Aut(C)
-fixing 0..l-1 with sigma(l) = t" is answered by a backtracking search over
-column bijections, pruned by simultaneous partition refinement of columns
-and codewords on both sides of the would-be bijection (the standard
-individualization-refinement scheme on the column/codeword incidence).
+pointwise column stabilizers, walked from the last level to the first so
+that every automorphism already found helps grow the orbits above it (the
+reuse of found automorphisms in McKay and Piperno, "Practical graph
+isomorphism, II", 2014).  Each orbit question "is there sigma in Aut(C)
+fixing 0..l-1 with sigma(l) = t" that those orbits do not already answer
+goes to a backtracking search over column bijections, pruned by
+simultaneous partition refinement of columns and codewords on both sides of
+the would-be bijection (Leon, "Computing automorphism groups of
+error-correcting codes", IEEE Trans. IT 28, 1982; the individualization-
+refinement scheme on the column/codeword incidence).
 
-Colours are canonicalised by sorted signatures each round, so the domain
-and codomain partitions stay comparable; any histogram mismatch prunes the
-branch.  At a discrete partition the candidate permutation is read off and
-verified against the code itself.
+Colours are canonicalised each round by ranking the rows (old colour,
+colour histogram) of both sides jointly, so the domain and codomain
+partitions stay comparable; any histogram mismatch prunes the branch.  At a
+discrete partition the candidate permutation is read off and verified
+against the code itself.
 
-Intended scale: p = 2, N <= 24 (the length-16 table is instant; length-24
-glue codes take seconds to a minute).
+Intended scale: p = 2, N <= 24.  A length-16 code takes tens of
+milliseconds, a length-24 doubly-even code about a second.
 """
 
 from __future__ import annotations
@@ -37,61 +43,86 @@ class _AutSearch:
         self.nodes = 0
         words = [w for w in C.words if w and w != (1 << C.n) - 1]
         self.members = frozenset(C.words)
-        self.M = np.zeros((len(words), C.n), dtype=bool)
+        M = np.zeros((len(words), C.n), dtype=bool)
         for i, w in enumerate(words):
             for j in range(C.n):
                 if (w >> j) & 1:
-                    self.M[i, j] = True
+                    M[i, j] = True
+        # the (word, column) incidence list, shared by both sides
+        self.rows, self.cols = np.nonzero(M)
         self.winit = np.array([w.bit_count() for w in words], dtype=np.int64)
         self.gen_masks = [sum(b << i for i, b in enumerate(r)) for r in C.rows]
 
     # --- refinement ----------------------------------------------------
 
-    def _recolour(self, sigs_d, sigs_c):
-        """Assign canonical ids to both sides from the merged signature order."""
-        table = {s: i for i, s in enumerate(sorted(set(sigs_d) | set(sigs_c)))}
-        d = np.array([table[s] for s in sigs_d], dtype=np.int64)
-        c = np.array([table[s] for s in sigs_c], dtype=np.int64)
-        return d, c, len(table)
+    @staticmethod
+    def _recolour(old_d, old_c, keys_d, keys_c, size):
+        """Canonical ids for both sides from the rows (old colour, histogram).
+
+        `keys_*` index the flattened (element, colour) histogram of each side;
+        one bincount builds both tables.  Each histogram row is packed, in the
+        narrowest unsigned type, into big-endian 64-bit words, so lexsort
+        runs over a few keys instead of one per colour; the packing is
+        one-to-one, so equal rows stay equal.  Rows are ranked jointly, so
+        equal signatures get equal ids on the two sides.  Returns the new ids
+        and their number of colours, or None if the two sides' colour
+        histograms differ.
+        """
+        m = len(old_d)
+        hist = np.bincount(
+            np.concatenate((keys_d, keys_c + m * size)), minlength=2 * m * size
+        ).reshape(2 * m, size)
+        dt = np.min_scalar_type(int(hist.max(initial=0))).newbyteorder(">")
+        per_word = 8 // dt.itemsize
+        packed = np.zeros((2 * m, -(-size // per_word) * per_word), dtype=dt)
+        packed[:, :size] = hist
+        table = np.column_stack(
+            (np.concatenate((old_d, old_c)).astype(np.uint64), packed.view(">u8"))
+        )
+        order = np.lexsort(table.T[::-1])
+        ranked = table[order]
+        ids = np.empty(2 * m, dtype=np.int64)
+        ids[order] = np.concatenate(
+            ([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1)))
+        )
+        new_d, new_c = ids[:m], ids[m:]
+        nc = int(ids.max(initial=-1)) + 1
+        if not np.array_equal(np.bincount(new_d, minlength=nc), np.bincount(new_c, minlength=nc)):
+            return None
+        return new_d, new_c, nc
 
     def refine(self, state):
-        """Run column/word recolouring to a fixed point; None if sides differ."""
+        """Run column/word recolouring to a fixed point; None if sides differ.
+
+        Each recolouring refines its side (the old colour is part of the
+        signature).  Once both sides have been recoloured, a step that adds
+        no colour leaves both sides equitable, because the other side was
+        last recoloured against this same partition.
+        """
         ccol_d, ccol_c, wcol_d, wcol_c = state
-        M = self.M
+        rows, cols = self.rows, self.cols
+        ncw = int(max(wcol_d.max(initial=0), wcol_c.max(initial=0))) + 1
+        ncc = nwords = 0  # colours after each side's last step; 0 before its first
         while True:
-            ncw = int(max(wcol_d.max(initial=0), wcol_c.max(initial=0))) + 1
-            sig_d = [
-                (int(ccol_d[j]), np.bincount(wcol_d[M[:, j]], minlength=ncw).tobytes())
-                for j in range(self.n)
-            ]
-            sig_c = [
-                (int(ccol_c[j]), np.bincount(wcol_c[M[:, j]], minlength=ncw).tobytes())
-                for j in range(self.n)
-            ]
-            new_d, new_c, nc = self._recolour(sig_d, sig_c)
-            if np.bincount(new_d, minlength=nc).tolist() != np.bincount(
-                new_c, minlength=nc
-            ).tolist():
+            got = self._recolour(
+                ccol_d, ccol_c, cols * ncw + wcol_d[rows], cols * ncw + wcol_c[rows], ncw
+            )
+            if got is None:
                 return None
-            col_stable = np.array_equal(new_d, ccol_d) and np.array_equal(new_c, ccol_c)
-            ccol_d, ccol_c = new_d, new_c
-            wsig_d = [
-                (int(wcol_d[i]), np.bincount(ccol_d[M[i]], minlength=nc).tobytes())
-                for i in range(len(M))
-            ]
-            wsig_c = [
-                (int(wcol_c[i]), np.bincount(ccol_c[M[i]], minlength=nc).tobytes())
-                for i in range(len(M))
-            ]
-            nw_d, nw_c, ncw2 = self._recolour(wsig_d, wsig_c)
-            if np.bincount(nw_d, minlength=ncw2).tolist() != np.bincount(
-                nw_c, minlength=ncw2
-            ).tolist():
+            ccol_d, ccol_c, nc = got
+            if nc == ncc:
+                break
+            ncc = nc
+            got = self._recolour(
+                wcol_d, wcol_c, rows * ncc + ccol_d[cols], rows * ncc + ccol_c[cols], ncc
+            )
+            if got is None:
                 return None
-            word_stable = np.array_equal(nw_d, wcol_d) and np.array_equal(nw_c, wcol_c)
-            wcol_d, wcol_c = nw_d, nw_c
-            if col_stable and word_stable:
-                return ccol_d, ccol_c, wcol_d, wcol_c
+            wcol_d, wcol_c, ncw = got
+            if ncw == nwords:
+                break
+            nwords = ncw
+        return ccol_d, ccol_c, wcol_d, wcol_c
 
     # --- backtracking ---------------------------------------------------
 
@@ -161,9 +192,10 @@ class _AutSearch:
         return [int(j) for j in np.nonzero(ccol_c == ccol_d[point])[0]]
 
 
-def _close_orbit(orbit: set, gens: list, seed: int) -> set:
-    frontier = [seed]
-    orbit = set(orbit)
+def _orbit(points, gens: list) -> set:
+    """Closure of `points` under the permutations `gens`."""
+    orbit = set(points)
+    frontier = list(orbit)
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -179,8 +211,11 @@ def aut_order(C: LinearCode, limit: int = 2_000_000):
     """|Aut(C)| as an exact integer, or the string "unknown" past the budget.
 
     Orbit-stabilizer product over the chain of stabilizers of columns
-    0, 1, 2, ...; orbits are grown using every automorphism found, so each
-    new orbit point costs at most one backtracking search.
+    0, 1, 2, ..., walked from the last level to the first.  An automorphism
+    found at a deeper level fixes columns 0..level, so it lies in this
+    level's stabilizer too: orbits are grown under all automorphisms found
+    so far, and each candidate image not reached that way costs one
+    backtracking search.
     """
     if C.p != 2:
         return "unknown"
@@ -189,20 +224,19 @@ def aut_order(C: LinearCode, limit: int = 2_000_000):
 
         return math.factorial(C.n)
     S = _AutSearch(C, limit)
+    gens: list = []
     order = 1
     try:
-        for level in range(C.n):
+        for level in reversed(range(C.n)):
             prefix = [(i, i) for i in range(level)]
-            orbit = {level}
-            gens_here: list = []
-            allowed = S.candidate_cell(prefix, level)
-            for t in allowed:
-                if t in orbit or t < level:
+            orbit = _orbit({level}, gens)
+            for t in S.candidate_cell(prefix, level):
+                if t in orbit:
                     continue
                 perm = S.find(prefix + [(level, t)])
                 if perm is not None:
-                    gens_here.append(perm)
-                    orbit = _close_orbit(orbit, gens_here, level)
+                    gens.append(perm)
+                    orbit = _orbit(orbit, gens)
             order *= len(orbit)
     except _TooHard:
         return "unknown"

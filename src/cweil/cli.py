@@ -22,7 +22,14 @@ from .cliffordweil import (
     group_closure,
     parabolic_closure,
 )
-from .database import BUNDLED, CodeDatabase, DbParseError, load_bundled, parse_db
+from .database import (
+    BUNDLED,
+    CodeDatabase,
+    DbParseError,
+    bundled_index,
+    load_bundled,
+    parse_db,
+)
 from .doubling import (
     basis_expansion,
     const_b,
@@ -55,26 +62,23 @@ def _read_db(path: str) -> CodeDatabase:
         raise CliError(f"{path}: {exc}")
 
 
-def _db_for(args, tag: str | None = None, n: int | None = None) -> CodeDatabase:
+def _db_for(args, tag: str, n: int) -> CodeDatabase:
     """The --db file if given, else the bundled dataset covering (tag, n)."""
     if getattr(args, "db", None):
         return _read_db(args.db)
-    for name in BUNDLED:
-        db = load_bundled(name)
-        if tag is None or db.matching(tag, n):
-            return db
-    raise CliError(f"no bundled dataset covers type {tag} length {n}; use --db")
+    fname = bundled_index()[1].get((tag, n))
+    if fname is None:
+        raise CliError(f"no bundled dataset covers type {tag} length {n}; use --db")
+    return load_bundled(fname)
 
 
 def _find_code(args):
     if args.db:
         return _read_db(args.db)[args.code]
-    for name in BUNDLED:
-        try:
-            return load_bundled(name)[args.code]
-        except KeyError:
-            continue
-    raise CliError(f"no bundled code named {args.code!r}; use --db")
+    fname = bundled_index()[0].get(args.code)
+    if fname is None:
+        raise CliError(f"no bundled code named {args.code!r}; use --db")
+    return load_bundled(fname)[args.code]
 
 
 # --- subcommands --------------------------------------------------------
@@ -82,7 +86,10 @@ def _find_code(args):
 
 def cmd_cwe(args) -> int:
     rec = _find_code(args)
-    f = cwe(rec.code, args.genus)
+    try:
+        f = cwe(rec.code, args.genus)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if args.tuples:
         print(f"cwe type={rec.tag} code={rec.name} N={rec.n} genus={args.genus}")
         for m, c in sorted(tuple_profile(f).items()):
@@ -97,7 +104,10 @@ def cmd_cusp(args) -> int:
     recs = db.matching(args.type, args.length)
     if not recs:
         raise CliError(f"no codes of type {args.type} length {args.length}")
-    basis = cusp_basis([r.code for r in recs], args.genus, [r.name for r in recs])
+    try:
+        basis = cusp_basis([r.code for r in recs], args.genus, [r.name for r in recs])
+    except ValueError as exc:
+        raise CliError(str(exc))
     print(basis.to_text(include_polys=args.polys))
     return 0
 

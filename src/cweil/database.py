@@ -19,18 +19,28 @@ Format, one record per block::
 (type, length) is present.  Validation is strict: rows must give a code
 passing its type check, names must be unique, a declared-complete set must
 have the declared count, and any recorded aut order at length <= 16 is
-recomputed and compared.  Longer codes keep their recorded order (the
-N = 24 dataset is certified in bulk by its mass-formula test instead).
+recomputed and compared.  Longer codes keep their recorded order at load;
+the test suite recomputes every length-24 order, and the N = 24 dataset is
+also certified in bulk by its mass-formula test.
+
+Bundled data is routed: `bundled_index` reads only the `code`, `type` and
+`length` lines of the bundled files and maps each code name, and each
+(type, N), to the first file in `BUNDLED` order that has it.  A command
+then parses, with every check above, just that one file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 from .autgroup import aut_order
 from .codes import LinearCode, check_type, code_from_rows
 
+# Length-24 orders take about a second each to recompute, so checking them at
+# load would slow every 2II-24 command; the test suite recomputes them.
 AUT_CHECK_MAX_LENGTH = 16
 
 
@@ -189,13 +199,40 @@ BUNDLED = (
     "codes_2i_n16",
     "codes_2ii_n8",
     "codes_2ii_n16",
-    "codes_2ii_n24",  # aut orders above the recheck cutoff; mass test certifies
+    "codes_2ii_n24",  # aut orders above the load-time recheck cutoff
     "codes_q3_n4",
 )
 
 
-def load_bundled(name: str, verify_aut: bool = True) -> CodeDatabase:
+def _bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise ValueError(f"no bundled dataset {name!r}; have {BUNDLED}")
-    text = (resources.files("cweil") / "data" / f"{name}.txt").read_text()
-    return parse_db(text, verify_aut=verify_aut)
+    return (resources.files("cweil") / "data" / f"{name}.txt").read_text()
+
+
+def load_bundled(name: str, verify_aut: bool = True) -> CodeDatabase:
+    return parse_db(_bundled_text(name), verify_aut=verify_aut)
+
+
+@cache
+def bundled_index() -> tuple[MappingProxyType, MappingProxyType]:
+    """(code name -> file, (type, N) -> file) over the bundled datasets.
+
+    Each key maps to the first file in `BUNDLED` order that has it, which is
+    the file a scan of `BUNDLED` in order would stop at: `E16` and `A8^2`
+    are in both `codes_2i_n16` and `codes_2ii_n16`.  Only the `code`,
+    `type` and `length` lines are read; nothing is validated here.
+    """
+    by_name: dict[str, str] = {}
+    by_kind: dict[tuple[str, int], str] = {}
+    for fname in BUNDLED:
+        rec: dict = {}
+        for rawline in _bundled_text(fname).splitlines():
+            key, _, rest = rawline.split("#", 1)[0].strip().partition(" ")
+            if key in ("code", "type", "length"):
+                rec[key] = rest.strip()
+            elif key == "end":
+                by_name.setdefault(rec["code"], fname)
+                by_kind.setdefault((rec["type"], int(rec["length"])), fname)
+                rec = {}
+    return MappingProxyType(by_name), MappingProxyType(by_kind)

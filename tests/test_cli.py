@@ -2,6 +2,7 @@
 
 import pytest
 
+import cweil.cli
 from cweil.cli import main
 from cweil.constructions import e8
 from cweil.database import load_bundled, serialize_db
@@ -177,3 +178,44 @@ def test_selftest_passes(capsys):
     assert out.count("ok  ") == 8
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+def test_cwe_loads_only_the_file_with_the_code(monkeypatch, capsys):
+    loaded = []
+    real = cweil.cli.load_bundled
+
+    def counting(name, *args, **kwargs):
+        loaded.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(cweil.cli, "load_bundled", counting)
+    code, out, _ = run(capsys, "cwe", "--code", "golay24", "--genus", "1",
+                       "--tuples")
+    assert code == 0
+    assert "code=golay24" in out
+    assert loaded == ["codes_2ii_n24"]
+
+
+def test_cwe_takes_the_first_bundled_file_with_the_name(capsys):
+    # E16 is in both codes_2i_n16 and codes_2ii_n16; BUNDLED order decides
+    code, out, _ = run(capsys, "cwe", "--code", "E16", "--genus", "1", "--tuples")
+    assert code == 0
+    assert out.startswith("cwe type=2I code=E16 N=16 genus=1")
+
+
+def test_aut_unknown_bundled_code(capsys):
+    code, _, err = run(capsys, "aut", "--code", "nosuch")
+    assert code == 2
+    assert "no bundled code named 'nosuch'; use --db" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cwe", "--code", "e8", "--genus", "-1"],
+    ["cusp", "--type", "2I", "--length", "16", "--genus", "0"],
+    ["cusp", "--type", "2I", "--length", "16", "--genus", "-1"],
+])
+def test_invalid_input_is_a_usage_error(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
