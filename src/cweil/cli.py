@@ -81,10 +81,16 @@ def _find_code(args):
     return load_bundled(fname)[args.code]
 
 
+def _check_genus(g: int, least: int) -> None:
+    if g < least:
+        raise CliError(f"--genus must be at least {least}, got {g}")
+
+
 # --- subcommands --------------------------------------------------------
 
 
 def cmd_cwe(args) -> int:
+    _check_genus(args.genus, 0)
     rec = _find_code(args)
     try:
         f = cwe(rec.code, args.genus)
@@ -100,6 +106,7 @@ def cmd_cwe(args) -> int:
 
 
 def cmd_cusp(args) -> int:
+    _check_genus(args.genus, 1)
     db = _db_for(args, args.type, args.length)
     recs = db.matching(args.type, args.length)
     if not recs:
@@ -113,6 +120,7 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_verify_doubling(args) -> int:
+    _check_genus(args.genus, 1)
     db = _db_for(args, args.type, args.length)
     try:
         rep = verify_doubling(args.type, args.length, args.genus, db)
@@ -126,6 +134,7 @@ def cmd_eisenstein(args) -> int:
     tag, N, g, p = args.type, args.length, args.genus, args.field
     if not args.compare and args.method is None:
         raise CliError("choose --method coset|siegel-weil (or --compare)")
+    _check_genus(g, 0)
 
     def by_coset():
         return eisenstein_coset(tag, g, N, p)
@@ -157,6 +166,9 @@ def cmd_eisenstein(args) -> int:
 
 def cmd_constants(args) -> int:
     tag, N, g, p = args.type, args.length, args.genus, args.field
+    _check_genus(g, 0)
+    if (tag in ("2I", "2II")) != (p == 2):  # binary types, and odd-p types
+        raise CliError(f"type {tag} does not go with --field {p}")
 
     def render(x: Fraction) -> str:
         return scalar_factorial_form(x, N) if args.factorial else str(x)
@@ -179,6 +191,7 @@ def cmd_constants(args) -> int:
 
 def cmd_group(args) -> int:
     tag, g, p = args.type, args.genus, args.field
+    _check_genus(g, 1)
     try:
         G = group_closure(tag, g, p)
     except ValueError as exc:

@@ -25,6 +25,13 @@ Eisenstein average and the index counts |ker lambda| * prod (p^i + 1) refer
 to.  (The bare <m_u, d_phi> monoid contains no nontrivial scalar, so its
 cosets would overcount by |Z| / |Z ∩ <m,d>|; the averaged series itself is
 identical either way, the seed being scalar-invariant.)
+
+The Eisenstein average never substitutes into a Poly.  The seed is a sum
+of pure powers x_v^N, so the average is a power sum of the distinct linear
+forms among the rows of the coset reps, each expanded once by the
+multinomial theorem with integer numerators and the one cyclotomic multiply
+`cyclo.mul_nums`.  The generic substitution `poly.apply_operator` (behind
+`Operator.apply`) is its test oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +39,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
-from .cyclo import CycNum, conj_table, mul_table, phi_degree, sqrt_prime_power
+from .cyclo import (
+    CycNum,
+    conj_table,
+    mul_nums,
+    mul_table,
+    phi_degree,
+    sqrt_prime_power,
+)
 from .poly import Poly, apply_operator, index_vector, var_index
 from .weightenum import run_conductor
 
@@ -493,6 +507,12 @@ def coset_labels(G: GroupClosure, P: GroupClosure):
 
 
 # --- Eisenstein series by coset averaging -------------------------------
+#
+# E_g = |reps|^-1 sum_sigma sum_v (sigma_v . x)^N over the rows sigma_v the
+# seed uses (all of them for 2I/2II, row 0 for Q/Q1).  Equal rows are
+# counted, not re-expanded: 2I at g = 2 has 96 rows and 24 distinct forms,
+# 2II has 240 and 100.  The tests check power_sum against summing
+# Operator.apply (i.e. apply_operator) of the seed over the coset reps.
 
 
 def seed_poly(tag: str, g: int, N: int, p: int) -> Poly:
@@ -514,17 +534,88 @@ def eisenstein_coset(
     closure: GroupClosure | None = None,
     parabolic: GroupClosure | None = None,
 ) -> Poly:
-    """E_g as the average of the seed over P_g \\ C_g."""
+    """E_g as the average of the seed over P_g \\ C_g.
+
+    The seed is a sum of pure powers x_v^N, so a coset rep sigma sends it to
+    the sum of l^N over the rows l = sigma_v of sigma's matrix; the average
+    is the power sum of those linear forms over |reps|.
+    """
+    if N < 0:
+        raise ValueError(f"N = {N} is negative")
     if N % center_order(tag, p):
         raise ValueError(f"N = {N} not divisible by |Z| = {center_order(tag, p)}")
     G = closure or group_closure(tag, g, p)
     P = parabolic or parabolic_closure(tag, g, p)
     reps = coset_reps(G, P)
     seed = seed_poly(tag, g, N, p)
-    total = Poly.zero(p, g, N, seed.conductor)
+    rows = [m.index(N) for m in seed.terms]  # every coefficient is 1
+    forms: dict = {}
     for rep in reps:
-        total = total + rep.apply(seed)
-    return total / len(reps)
+        for v in rows:
+            key = (rep.den, rep.arr[v].tobytes())
+            if key in forms:
+                forms[key][2] += 1
+            else:
+                forms[key] = [rep.den, rep.arr[v].tolist(), 1]
+    return power_sum(p, g, N, seed.conductor, forms.values(), len(reps))
+
+
+def power_sum(p: int, g: int, N: int, n: int, forms, scale: int) -> Poly:
+    """(1/scale) * sum of mult * l^N over forms (den, numerator rows, mult).
+
+    A form is l = sum_w (row[w] / den) x_w, row[w] being the power-basis
+    numerators of a coefficient in Q(zeta_n).  Each l^N is expanded once by
+    the multinomial theorem over the support of l, from the powers
+    row[w]^e, e = 0..N, with every form over the lcm D of the denominators;
+    the CycNum coefficients are built at the end over D^N * scale.
+    """
+    forms = list(forms)
+    D = 1
+    for den, _, _ in forms:
+        D = D * den // gcd(D, den)
+    phi = phi_degree(n)
+    one = [1] + [0] * (phi - 1)
+    d = p**g
+    acc: dict = {}
+    exps = [0] * d
+
+    def add(coef: int, num: list) -> None:
+        got = acc.get(tuple(exps))
+        if got is None:
+            acc[tuple(exps)] = [coef * x for x in num]
+        else:
+            for u in range(phi):
+                got[u] += coef * num[u]
+
+    def walk(i: int, left: int, coef: int, num: list) -> None:
+        # coef * num = mult * N! / prod m_w! * prod a_w^m_w over w < support[i]
+        w = support[i]
+        if i == len(support) - 1:  # the last variable takes what is left
+            exps[w] = left
+            add(coef, mul_nums(n, num, powers[i][left]))
+        else:
+            for e in range(left + 1):
+                exps[w] = e
+                walk(i + 1, left - e, coef * comb(left, e),
+                     mul_nums(n, num, powers[i][e]))
+        exps[w] = 0
+
+    for den, row, mult in forms:
+        lift = D // den
+        support = [w for w in range(d) if any(row[w])]
+        powers = []
+        for w in support:
+            a = [x * lift for x in row[w]]
+            pw = [one]
+            for _ in range(N):
+                pw.append(mul_nums(n, pw[-1], a))
+            powers.append(pw)
+        if support:
+            walk(0, N, mult, one)
+        elif N == 0:  # 0^0 = 1, as in apply_operator
+            add(mult, one)
+    den = D**N * scale
+    return Poly(p, g, N, n, {m: CycNum(n, nums, den) for m, nums in acc.items()})
 
 
 # --- the doubling representatives tau_r ---------------------------------

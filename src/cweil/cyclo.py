@@ -113,6 +113,30 @@ def conj_table(n: int) -> np.ndarray:
     return C
 
 
+def mul_nums(n: int, a, b) -> list[int]:
+    """Power-basis numerators of a*b, for numerator sequences a, b of Q(zeta_n).
+
+    The one cyclotomic multiply: a convolution, then the overflow exponents
+    phi .. 2*phi-2 folded back with the power table.  No gcd normalisation.
+    """
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b):
+                if y:
+                    conv[s + t] += x * y
+    rows = _power_table(n)
+    out = conv[:phi]
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
+        if c:
+            row = rows[k]
+            for u in range(phi):
+                out[u] += c * row[u]
+    return out
+
+
 def _gcd_all(den: int, nums: tuple[int, ...]) -> int:
     g = den
     for a in nums:
@@ -216,24 +240,8 @@ class CycNum:
         if not isinstance(other, CycNum):
             return NotImplemented
         self._check(other)
-        phi = len(self.nums)
-        conv = [0] * (2 * phi - 1)
-        for s, a in enumerate(self.nums):
-            if a:
-                for t, b in enumerate(other.nums):
-                    if b:
-                        conv[s + t] += a * b
-        rows = _power_table(self.n)
-        out = [0] * phi
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = rows[k]
-                for u in range(phi):
-                    out[u] += c * row[u]
-        for u in range(phi):
-            out[u] += conv[u]
-        return CycNum(self.n, out, self.den * other.den)
+        return CycNum(self.n, mul_nums(self.n, self.nums, other.nums),
+                      self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -17,7 +17,7 @@ associativity test below pins this convention).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .cyclo import CycNum
 
@@ -236,16 +236,10 @@ def parse_poly(text: str) -> Poly:
         fracs = [Fraction(x) for x in right.split()]
         den = 1
         for f in fracs:
-            den = den * f.denominator // _gcd(den, f.denominator)
+            den = den * f.denominator // gcd(den, f.denominator)
         nums = tuple(int(f * den) for f in fracs)
         terms[m] = CycNum(n, nums, den)
     return Poly(p, g, N, n, terms)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def monomial_exponents(d: int, N: int):

@@ -1,5 +1,7 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
+import hashlib
+
 import pytest
 
 import cweil.cli
@@ -209,13 +211,50 @@ def test_aut_unknown_bundled_code(capsys):
     assert "no bundled code named 'nosuch'; use --db" in err
 
 
+# the seed's stdout of `eisenstein --method coset`, as sha256
+COSET_DIGESTS = [
+    ("2I", "16", "2", "1a9feb15928ff792091774f053256588837eac9ceeb05a125025ad06604e64a0"),
+    ("2II", "8", "2", "a2f8991d5d44918db24227a5f8acbefc7cb5fedfa0732e77fe3bcfddddbe9c31"),
+    ("2II", "24", "1", "b6f17c105d8d6a0cf41660343caa52f5c6cbde43799a77475819ffb1749737ef"),
+]
+
+
+@pytest.mark.parametrize("tag,length,genus,digest", COSET_DIGESTS)
+def test_eisenstein_coset_golden_output(tag, length, genus, digest, capsys):
+    code, out, _ = run(capsys, "eisenstein", "--type", tag, "--length", length,
+                       "--genus", genus, "--method", "coset")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+GENUS_OUT_OF_RANGE = [
+    ["cwe", "--code", "e8", "--genus", "-2"],
+    ["cusp", "--type", "2II", "--length", "24", "--genus", "0"],
+    ["verify-doubling", "--type", "2I", "--length", "16", "--genus", "0"],
+    ["eisenstein", "--type", "2II", "--length", "8", "--genus", "-1",
+     "--method", "siegel-weil"],
+    ["group", "--type", "2II", "--genus", "0"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["cwe", "--code", "e8", "--genus", "-1"],
     ["cusp", "--type", "2I", "--length", "16", "--genus", "0"],
     ["cusp", "--type", "2I", "--length", "16", "--genus", "-1"],
+    *GENUS_OUT_OF_RANGE,
+    ["constants", "--type", "Q", "--length", "4", "--genus", "1", "--field", "2"],
+    ["constants", "--type", "2II", "--length", "8", "--genus", "1", "--field", "3"],
+    ["eisenstein", "--type", "2II", "--length", "-8", "--genus", "1",
+     "--method", "coset"],
 ])
 def test_invalid_input_is_a_usage_error(argv, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", GENUS_OUT_OF_RANGE)
+def test_genus_out_of_range_names_the_option(argv, capsys):
+    _, _, err = run(capsys, *argv)
+    assert "--genus must be at least" in err

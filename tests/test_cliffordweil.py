@@ -20,12 +20,15 @@ from cweil.cliffordweil import (
     gl_matrices,
     group_closure,
     parabolic_closure,
+    power_sum,
     quadform_eval,
     seed_poly,
     tau_operator,
     _bfs_closure,
 )
 from cweil.constructions import e8, tetracode
+from cweil.cyclo import CycNum
+from cweil.poly import Poly, apply_operator
 from cweil.weightenum import cwe
 
 # (tag, g, p) -> (|C_g|, |P_g| with scalars, # parabolic cosets)
@@ -136,6 +139,33 @@ def test_eisenstein_genus1_tetracode():
 def test_eisenstein_rejects_bad_weight():
     with pytest.raises(ValueError):
         eisenstein_coset("2II", 1, 4)
+
+
+@pytest.mark.parametrize("tag,g,N,p", [
+    ("2II", 1, 8, 2), ("2I", 1, 8, 2), ("2I", 2, 8, 2),
+    ("Q", 1, 4, 3), ("Q1", 1, 12, 3),
+])
+def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
+    # oracle: substitute every coset rep into the seed, then average
+    reps = coset_reps(group_closure(tag, g, p), parabolic_closure(tag, g, p))
+    seed = seed_poly(tag, g, N, p)
+    total = Poly.zero(p, g, N, seed.conductor)
+    for rep in reps:
+        total = total + rep.apply(seed)
+    assert eisenstein_coset(tag, g, N, p) == total / len(reps)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_power_sum_of_one_form_with_a_zero_entry(N):
+    # l = (1+z)/2 x_0 + 0 x_1 - z^2 x_2 + (3+z^3)/2 x_3 over Q(zeta_8)
+    row = [CycNum(8, (1, 1, 0, 0), 2), CycNum.zero(8),
+           CycNum(8, (0, 0, -1, 0)), CycNum(8, (3, 0, 0, 1), 2)]
+    nums = [[int(x) for x in (c * 2).nums] for c in row]
+    zero_row = [CycNum.zero(8)] * 4
+    seed = Poly.monomial(2, 2, 8, (N, 0, 0, 0))
+    expect = apply_operator(seed, [row] + [zero_row] * 3)
+    assert power_sum(2, 2, N, 8, [(2, nums, 1)], 1) == expect
+    assert power_sum(2, 2, N, 8, [(2, nums, 3)], 3) == expect
 
 
 @pytest.mark.parametrize("tag,N", [("2I", 16), ("2II", 8)])
