@@ -155,7 +155,7 @@ def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
     assert eisenstein_coset(tag, g, N, p) == total / len(reps)
 
 
-@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
 def test_power_sum_of_one_form_with_a_zero_entry(N):
     # l = (1+z)/2 x_0 + 0 x_1 - z^2 x_2 + (3+z^3)/2 x_3 over Q(zeta_8)
     row = [CycNum(8, (1, 1, 0, 0), 2), CycNum.zero(8),
@@ -166,6 +166,9 @@ def test_power_sum_of_one_form_with_a_zero_entry(N):
     expect = apply_operator(seed, [row] + [zero_row] * 3)
     assert power_sum(2, 2, N, 8, [(2, nums, 1)], 1) == expect
     assert power_sum(2, 2, N, 8, [(2, nums, 3)], 3) == expect
+    # the zero form: 0^N, which is 1 at N = 0
+    assert power_sum(2, 2, N, 8, [(1, [[0] * 4] * 4, 1)], 1) == \
+        apply_operator(seed, [zero_row] * 4)
 
 
 @pytest.mark.parametrize("tag,N", [("2I", 16), ("2II", 8)])
