@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -570,9 +570,7 @@ def power_sum(p: int, g: int, N: int, n: int, forms, scale: int) -> Poly:
     the CycNum coefficients are built at the end over D^N * scale.
     """
     forms = list(forms)
-    D = 1
-    for den, _, _ in forms:
-        D = D * den // gcd(D, den)
+    D = lcm(*(den for den, _, _ in forms))
     phi = phi_degree(n)
     one = [1] + [0] * (phi - 1)
     d = p**g

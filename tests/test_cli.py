@@ -234,6 +234,7 @@ GENUS_OUT_OF_RANGE = [
     ["eisenstein", "--type", "2II", "--length", "8", "--genus", "-1",
      "--method", "siegel-weil"],
     ["group", "--type", "2II", "--genus", "0"],
+    ["constants", "--type", "2II", "--length", "8", "--genus", "-1"],
 ]
 
 
