@@ -12,19 +12,31 @@ An Operator stores its matrix as an int64 array of power-basis numerators
 over a single common denominator, normalised by gcd; the product of two
 operators is one einsum against the cyclotomic structure-constants tensor.
 With our substitution convention, "act by A, then act by B" is the matrix
-product A*B — Operator.__matmul__ is exactly that product.
+product A*B — Operator.__matmul__ is exactly that product.  Every int64
+product first bounds its partial sums and raises Int64OverflowError rather
+than wrap.
 
-Closures are plain breadth-first products over a reduced generating set;
-the tests re-assert that every textbook generator lands inside.  Predicted
-orders come from the tabulated group data |Z| * |ker lambda|^2 * |G_g|; we
-keep the six desk-scale values and refuse anything bigger than the cap.
+A closure is a union of right cosets H*r of the monomial subgroup
+H = <m_u, d_phi> (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory,
+ch. 5), found breadth first over the cosets of a reduced generating set.
+H is generated by some of the group's own generators, so it lies in the
+group.  The closure is stored as one numerator stack, coset by coset, and
+every batched product is one integer matmul of the left numerators against
+the right factor with the structure constants folded in.  The tests compare
+the result with a plain Operator.__matmul__ breadth-first search and
+re-assert that every textbook generator lands inside.  Predicted orders
+come from the tabulated group data |Z| * |ker lambda|^2 * |G_g|; we keep
+the six desk-scale values, certify each closure against its value with a
+raised ClosureError, and refuse anything bigger than the cap.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
 Eisenstein average and the index counts |ker lambda| * prod (p^i + 1) refer
 to.  (The bare <m_u, d_phi> monoid contains no nontrivial scalar, so its
 cosets would overcount by |Z| / |Z ∩ <m,d>|; the averaged series itself is
-identical either way, the seed being scalar-invariant.)
+identical either way, the seed being scalar-invariant.)  The parabolic
+subgroup is laid out over the same H as C_g, so its cosets in C_g are read
+off the H-cosets: P*r is the union of H*s*r over P's coset reps s.
 
 The Eisenstein average never substitutes into a Poly.  The seed is a sum
 of pure powers x_v^N, so the average is a power sum of the distinct linear
@@ -77,6 +89,24 @@ PREDICTED_PARABOLIC = {
 }
 
 
+class ClosureError(ValueError):
+    """A closure or coset layout failed one of its certifying checks."""
+
+
+class Int64OverflowError(ValueError):
+    """An int64 operator product could exceed 2^63 - 1 and wrap silently."""
+
+
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
+
+
+def _check_int64(bound: int, what: str) -> None:
+    """Raise unless the Python-int bound on every partial sum fits in int64."""
+    if bound >= 2**63:
+        raise Int64OverflowError(f"{what} could overflow int64 (bound {bound})")
+
+
 def center_order(tag: str, p: int) -> int:
     z = CENTER_ORDER[tag]
     return 4 * p if z is None else z
@@ -125,6 +155,9 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         assert (self.p, self.g, self.n) == (other.p, other.g, other.n)
         T = mul_table(self.n)
+        d, phi = self.arr.shape[0], T.shape[0]
+        _check_int64(max(_absmax(self.arr) * _absmax(other.arr) * _absmax(T) * d * phi * phi,
+                         self.den * other.den), "an operator product")
         arr = np.einsum("iks,kjt,stu->iju", self.arr, other.arr, T)
         return Operator(self.p, self.g, self.n, arr, self.den * other.den)
 
@@ -133,8 +166,8 @@ class Operator:
         arr = np.einsum("jis,su->iju", self.arr, C)
         return Operator(self.p, self.g, self.n, arr, self.den)
 
-    def fingerprint(self):
-        return (self.den, self.arr.tobytes())
+    def fingerprint(self) -> bytes:
+        return _keys(self.arr[None], np.array([self.den], dtype=np.int64))[0]
 
     def __eq__(self, other):
         if not isinstance(other, Operator):
@@ -392,66 +425,146 @@ def generators(tag: str, g: int, p: int, reduced: bool = True, parabolic: bool =
 
 
 class GroupClosure:
-    """A finite matrix group as {fingerprint: index} plus the element list."""
+    """A finite matrix group, stored coset by coset as one numerator stack.
 
-    def __init__(self, gens: list, elements: list):
-        self.gens = gens
-        self.elements = elements
-        self.index = {op.fingerprint(): i for i, op in enumerate(elements)}
+    Element i is arr[i] / den[i].  The elements k*h .. (k+1)*h - 1 form the
+    right coset H*r_k of the subgroup H = sub (h = |H|, and h = 1 when sub is
+    None), and r_k is the first of them.  index maps each element's
+    fingerprint to its position.  Indexing builds Operators on demand.
+    """
+
+    def __init__(self, gens: list, sub, arr: np.ndarray, den: np.ndarray, index: dict):
+        self.gens, self.sub, self.arr, self.den, self.index = gens, sub, arr, den, index
+        self.h = 1 if sub is None else sub.order
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.den.size
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.order))]
+        x = self.gens[0]
+        return Operator(x.p, x.g, x.n, self.arr[i], int(self.den[i]))
 
     def __contains__(self, op: Operator) -> bool:
         return op.fingerprint() in self.index
 
 
-def _batch_mul(arrs: np.ndarray, dens: np.ndarray, x: Operator, T: np.ndarray):
-    """Normalised products (arrs[k]/dens[k]) @ x for a whole stack at once."""
-    raw = np.einsum("fiks,kjt,stu->fiju", arrs, x.arr, T, optimize=True)
-    out = dens * x.den
-    common = np.gcd.reduce(np.abs(raw).reshape(out.size, -1), axis=1)
-    common = np.gcd(common, out)
+def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """X with the structure constants folded in, as a (d*phi) x (d*phi) matrix.
+
+    Xt[(k,s),(j,u)] = sum_t X[k,j,t] T[s,t,u], so that A @ X is the integer
+    matmul A[(i),(k,s)] @ Xt of A's numerators.
+    """
+    d, _, phi = x.shape
+    _check_int64(_absmax(x) * _absmax(T) * phi, "folding an operator")
+    return np.einsum("kjt,stu->ksju", x, T).reshape(d * phi, d * phi)
+
+
+def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
+    """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
+
+    xt is X folded by _fold; the products are one int64 matmul.
+    """
+    m, d, _, phi = arrs.shape
+    _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, _absmax(dens) * xden),
+                 "a batched operator product")
+    raw = (arrs.reshape(m * d, d * phi) @ xt).reshape(arrs.shape)
+    out = dens * xden
+    common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
     raw //= common[:, None, None, None]
     out //= common
     return raw, out
 
 
-def _op_stack(ops: list):
-    return (
-        np.stack([o.arr for o in ops]),
-        np.array([o.den for o in ops], dtype=np.int64),
-    )
+def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
+    """Fingerprints of normalised elements: the bytes of (den, numerators).
+
+    An element whose entries all fit in int8 is written in int8, any other in
+    int64; the two lengths differ, so equal keys still mean equal elements.
+    """
+    flat = np.concatenate([dens[:, None], arrs.reshape(dens.size, -1)], axis=1)
+    small = (flat.min(axis=1) >= -128) & (flat.max(axis=1) < 128)
+    b8, s = flat.astype(np.int8).tobytes(), flat.shape[1]
+    return [b8[i * s:(i + 1) * s] if small[i] else flat[i].tobytes()
+            for i in range(dens.size)]
 
 
-def _bfs_closure(gens, cap: int) -> list:
-    """Breadth-first products, one batched einsum per (level, generator)."""
+def close_group(gens: list, cap: int = CLOSURE_CAP, sub: GroupClosure | None = None,
+                expect: int | None = None) -> GroupClosure:
+    """<gens> as a union of right cosets sub*r, breadth first over the cosets.
+
+    sub must be generated by some of gens, so that it lies in the group; None
+    stands for {1} and gives the plain breadth-first closure.  Each level
+    multiplies its coset reps by every generator, one batched product per
+    generator; a product outside the cosets found so far opens the coset
+    sub*y, one batched product more.  The union is then closed under right
+    multiplication by the generators, so it is the whole group.  With expect,
+    any other order raises ClosureError.
+    """
     p, g, n = gens[0].p, gens[0].g, gens[0].n
     T = mul_table(n)
-    ident = Operator.identity(p, g, n)
-    seen = {ident.fingerprint()}
-    elems = [ident]
-    f_arr = ident.arr[None]
-    f_den = np.array([1], dtype=np.int64)
-    while f_den.size:
-        new_ops = []
-        for gopr in gens:
-            raw, dens = _batch_mul(f_arr, f_den, gopr, T)
-            for i in range(dens.size):
-                fp = (int(dens[i]), raw[i].tobytes())
-                if fp not in seen:
-                    if len(elems) >= cap:
-                        raise ValueError(f"closure exceeded the cap {cap}")
-                    seen.add(fp)
-                    op = Operator(p, g, n, raw[i].copy(), int(dens[i]))
-                    elems.append(op)
-                    new_ops.append(op)
-        if not new_ops:
-            break
-        f_arr = np.stack([o.arr for o in new_ops])
-        f_den = np.array([o.den for o in new_ops], dtype=np.int64)
-    return elems
+    limit = cap if expect is None else min(cap, expect)
+    arr = np.empty((min(limit, 1024) if expect is None else limit,) + gens[0].arr.shape,
+                   dtype=np.int64)
+    den = np.empty(arr.shape[0], dtype=np.int64)
+    index: dict = {}
+
+    def add(block, bden, keys) -> None:
+        nonlocal arr, den
+        start, top = len(index), len(index) + len(keys)
+        if top > cap:
+            raise ClosureError(f"closure exceeded the cap {cap}")
+        if expect is not None and top > expect:
+            raise ClosureError(f"closure order exceeds the predicted {expect}")
+        if top > den.size:
+            size = min(limit, 2 * top)
+            arr = np.concatenate([arr, np.empty((size - den.size,) + arr.shape[1:], arr.dtype)])
+            den = np.concatenate([den, np.empty(size - den.size, den.dtype)])
+        index.update(zip(keys, range(start, top)))
+        if len(index) != top:
+            raise ClosureError("cosets overlap: sub is not a group inside <gens>")
+        arr[start:top] = block
+        den[start:top] = bden
+
+    if sub is None:
+        one = Operator.identity(p, g, n)
+        add(one.arr[None], one.den, [one.fingerprint()])
+    else:
+        add(sub.arr, sub.den, list(sub.index))
+    folded = [(_fold(x.arr, T), x.den) for x in gens]
+    frontier = [0]
+    while frontier:
+        reps_arr, reps_den = arr[frontier], den[frontier]
+        frontier = []
+        for xt, xden in folded:
+            raw, dens = _batch_mul(reps_arr, reps_den, xt, xden)
+            for key, y, yden in zip(_keys(raw, dens), raw, dens):
+                if key in index:
+                    continue
+                frontier.append(len(index))
+                if sub is None:
+                    add(y, yden, [key])
+                else:
+                    block, bden = _batch_mul(sub.arr, sub.den, _fold(y, T), int(yden))
+                    add(block, bden, _keys(block, bden))
+    if expect is not None and len(index) != expect:
+        raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
+    arr, den = arr[:len(index)], den[:len(index)]
+    arr.setflags(write=False)
+    den.setflags(write=False)
+    return GroupClosure(gens, sub, arr, den, index)
+
+
+@lru_cache(maxsize=None)
+def _monomial_subgroup(tag: str, g: int, p: int, cap: int) -> GroupClosure:
+    """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
+    gens = generators(tag, g, p, reduced=True, parabolic=True)[:-1]  # all but the center
+    return close_group(gens, cap)
 
 
 @lru_cache(maxsize=None)
@@ -462,21 +575,15 @@ def group_closure(tag: str, g: int, p: int = 2, cap: int = CLOSURE_CAP) -> Group
         raise ValueError(f"no feasible closure for {(tag, g, p)}")
     if predicted > cap:
         raise ValueError(f"predicted order {predicted} exceeds the cap {cap}")
-    gens = generators(tag, g, p, reduced=True)
-    elems = _bfs_closure(gens, cap)
-    assert len(elems) == predicted, (len(elems), predicted)
-    return GroupClosure(gens, elems)
+    return close_group(generators(tag, g, p, reduced=True), cap,
+                       _monomial_subgroup(tag, g, p, cap), predicted)
 
 
 @lru_cache(maxsize=None)
 def parabolic_closure(tag: str, g: int, p: int = 2, cap: int = CLOSURE_CAP) -> GroupClosure:
     """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
-    gens = generators(tag, g, p, reduced=True, parabolic=True)
-    elems = _bfs_closure(gens, cap)
-    predicted = PREDICTED_PARABOLIC.get((tag, g, p))
-    if predicted is not None:
-        assert len(elems) == predicted, (len(elems), predicted)
-    return GroupClosure(gens, elems)
+    return close_group(generators(tag, g, p, reduced=True, parabolic=True), cap,
+                       _monomial_subgroup(tag, g, p, cap), PREDICTED_PARABOLIC.get((tag, g, p)))
 
 
 def coset_reps(G: GroupClosure, P: GroupClosure) -> list:
@@ -485,25 +592,38 @@ def coset_reps(G: GroupClosure, P: GroupClosure) -> list:
 
 
 def coset_labels(G: GroupClosure, P: GroupClosure):
-    """reps plus the map element-index -> coset number, for orbit chasing."""
-    for x in P.elements:
-        if x not in G:
-            raise ValueError("P is not a subgroup of G")
-    assert G.order % P.order == 0
-    T = mul_table(G.elements[0].n)
-    P_arr, P_den = _op_stack(P.elements)
+    """reps plus the map element-index -> coset number, for orbit chasing.
+
+    G and P must be laid out over one subgroup H.  Then P*r is the union of
+    the H-cosets H*s*r over P's coset reps s, so each P-coset is read off
+    |P|/|H| lookups of one batched product.  Cosets are numbered in the order
+    of their first element in G.
+    """
+    if P.sub is not G.sub:
+        raise ValueError("G and P are not laid out over one subgroup")
+    if G.order % P.order:
+        raise ClosureError(f"|P| = {P.order} does not divide |G| = {G.order}")
+    h = G.h
+    s_arr, s_den = P.arr[::h], P.den[::h]
+    if any(key not in G.index for key in _keys(s_arr, s_den)):
+        raise ClosureError("P is not a subgroup of G")
+    T = mul_table(G.gens[0].n)
+    hlabel = [-1] * (G.order // h)
     reps = []
-    label = [-1] * G.order
-    for i, x in enumerate(G.elements):
-        if label[i] >= 0:
+    for j in range(len(hlabel)):
+        if hlabel[j] >= 0:
             continue
-        cid = len(reps)
+        x = G[j * h]
+        raw, dens = _batch_mul(s_arr, s_den, _fold(x.arr, T), x.den)
+        for key in _keys(raw, dens):
+            k = G.index[key] // h
+            if hlabel[k] >= 0:
+                raise ClosureError("P-cosets overlap")
+            hlabel[k] = len(reps)
         reps.append(x)
-        raw, dens = _batch_mul(P_arr, P_den, x, T)
-        for k in range(dens.size):
-            label[G.index[(int(dens[k]), raw[k].tobytes())]] = cid
-    assert len(reps) * P.order == G.order
-    return reps, label
+    if len(reps) * P.order != G.order:
+        raise ClosureError(f"{len(reps)} cosets of |P| = {P.order} do not make |G| = {G.order}")
+    return reps, np.repeat(hlabel, h).tolist()
 
 
 # --- Eisenstein series by coset averaging -------------------------------

@@ -19,7 +19,7 @@ from cweil.autgroup import aut_order
 from cweil.cli import main as cli_main
 from cweil.cliffordweil import (
     Operator,
-    _bfs_closure,
+    close_group,
     coset_labels,
     delta_embed,
     eisenstein_coset,
@@ -240,7 +240,7 @@ def test_criterion_08_double_coset_cover(capsys):
         ident = Operator.identity(2, 1, 8)
         dgens = [delta_embed(a, ident) for a in generators("2II", 1, 2)]
         dgens += [delta_embed(ident, a) for a in generators("2II", 1, 2)]
-        sub = _bfs_closure(dgens, 10**5)
+        sub = close_group(dgens, 10**5)
         assert len(sub) == 4608  # the doubled image of C_1 x C_1
         for op in sub[:25]:
             assert op in G

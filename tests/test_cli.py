@@ -6,6 +6,7 @@ import pytest
 
 import cweil.cli
 from cweil.cli import main
+from cweil.cliffordweil import PREDICTED_ORDER, group_closure
 from cweil.constructions import e8
 from cweil.database import load_bundled, serialize_db
 from cweil.poly import parse_poly
@@ -48,6 +49,18 @@ def test_group_structure_check(capsys):
     assert "group order: 192" in out
     assert "predicted order: 192 (match)" in out
     assert "coset index: 6" in out
+
+
+def test_failed_order_certificate_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(PREDICTED_ORDER, ("2I", 1, 2), 17)
+    group_closure.cache_clear()
+    try:
+        code, out, err = run(capsys, "group", "--type", "2I", "--genus", "1")
+    finally:
+        group_closure.cache_clear()
+    assert code == 1
+    assert out == ""
+    assert err == "error: closure has order 16, predicted 17\n"
 
 
 def test_group_q3(capsys):
@@ -245,6 +258,16 @@ GENUS_OUT_OF_RANGE = [
     *GENUS_OUT_OF_RANGE,
     ["constants", "--type", "Q", "--length", "4", "--genus", "1", "--field", "2"],
     ["constants", "--type", "2II", "--length", "8", "--genus", "1", "--field", "3"],
+    ["constants", "--type", "Q", "--length", "4", "--genus", "1", "--field", "9"],
+    ["constants", "--type", "Q", "--length", "4", "--genus", "1", "--field", "1"],
+    ["constants", "--type", "Q", "--length", "4", "--genus", "1", "--field", "-3"],
+    ["constants", "--type", "Q", "--length", "4", "--genus", "1",
+     "--field", str(2**61 - 1)],  # prime; trial division would take ~10^9 steps
+    ["constants", "--type", "2II", "--length", "7", "--genus", "1"],
+    ["constants", "--type", "2I", "--length", "-8", "--genus", "1"],
+    ["constants", "--type", "Q1", "--length", "4", "--genus", "1", "--field", "3"],
+    ["eisenstein", "--type", "2II", "--length", "8", "--genus", "1", "--field", "3",
+     "--method", "siegel-weil"],
     ["eisenstein", "--type", "2II", "--length", "-8", "--genus", "1",
      "--method", "coset"],
 ])

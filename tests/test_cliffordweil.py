@@ -1,14 +1,25 @@
 """Group closures, cosets, Eisenstein averages, and the doubling operators."""
 
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import cweil
 from cweil.cliffordweil import (
+    ClosureError,
+    GroupClosure,
+    Int64OverflowError,
     Operator,
     QuadraticForm,
     all_quadforms,
     center_generator,
+    close_group,
     coset_labels,
     coset_reps,
     delta_embed,
@@ -24,10 +35,11 @@ from cweil.cliffordweil import (
     quadform_eval,
     seed_poly,
     tau_operator,
-    _bfs_closure,
+    _batch_mul,
+    _fold,
 )
 from cweil.constructions import e8, tetracode
-from cweil.cyclo import CycNum
+from cweil.cyclo import CycNum, mul_table
 from cweil.poly import Poly, apply_operator
 from cweil.weightenum import cwe
 
@@ -73,7 +85,7 @@ def test_generators_unitary(key):
 )
 def test_center_scalar_order(tag, p, z):
     zgen = center_generator(tag, p, 1)
-    assert len(_bfs_closure([zgen], 100)) == z
+    assert len(close_group([zgen], 100)) == z
     assert zgen in group_closure(tag, 1, p)
 
 
@@ -115,6 +127,129 @@ def test_fourier_squares():
     assert gen_h(1, 1, 2) @ gen_h(1, 1, 2) == Operator.identity(2, 1, 8)
     # for odd p the full transform squares to the sign flip x_v -> x_{-v}
     assert gen_h(1, 1, 3) @ gen_h(1, 1, 3) == gen_m([[-1]], 3, 1)
+
+
+def _matmul_bfs(gens) -> set:
+    """The closure the slow way: one Operator.__matmul__ per element and generator."""
+    one = Operator.identity(gens[0].p, gens[0].g, gens[0].n)
+    seen = {(one.den, one.arr.tobytes())}
+    frontier = [one]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                y = x @ s
+                if (y.den, y.arr.tobytes()) not in seen:
+                    seen.add((y.den, y.arr.tobytes()))
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("key", [("2I", 1, 2), ("2I", 2, 2), ("2II", 1, 2),
+                                 ("Q", 1, 3), ("Q1", 1, 3)])
+def test_coset_closure_matches_plain_matmul_bfs(key):
+    G = group_closure(*key)
+    assert {(op.den, op.arr.tobytes()) for op in G} == _matmul_bfs(generators(*key))
+
+
+@pytest.mark.parametrize("key", [("2II", 2, 2), ("Q1", 1, 3)])
+def test_batched_kernel_matches_matmul(key):
+    rng = random.Random(7)
+    gens = generators(*key)
+
+    def word():
+        x = rng.choice(gens)
+        for _ in range(rng.randrange(6)):
+            x = x @ rng.choice(gens)
+        return x
+
+    left = [word() for _ in range(5)]
+    for _ in range(5):
+        right = word()
+        raw, dens = _batch_mul(np.stack([a.arr for a in left]),
+                               np.array([a.den for a in left], dtype=np.int64),
+                               _fold(right.arr, mul_table(right.n)), right.den)
+        for a, arr, den in zip(left, raw, dens):
+            assert Operator(a.p, a.g, a.n, arr, int(den)) == a @ right
+            assert den == (a @ right).den
+
+
+@pytest.mark.parametrize("tag", ["2I", "2II"])
+def test_coset_labels_match_generic_labelling(tag):
+    G, P = group_closure(tag, 2, 2), parabolic_closure(tag, 2, 2)
+    reps, label = coset_labels(G, P)
+    assert Counter(label) == dict.fromkeys(range(len(reps)), P.order)
+    # generic: walk G in order and label all of P*x, one einsum per coset
+    T = mul_table(8)
+    where = {(int(den), arr.tobytes()): i for i, (arr, den) in enumerate(zip(G.arr, G.den))}
+    expect = [-1] * G.order
+    firsts = []
+    for i in range(G.order):
+        if expect[i] >= 0:
+            continue
+        x = G[i]
+        raw = np.einsum("fiks,kjt,stu->fiju", P.arr, x.arr, T, optimize=True)
+        dens = P.den * x.den
+        common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(len(raw), -1), axis=1), dens)
+        raw //= common[:, None, None, None]
+        for arr, den in zip(raw, dens // common):
+            expect[where[(int(den), arr.tobytes())]] = len(firsts)
+        firsts.append(x)
+    assert label == expect
+    assert reps == firsts
+
+
+def test_int64_overflow_raises_instead_of_wrapping():
+    T = mul_table(8)
+    one = Operator.identity(2, 1, 8)
+    ok = Operator(2, 1, 8, one.arr * 2**20, 1)
+    assert (ok @ ok).arr[0, 0, 0] == 2**40
+    big = Operator(2, 1, 8, one.arr * (2**40 + 1), 1)  # its square is about 2^80
+    with pytest.raises(Int64OverflowError):
+        big @ big
+    with pytest.raises(Int64OverflowError):
+        _batch_mul(big.arr[None], np.array([1]), _fold(big.arr, T), 1)
+    with pytest.raises(Int64OverflowError):
+        _fold(one.arr * 2**62, T)
+
+
+def test_closure_certificates_raise():
+    gens = generators("2II", 1, 2)
+    with pytest.raises(ClosureError, match="cap"):
+        close_group(gens, cap=100)
+    with pytest.raises(ClosureError, match="predicted"):
+        close_group(gens, expect=191)
+    with pytest.raises(ClosureError, match="predicted"):
+        close_group(gens, expect=193)
+    # {1, d} with d of order 4 is no group: the coset {1, d} * d^3 meets it
+    d = gen_d(QuadraticForm("2II", 1, 2, (1,)))
+    group = close_group([d])
+    fake = GroupClosure([d], None, group.arr[:2], group.den[:2],
+                        dict(list(group.index.items())[:2]))
+    with pytest.raises(ClosureError, match="overlap"):
+        close_group([d @ d @ d], sub=fake)
+
+
+def test_order_certificate_survives_python_O():
+    # under -O an assert would accept 17 for the order-16 group
+    code = (
+        "import sys\n"
+        "from cweil import cliffordweil as cw\n"
+        "cw.PREDICTED_ORDER[('2I', 1, 2)] = 17\n"
+        "try:\n"
+        "    cw.group_closure('2I', 1, 2)\n"
+        "except cw.ClosureError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cweil.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "closure has order 16, predicted 17" in out.stdout
 
 
 def test_closure_refuses_unknown_or_oversized():
@@ -180,7 +315,7 @@ def test_eisenstein_invariant_under_whole_group(tag, N):
 
 def test_seed_fixed_by_parabolic():
     seed = seed_poly("2II", 1, 8, 2)
-    for op in parabolic_closure("2II", 1, 2).elements:
+    for op in parabolic_closure("2II", 1, 2):
         assert op.apply(seed) == seed
 
 
@@ -215,7 +350,7 @@ def test_delta_subgroup_and_coset_cover(tag):
     ident = Operator.identity(2, 1, 8)
     dgens = [delta_embed(a, ident) for a in generators(tag, 1, 2)]
     dgens += [delta_embed(ident, a) for a in generators(tag, 1, 2)]
-    sub = _bfs_closure(dgens, 10**5)
+    sub = close_group(dgens, 10**5)
     assert len(sub) == DELTA_ORDERS[tag]
     for op in sub[:50]:
         assert op in G
