@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .codes import LinearCode
+
+np = lazy_import("numpy")
 
 
 class _TooHard(Exception):

@@ -10,7 +10,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 
 from .autgroup import aut_order
 from .cliffordweil import (
@@ -23,6 +23,7 @@ from .cliffordweil import (
     group_closure,
     parabolic_closure,
 )
+from .codes import is_prime
 from .database import (
     BUNDLED,
     CodeDatabase,
@@ -91,7 +92,7 @@ def _check_field(tag: str, p: int) -> None:
     if (tag in ("2I", "2II")) != (p == 2):  # binary types, and odd-p types
         raise CliError(f"type {tag} does not go with --field {p}")
     # bounded, so that trial division stays under 2^16 steps
-    if not 2 <= p < 2**32 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if p >= 2**32 or not is_prime(p):
         raise CliError(f"--field must be a prime below 2^32, got {p}")
 
 
@@ -423,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--parabolic", action="store_true",
-                    help="also close the parabolic subgroup")
+                    help="no effect: the parabolic subgroup is always closed; "
+                         "kept for compatibility")
 
     sp = add("aut", cmd_aut, help="automorphism group order of a code")
     sp.add_argument("--db")

@@ -53,8 +53,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, gcd, lcm
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cyclo import (
     CycNum,
     conj_table,
@@ -65,6 +64,8 @@ from .cyclo import (
 )
 from .poly import Poly, apply_operator, index_vector, var_index
 from .weightenum import run_conductor
+
+np = lazy_import("numpy")
 
 CLOSURE_CAP = 200_000
 

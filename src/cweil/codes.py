@@ -17,8 +17,15 @@ so the enumeration kernels downstream run on popcounts.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 
 TYPES = ("2I", "2II", "Q", "Q1")
+WORD_BUDGET = 1 << 26
+
+
+def is_prime(p: int) -> bool:
+    """Trial division; callers bound p so that it stays cheap."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def rref(p: int, rows) -> tuple[tuple[int, ...], ...]:
@@ -49,16 +56,18 @@ class LinearCode:
     """A linear code with its canonical RREF basis and optional type tag."""
 
     def __init__(self, p: int, n: int, rows, tag: str | None = None):
-        assert p >= 2 and all(pow(i, 1, p) for i in range(2, p)), f"p={p} not prime"
-        assert p <= 13
+        if not (p <= 13 and is_prime(p)):
+            raise ValueError(f"field size {p} is not a prime up to 13")
         if tag is not None:
-            assert tag in TYPES, tag
-            assert (p == 2) == (tag in ("2I", "2II")), (p, tag)
+            if tag not in TYPES:
+                raise ValueError(f"unknown type {tag!r}; have {TYPES}")
+            if (p == 2) != (tag in ("2I", "2II")):
+                raise ValueError(f"type {tag} does not go with field {p}")
         self.p = p
         self.n = n
         self.rows = rref(p, rows)
-        for row in self.rows:
-            assert len(row) == n
+        if any(len(row) != n for row in self.rows):
+            raise ValueError(f"a generator row does not have length {n}")
         self.tag = tag
 
     @property
@@ -68,7 +77,8 @@ class LinearCode:
     @cached_property
     def words(self) -> tuple:
         """All p^k codewords: packed ints for p=2, tuples otherwise."""
-        assert self.p**self.k <= 1 << 26, "codeword budget exceeded"
+        if self.p**self.k > WORD_BUDGET:
+            raise ValueError(f"{self.p}^{self.k} codewords exceed the budget {WORD_BUDGET}")
         if self.p == 2:
             packed = [sum(b << i for i, b in enumerate(row)) for row in self.rows]
             words = [0]
@@ -145,7 +155,8 @@ def weight(word, p: int) -> int:
 def check_type(C: LinearCode, tag: str | None = None) -> bool:
     """Self-duality plus the extra condition of the (given or stored) tag."""
     tag = tag or C.tag
-    assert tag in TYPES, tag
+    if tag not in TYPES:
+        raise ValueError(f"unknown type {tag!r}; have {TYPES}")
     if tag in ("2I", "2II") and C.p != 2:
         return False
     if tag in ("Q", "Q1") and C.p == 2:

@@ -25,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 @lru_cache(maxsize=None)
@@ -254,14 +256,14 @@ class CycNum:
 
     def conj(self) -> "CycNum":
         """Complex conjugation zeta |-> zeta^(n-1)."""
-        C = conj_table(self.n)
+        n, rows = self.n, _power_table(self.n)
         phi = len(self.nums)
         out = [0] * phi
         for k, a in enumerate(self.nums):
             if a:
-                row = C[k]
+                row = rows[(n - k) % n]
                 for u in range(phi):
-                    out[u] += a * int(row[u])
+                    out[u] += a * row[u]
         return CycNum(self.n, out, self.den)
 
     # --- predicates and views -----------------------------------------

@@ -156,7 +156,7 @@ def _finish_record(cur: dict, verify_aut: bool) -> CodeRecord:
             raise DbParseError(lineno, f"record {name!r} is missing {key}")
     try:
         code = code_from_rows(cur["field"], cur["length"], cur["rows"], cur["type"])
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise DbParseError(lineno, f"record {name!r}: {exc}")
     if not check_type(code):
         raise DbParseError(lineno, f"record {name!r} fails its {code.tag} type check")

@@ -145,7 +145,8 @@ def const_c(tag: str, N: int, g: int, p: int = 2) -> Fraction:
     if tag == "2I":
         raise ValueError("type 2I has no proven constant; use const_conj")
     if tag == "2II":
-        assert p == 2
+        if p != 2:
+            raise ValueError(f"type 2II needs field 2, got {p}")
         c = Fraction(2) ** (g * g + 2 * g - N * g // 2)
     elif tag == "Q":
         c = Fraction(p) ** (g * g - N * g // 2)

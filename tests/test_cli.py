@@ -1,9 +1,13 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cweil
 import cweil.cli
 from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
@@ -238,6 +242,100 @@ def test_eisenstein_coset_golden_output(tag, length, genus, digest, capsys):
                        "--genus", genus, "--method", "coset")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the seed's stdout of further commands on bundled data, as sha256
+GOLDEN = [
+    ("verify-doubling --type 2I --length 16 --genus 1 --factorial",
+     "548629d92e548f409011f744db0d9b181011abffdb7f20a41dbc8cf9902594cb"),
+    ("verify-doubling --type 2I --length 16 --genus 2 --factorial",
+     "c3526dce26c5a0ea2cb9f2162de1ecca916344732908dcd86e3ea475a2bb9185"),
+    ("verify-doubling --type 2II --length 24 --genus 1 --factorial",
+     "62696ce0da6c55e5e0339c754b149e86533ab1b09191a5f0a006573428a5c981"),
+    ("cusp --type 2I --length 16 --genus 2 --polys",
+     "287e6d3bb256988140f2263a5130fa1a2244426513f0bc51735d4c9294ea972f"),
+    ("cwe --code golay24 --genus 1 --tuples",
+     "7b52f68b2f36e70b9db18540ddb64693ddd4e2cdcdb084ee9f8762345f055790"),
+    ("aut --code golay24",
+     "b1c65c25819551ddc7a42949d6d2d0588d883e962d2fecac8b0eebdee88b3e74"),
+    ("eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",
+     "b6f17c105d8d6a0cf41660343caa52f5c6cbde43799a77475819ffb1749737ef"),
+    ("constants --type 2II --length 24 --genus 1 --factorial",
+     "8f9967428b8f35a6048efdb820150da9d059ade2693f379645d7404eca87e5ac"),
+    ("group --type 2II --genus 2",
+     "f0698828df75c9d1c28cb616b0dd50919d6f069901ff3a2c04fa8c338b99c4c7"),
+    ("group --type Q1 --genus 1 --field 3 --parabolic",
+     "f1bf7a8ae23e7e77803d0420458b9c06e349630ca6d1bac363657e8cdf1dcd06"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_output(command, digest, capsys):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "Q1", "--genus", "1", "--field", "3"],
+    ["group", "--type", "2II", "--genus", "1"],
+])
+def test_group_parabolic_flag_changes_nothing(argv, capsys):
+    assert run(capsys, *argv) == run(capsys, *argv, "--parabolic")
+
+
+def _python(*args, **kwargs):
+    """Run a fresh interpreter on this checkout's cweil."""
+    src = os.path.dirname(os.path.dirname(cweil.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+NUMPY_FREE = [
+    "constants --type 2II --length 24 --genus 1 --factorial",
+    "cwe --code golay24 --genus 1 --tuples",
+    "aut --code golay24",
+    "eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",
+    "verify-doubling --type 2II --length 24 --genus 1 --factorial",
+]
+
+
+def test_commands_without_array_work_never_run_numpy():
+    # numpy's package body imports its submodules, so none of them in
+    # sys.modules means it never ran; a deferred `numpy` entry may be there
+    code = (
+        "import sys\n"
+        "def ran():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "import cweil.cli\n"
+        "print('import', ran())\n"
+        f"for argv in {NUMPY_FREE!r}:\n"
+        "    rc = cweil.cli.main(argv.split())\n"
+        "    print('ran', argv, rc, ran(), file=sys.stderr)\n"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert "import []" in out.stdout
+    lines = out.stderr.splitlines()
+    assert lines == [f"ran {argv} 0 []" for argv in NUMPY_FREE]
+
+
+@pytest.mark.parametrize("record,why", [
+    ("field 17\ntype Q\nlength 2\ngen 14", "field size 17 is not a prime up to 13"),
+    ("field 2\ntype 3I\nlength 2\ngen 11", "unknown type '3I'"),
+])
+def test_bad_db_record_is_rejected_under_python_O(tmp_path, record, why):
+    # both records are self-dual codes, so only LinearCode's own checks,
+    # once asserts that -O strips, stand between them and a 0 exit
+    db = tmp_path / "bad.txt"
+    db.write_text(f"code x\n{record}\nend\n")
+    out = _python("-O", "-m", "cweil.cli", "cwe", "--db", str(db), "--code", "x",
+                  "--genus", "1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: {db}: line 1: record 'x': {why}")
 
 
 GENUS_OUT_OF_RANGE = [

@@ -54,6 +54,32 @@ def test_row_validation():
         code_from_rows(2, 4, ["102"])
     with pytest.raises(ValueError):
         code_from_rows(2, 4, ["10"])
+    with pytest.raises(ValueError, match="length 4"):
+        LinearCode(2, 4, [[1, 1]])
+
+
+@pytest.mark.parametrize("p", [4, 9, 1, 0, 17])
+def test_field_must_be_a_small_prime(p):
+    # pow(i, 1, p) is nonzero for every i < p, so the old check let 4 and 9 by
+    with pytest.raises(ValueError, match=f"field size {p} is not a prime"):
+        LinearCode(p, 2, [[1, 1]])
+
+
+def test_type_tag_is_checked():
+    with pytest.raises(ValueError, match="unknown type"):
+        LinearCode(2, 2, [[1, 1]], "3I")
+    with pytest.raises(ValueError, match="does not go with field 3"):
+        LinearCode(3, 2, [[1, 1]], "2I")
+    with pytest.raises(ValueError, match="does not go with field 2"):
+        LinearCode(2, 2, [[1, 1]], "Q")
+    with pytest.raises(ValueError, match="unknown type"):
+        check_type(LinearCode(2, 2, [[1, 1]]))
+
+
+def test_codeword_budget_raises():
+    C = LinearCode(2, 27, [[int(i == j) for j in range(27)] for i in range(27)])
+    with pytest.raises(ValueError, match="budget"):
+        C.words
 
 
 @settings(max_examples=50, deadline=None)

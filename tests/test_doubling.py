@@ -134,6 +134,11 @@ def test_constant_c_rejects_type_2i():
         const_c("2I", 16, 1)
 
 
+def test_constant_c_rejects_2ii_off_field_2():
+    with pytest.raises(ValueError, match="field 2"):
+        const_c("2II", 8, 1, 3)
+
+
 def test_constant_conj_matches_orthogonal_group_combinatorics():
     # the denominator product counts maximal isotropic subspaces: the scalar
     # is N! * 2^(2g-Ng/2) * 2^(g^2-g) * (2^g-1) * iso(g)/iso(2g), where

@@ -2,9 +2,14 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cweil import weightenum
 from cweil.codes import code_from_rows, permute_code
 from cweil.constructions import e8, i2, table2_codes, tetracode
 from cweil.cyclo import CycNum
+from cweil.database import load_bundled
 from cweil.poly import tuple_profile
 from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
 
@@ -121,3 +126,59 @@ def test_tetracode_cwe1():
     assert (4,) in keys
     total = sum(x.as_rational() for x in cwe(tetracode(), 1).terms.values())
     assert total == 9
+
+
+def _bits(word: int, n: int) -> list[int]:
+    return [(word >> i) & 1 for i in range(n)]
+
+
+@pytest.mark.parametrize("rec", load_bundled("codes_2i_n16").records,
+                         ids=lambda rec: rec.name)
+def test_genus2_kernel_matches_generic_on_bundled_2i16(rec):
+    assert cwe_binary_fast(rec.code, 2) == cwe_generic(rec.code, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.just(64), st.integers(min_value=1, max_value=64)),
+       data=st.data())
+@example(n=64, data=None)
+def test_genus2_kernel_matches_generic_on_random_codes(n, data):
+    if data is None:  # the top bit alone, and with the bottom one
+        words = [1 << 63, (1 << 63) | 1]
+    else:
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+        words = [w | (1 << (n - 1)) for w in words]  # every row uses bit n-1
+    C = code_from_rows(2, n, [_bits(w, n) for w in words])
+    assert cwe_binary_fast(C, 2) == cwe_generic(C, 2)
+    assert cwe_binary_fast(C, 1) == cwe_generic(C, 1)
+
+
+def test_genus2_kernel_is_chunk_independent(monkeypatch):
+    C = table2_codes()["F16"]  # 256 words: 86 blocks of 3 rows, the last short
+    assert weightenum.PAIR_CHUNK // 256 < 256  # the default splits it too
+    whole = cwe_binary_fast(C, 2)
+    monkeypatch.setattr(weightenum, "PAIR_CHUNK", 3 * 256)
+    assert cwe_binary_fast(C, 2) == whole
+    monkeypatch.setattr(weightenum, "PAIR_CHUNK", 1)
+    assert cwe_binary_fast(C, 2) == whole
+
+
+def test_codes_longer_than_64_take_the_generic_path():
+    # the popcount kernel is uint64 and would drop the top two coordinates
+    n = 66
+    words = [(1 << 65) | (1 << 64) | 0b1011, (1 << 65) | (1 << 40) | 1, (1 << 63) | 0b110]
+    C = code_from_rows(2, n, [_bits(w, n) for w in words])
+    with pytest.raises(ValueError, match="N <= 64"):
+        cwe_binary_fast(C, 2)
+    with pytest.raises(ValueError, match="N <= 64"):
+        cwe_binary_fast(C, 1)
+    assert cwe(C, 1) == cwe_generic(C, 1)
+    assert cwe(C, 2) == cwe_generic(C, 2)
+    assert sum(int(c.as_rational()) for c in cwe(C, 2).terms.values()) == 64
+
+
+def test_popcount_kernel_refuses_odd_p_and_genus_0():
+    with pytest.raises(ValueError, match="p = 2"):
+        cwe_binary_fast(tetracode(), 1)
+    with pytest.raises(ValueError, match="g >= 1"):
+        cwe_binary_fast(e8(), 0)
