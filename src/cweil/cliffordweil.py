@@ -38,16 +38,21 @@ identical either way, the seed being scalar-invariant.)  The parabolic
 subgroup is laid out over the same H as C_g, so its cosets in C_g are read
 off the H-cosets: P*r is the union of H*s*r over P's coset reps s.
 
-The Eisenstein average never substitutes into a Poly.  The seed is a sum
-of pure powers x_v^N, so the average is a power sum of the distinct linear
-forms among the rows of the coset reps, each expanded once by the
+The Eisenstein average needs no closure and never substitutes into a Poly.
+The seed is a sum of pure powers x_v^N, so a coset P*x contributes the N-th
+powers of the rows of x that the seed uses, and those rows, taken modulo the
+central phases, are fixed by P.  A breadth-first search of the orbit of the
+identity's rows under the generators therefore stands in for P\\C_g; the
+average is a power sum of the distinct rows, each expanded once by the
 multinomial theorem with integer numerators and the one cyclotomic multiply
-`cyclo.mul_nums`.  The generic substitution `poly.apply_operator` (behind
-`Operator.apply`) is its test oracle.
+`cyclo.mul_nums`.  The tests check it against substituting the seed
+(`poly.apply_operator`, behind `Operator.apply`) into the coset reps of the
+closures.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -469,12 +474,14 @@ def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
 def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
     """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
 
-    xt is X folded by _fold; the products are one int64 matmul.
+    Each arrs[f] holds r rows of d entries: r = d for an operator, r = 1 for
+    one linear form.  xt is X folded by _fold; the products are one int64
+    matmul.
     """
-    m, d, _, phi = arrs.shape
+    m, r, d, phi = arrs.shape
     _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, _absmax(dens) * xden),
                  "a batched operator product")
-    raw = (arrs.reshape(m * d, d * phi) @ xt).reshape(arrs.shape)
+    raw = (arrs.reshape(m * r, d * phi) @ xt).reshape(arrs.shape)
     out = dens * xden
     common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
     raw //= common[:, None, None, None]
@@ -627,13 +634,21 @@ def coset_labels(G: GroupClosure, P: GroupClosure):
     return reps, np.repeat(hlabel, h).tolist()
 
 
-# --- Eisenstein series by coset averaging -------------------------------
+# --- Eisenstein series by orbit averaging --------------------------------
 #
-# E_g = |reps|^-1 sum_sigma sum_v (sigma_v . x)^N over the rows sigma_v the
-# seed uses (all of them for 2I/2II, row 0 for Q/Q1).  Equal rows are
-# counted, not re-expanded: 2I at g = 2 has 96 rows and 24 distinct forms,
-# 2II has 240 and 100.  The tests check power_sum against summing
-# Operator.apply (i.e. apply_operator) of the seed over the coset reps.
+# The seed is f = sum_{v in S} x_v^N, with S every v for 2I/2II and S = {0}
+# for Q/Q1, so f^x = sum_{v in S} l^N over the rows l = row_v(x).  Let key(x)
+# be the set of those rows, each taken modulo the central phases mu_z
+# (z = |Z| divides N, so c^N = 1 for c in mu_z).  P's generators are
+# monomial with phases in mu_z and fix S, so key(px) = key(x), and
+# Px -> key(x) maps P\G onto the orbit O of key(1) under right
+# multiplication by the generators, with fibres of one size.  Hence
+# E_g = |O|^-1 sum_{k in O} sum_{l in k} l^N: a power sum over the distinct
+# rows, each counted once per key it lies in.  A breadth-first orbit search
+# finds O (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+# 2005, section 4.1) without closing any group; 2II at g = 2 has 15 keys and
+# 60 distinct rows.  The tests check the result against substituting the
+# seed into the coset reps of the closures.
 
 
 def seed_poly(tag: str, g: int, N: int, p: int) -> Poly:
@@ -647,38 +662,83 @@ def seed_poly(tag: str, g: int, N: int, p: int) -> Poly:
     return Poly.monomial(p, g, n, tuple(N if i == 0 else 0 for i in range(d)))
 
 
-def eisenstein_coset(
-    tag: str,
-    g: int,
-    N: int,
-    p: int = 2,
-    closure: GroupClosure | None = None,
-    parabolic: GroupClosure | None = None,
-) -> Poly:
-    """E_g as the average of the seed over P_g \\ C_g.
+@lru_cache(maxsize=None)
+def seed_orbit(tag: str, g: int, p: int = 2):
+    """The orbit O of key(1) under C_g, as (rows, keys).
 
-    The seed is a sum of pure powers x_v^N, so a coset rep sigma sends it to
-    the sum of l^N over the rows l = sigma_v of sigma's matrix; the average
-    is the power sum of those linear forms over |reps|.
+    rows[i] = (den, numerators) is one linear form, a representative of its
+    class modulo mu_z; each key is a frozenset of row numbers.  Refuses the
+    triples without a predicted order, and raises ClosureError unless |O|
+    divides the predicted index |C_g| / |P_g|.
+    """
+    predicted = PREDICTED_ORDER.get((tag, g, p))
+    if predicted is None:
+        raise ValueError(f"no feasible closure for {(tag, g, p)}")
+    n, z = run_conductor(p), center_order(tag, p)
+    T = mul_table(n)
+    phases = np.stack([_power_matrix(n, CycNum.zeta_pow(n, k * n // z)) for k in range(z)])
+    gens = [(_fold(x.arr, T), x.den) for x in generators(tag, g, p)]
+    index: dict = {}  # (den, least phase multiple's bytes) -> row number
+    rows: list = []
+
+    def classes(arrs: np.ndarray, dens: np.ndarray) -> list:
+        """Row numbers of the normalised forms arrs[i] / dens[i], modulo mu_z."""
+        _check_int64(_absmax(arrs) * _absmax(phases) * arrs.shape[-1], "a phase multiple")
+        out = []
+        for mults, den in zip(np.einsum("mds,kst->mkdt", arrs, phases), dens.tolist()):
+            names = [(den, c.tobytes()) for c in mults]
+            k = min(range(z), key=names.__getitem__)
+            if names[k] not in index:
+                mults[k].setflags(write=False)
+                index[names[k]] = len(rows)
+                rows.append((den, mults[k]))
+            out.append(index[names[k]])
+        return out
+
+    one = Operator.identity(p, g, n)
+    seeds = range(p**g) if tag in ("2I", "2II") else range(1)
+    start = frozenset(classes(one.arr[list(seeds)], np.ones(len(seeds), dtype=np.int64)))
+    keys, seen, frontier = [start], {start}, [start]
+    image: dict = {}  # (row number, generator number) -> row number
+    while frontier:
+        todo = sorted({r for k in frontier for r in k if (r, 0) not in image})
+        if todo:
+            arrs = np.stack([rows[r][1] for r in todo])[:, None]
+            dens = np.array([rows[r][0] for r in todo], dtype=np.int64)
+            for j, (xt, xden) in enumerate(gens):
+                raw, out = _batch_mul(arrs, dens, xt, xden)
+                image.update(zip(((r, j) for r in todo), classes(raw[:, 0], out)))
+        level, frontier = frontier, []
+        for k in level:
+            for j in range(len(gens)):
+                k2 = frozenset(image[r, j] for r in k)
+                if k2 not in seen:
+                    seen.add(k2)
+                    keys.append(k2)
+                    frontier.append(k2)
+    parabolic = PREDICTED_PARABOLIC[tag, g, p]
+    if predicted % parabolic or (predicted // parabolic) % len(keys):
+        raise ClosureError(f"orbit of {len(keys)} keys does not divide the index "
+                           f"{predicted}/{parabolic}")
+    return rows, keys
+
+
+def eisenstein_coset(tag: str, g: int, N: int, p: int = 2) -> Poly:
+    """E_g as the average of the seed over P_g \\ C_g, read off the orbit O.
+
+    Each key of O stands for equally many cosets, so the average is the power
+    sum of the rows of the keys over |O|.
     """
     if N < 0:
         raise ValueError(f"N = {N} is negative")
     if N % center_order(tag, p):
         raise ValueError(f"N = {N} not divisible by |Z| = {center_order(tag, p)}")
-    G = closure or group_closure(tag, g, p)
-    P = parabolic or parabolic_closure(tag, g, p)
-    reps = coset_reps(G, P)
-    seed = seed_poly(tag, g, N, p)
-    rows = [m.index(N) for m in seed.terms]  # every coefficient is 1
-    forms: dict = {}
-    for rep in reps:
-        for v in rows:
-            key = (rep.den, rep.arr[v].tobytes())
-            if key in forms:
-                forms[key][2] += 1
-            else:
-                forms[key] = [rep.den, rep.arr[v].tolist(), 1]
-    return power_sum(p, g, N, seed.conductor, forms.values(), len(reps))
+    rows, keys = seed_orbit(tag, g, p)
+    if N == 0:  # the seed is the constant 1 (seed_poly), and so is its average
+        return seed_poly(tag, g, 0, p)
+    mult = Counter(r for k in keys for r in k)
+    forms = [(rows[r][0], rows[r][1].tolist(), m) for r, m in mult.items()]
+    return power_sum(p, g, N, run_conductor(p), forms, len(keys))
 
 
 def power_sum(p: int, g: int, N: int, n: int, forms, scale: int) -> Poly:

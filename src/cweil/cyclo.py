@@ -158,10 +158,12 @@ class CycNum:
     __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, nums, den: int = 1):
-        assert den != 0
+        if den == 0:
+            raise ZeroDivisionError(f"CycNum with denominator 0 over Q(zeta_{n})")
         phi = phi_degree(n)
         nums = tuple(int(a) for a in nums)
-        assert len(nums) == phi, (len(nums), phi)
+        if len(nums) != phi:
+            raise ValueError(f"{len(nums)} numerators for Q(zeta_{n}), whose degree is {phi}")
         if den < 0:
             den, nums = -den, tuple(-a for a in nums)
         g = _gcd_all(den, nums)

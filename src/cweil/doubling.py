@@ -10,8 +10,9 @@ verify_doubling checks, coefficient by coefficient, with zero residual.
 Eisenstein series here are computed the Siegel-Weil way — normalized sums
 of enumerators over a complete set of code classes weighted by 1/|Aut| —
 because at the lengths of interest the genus-2g closures are far out of
-reach while the class lists are tiny.  eisenstein_coset stays available as
-a cross-oracle at small sizes.
+reach while the class lists are tiny.  eisenstein_coset, the orbit average
+of the seed over P_g\\C_g, stays available as a cross-oracle where the
+Clifford-Weil group order is tabulated.
 """
 
 from __future__ import annotations
@@ -141,7 +142,12 @@ def const_b(tag: str, N: int, g: int, p: int = 2) -> Fraction:
 
 
 def const_c(tag: str, N: int, g: int, p: int = 2) -> Fraction:
-    """The closed-form scalar c with <D(E_2g), f>_g = c * N! * f-bar."""
+    """The closed-form scalar c with <D(E_2g), f>_g = c * N! * f-bar.
+
+    A formal closed form: it takes any N, including lengths at which no
+    self-dual code of the type exists (|Z| does not divide N).  Checking
+    the length is the caller's job; `cweil constants` refuses such lengths.
+    """
     if tag == "2I":
         raise ValueError("type 2I has no proven constant; use const_conj")
     if tag == "2II":

@@ -81,6 +81,17 @@ def test_group_unsupported_size(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--length", "8", "--genus", "3"], "error: no feasible closure for ('2II', 3, 2)\n"),
+    (["--length", "4", "--genus", "3"], "error: N = 4 not divisible by |Z| = 8\n"),
+    (["--length", "-8", "--genus", "3"], "error: N = -8 is negative\n"),
+])
+def test_coset_average_refusals(argv, err, capsys):
+    # in this order: negative N, |Z| not dividing N, no predicted group order
+    code, out, got = run(capsys, "eisenstein", "--type", "2II", *argv, "--method", "coset")
+    assert (code, out, got) == (2, "", err)
+
+
 def test_aut_declared(capsys):
     code, out, _ = run(capsys, "aut", "--code", "E16")
     assert code == 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cweil
+import cweil.cliffordweil as cw
 from cweil.cliffordweil import (
     ClosureError,
     GroupClosure,
@@ -33,6 +34,7 @@ from cweil.cliffordweil import (
     parabolic_closure,
     power_sum,
     quadform_eval,
+    seed_orbit,
     seed_poly,
     tau_operator,
     _batch_mul,
@@ -243,13 +245,18 @@ def test_order_certificate_survives_python_O():
         "    print(exc)\n"
         "    sys.exit(3)\n"
     )
+    out = _run_python_O(code)
+    assert out.returncode == 3, out.stderr
+    assert "closure has order 16, predicted 17" in out.stdout
+
+
+def _run_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run code under python -O, which strips every assert, with cweil importable."""
     src = os.path.dirname(os.path.dirname(cweil.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 3, out.stderr
-    assert "closure has order 16, predicted 17" in out.stdout
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_closure_refuses_unknown_or_oversized():
@@ -288,6 +295,56 @@ def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
     for rep in reps:
         total = total + rep.apply(seed)
     assert eisenstein_coset(tag, g, N, p) == total / len(reps)
+
+
+# one weight per desk-scale (tag, g, p), and |O| for each
+ORBIT_CASES = [("2I", 1, 8, 2, 2), ("2II", 1, 8, 2, 3), ("2I", 2, 8, 2, 6),
+               ("2II", 2, 8, 2, 15), ("Q", 1, 4, 3, 4), ("Q1", 1, 12, 3, 12)]
+
+
+@pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)
+def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
+    # oracle: the power sum over the seed's rows of every coset rep of P\G
+    reps = coset_reps(group_closure(tag, g, p), parabolic_closure(tag, g, p))
+    used = range(p**g) if tag in ("2I", "2II") else range(1)
+    forms: dict = {}
+    for rep in reps:
+        for v in used:
+            form = forms.setdefault((rep.den, rep.arr[v].tobytes()),
+                                    [rep.den, rep.arr[v].tolist(), 0])
+            form[2] += 1
+    expect = power_sum(p, g, N, reps[0].n, forms.values(), len(reps))
+    assert eisenstein_coset(tag, g, N, p) == expect
+    assert len(seed_orbit(tag, g, p)[1]) == orbit
+    assert len(reps) % orbit == 0
+
+
+def test_orbit_average_closes_no_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit average closed a group")
+
+    for name in ("group_closure", "parabolic_closure", "close_group"):
+        monkeypatch.setattr(cw, name, refuse)
+    seed_orbit.cache_clear()
+    E = eisenstein_coset("2II", 2, 8)
+    assert E.N == 8 and E.g == 2
+
+
+def test_orbit_certificate_survives_python_O():
+    # index 192/48 = 4 is not a multiple of |O| = 3
+    code = (
+        "import sys\n"
+        "from cweil import cliffordweil as cw\n"
+        "cw.PREDICTED_PARABOLIC[('2II', 1, 2)] = 48\n"
+        "try:\n"
+        "    cw.eisenstein_coset('2II', 1, 8)\n"
+        "except cw.ClosureError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(3)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 3, out.stderr
+    assert "orbit of 3 keys does not divide the index 192/48" in out.stdout
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5])

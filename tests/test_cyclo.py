@@ -154,3 +154,32 @@ def test_conj_table_matches_scalar_path():
         for k in range(phi_degree(n)):
             got = CycNum(n, tuple(int(x) for x in C[k]), 1)
             assert got == cyc_conj(CycNum.zeta_pow(n, k))
+
+
+def test_bad_construction_raises_under_python_O():
+    # under -O an assert would let CycNum.one(8) / 0 through with den 0
+    import os
+    import subprocess
+    import sys
+
+    import cweil
+
+    code = (
+        "from cweil.cyclo import CycNum\n"
+        "for make, exc in [(lambda: CycNum.one(8) / 0, ZeroDivisionError),\n"
+        "                  (lambda: CycNum(8, (1, 2, 3)), ValueError)]:\n"
+        "    try:\n"
+        "        make()\n"
+        "    except exc as e:\n"
+        "        print(type(e).__name__, e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cweil.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ZeroDivisionError CycNum with denominator 0 over Q(zeta_8)",
+        "ValueError 3 numerators for Q(zeta_8), whose degree is 4",
+    ]
