@@ -1,5 +1,6 @@
 """Group closures, cosets, Eisenstein averages, and the doubling operators."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -42,7 +43,7 @@ from cweil.cliffordweil import (
 )
 from cweil.constructions import e8, tetracode
 from cweil.cyclo import CycNum, mul_table
-from cweil.poly import Poly, apply_operator
+from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe
 
 # (tag, g, p) -> (|C_g|, |P_g| with scalars, # parabolic cosets)
@@ -327,7 +328,8 @@ def test_orbit_average_closes_no_group(monkeypatch):
         monkeypatch.setattr(cw, name, refuse)
     seed_orbit.cache_clear()
     E = eisenstein_coset("2II", 2, 8)
-    assert E.N == 8 and E.g == 2
+    # the golden stdout digest of `eisenstein --type 2II --length 8 --genus 2`
+    assert hashlib.sha256(serialize_poly(E).encode()).hexdigest().startswith("a2f8991d")
 
 
 def test_orbit_certificate_survives_python_O():

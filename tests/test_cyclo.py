@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cweil
 from cweil.cyclo import (
     CycNum,
     conj_table,
@@ -158,12 +162,6 @@ def test_conj_table_matches_scalar_path():
 
 def test_bad_construction_raises_under_python_O():
     # under -O an assert would let CycNum.one(8) / 0 through with den 0
-    import os
-    import subprocess
-    import sys
-
-    import cweil
-
     code = (
         "from cweil.cyclo import CycNum\n"
         "for make, exc in [(lambda: CycNum.one(8) / 0, ZeroDivisionError),\n"
