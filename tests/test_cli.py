@@ -277,6 +277,36 @@ GOLDEN = [
      "f0698828df75c9d1c28cb616b0dd50919d6f069901ff3a2c04fa8c338b99c4c7"),
     ("group --type Q1 --genus 1 --field 3 --parabolic",
      "f1bf7a8ae23e7e77803d0420458b9c06e349630ca6d1bac363657e8cdf1dcd06"),
+    # the combos the cusp elimination prints, the generator-built closures,
+    # and the structural property suite
+    ("cusp --type 2I --length 16 --genus 1 --polys",
+     "29e7357927f5e06e22639b5eaef3ff39b6bd8c819e23788feb89990d214c63e4"),
+    ("cusp --type 2II --length 8 --genus 1 --polys",
+     "8b364e8a977d7078aa0bc996986f9e4cb0a0ed3cf455655441f541f93112e215"),
+    ("cusp --type 2II --length 8 --genus 2 --polys",
+     "2fb823f25d1f1d8d7e03dec4bbdb32b5cc82feab2a8bf52a0e859b08e1c7ddd5"),
+    ("cusp --type 2II --length 16 --genus 1 --polys",
+     "755af6158b02a004f829a3d5336e5a3b4d487f3093c67b229955fe1c74f67743"),
+    ("cusp --type 2II --length 16 --genus 2 --polys",
+     "8729b28e3c470b0dafd7081b1729abaf9253d66220749b46daedbe056d7dbbb6"),
+    ("cusp --type 2II --length 24 --genus 1 --polys",
+     "a08615cdee41af28d7de70a5cc007d0ff2996315a2ac34fdfa7a1078e8d3f856"),
+    ("cusp --type Q --length 4 --genus 1 --polys",
+     "912cac440e1ecf3e2f18e15944eaa2ca391a72e8810e45244b9656a67162612e"),
+    ("cusp --type Q --length 4 --genus 2 --polys",
+     "ac841cfde94fd7a031a6daf409fea43a28a7472c0bd97e0813c57d74c155afd9"),
+    ("cusp --type Q --length 4 --genus 3 --polys",
+     "27687319087883c96f8a38ba7f4e9dec5a63ca303718f307d1b68e479abba2e7"),
+    ("group --type 2I --genus 1",
+     "ee32e55a25822e28f2628f8dc5c0c3f40f9f082f5aee7ba999b930f15815e311"),
+    ("group --type 2I --genus 2",
+     "f011385fb3154a8988c8caeafa42905e44ab8e28de6d2393a10053785f9b29d4"),
+    ("group --type 2II --genus 1",
+     "1c69867611c8e41241170622fec8ea3dca85dac8e65575463f8bbd4d7e01e803"),
+    ("group --type Q --genus 1 --field 3",
+     "33a748bdbc1b8f44d0bc26dafe04b0eb6ab48812e2e672590a0d50220ae6bd2f"),
+    ("selftest",
+     "ba0e74afc6aa97f0ae327996bb518770e02bacf049b69361594259464c9930b4"),
 ]
 
 
