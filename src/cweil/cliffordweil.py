@@ -27,7 +27,8 @@ the result with a plain Operator.__matmul__ breadth-first search and
 re-assert that every textbook generator lands inside.  Predicted orders
 come from the tabulated group data |Z| * |ker lambda|^2 * |G_g|; we keep
 the six desk-scale values, certify each closure against its value with a
-raised ClosureError, and refuse anything bigger than the cap.
+raised ClosureError, and refuse every other triple.  All six fit under
+CLOSURE_CAP, the bound close_group enforces.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
@@ -59,6 +60,7 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from ._lazy import lazy_import
+from .codes import rref
 from .cyclo import (
     CycNum,
     conj_table,
@@ -143,21 +145,6 @@ class Operator:
         arr[range(d), range(d), 0] = 1
         return Operator(p, g, n, arr, 1)
 
-    @staticmethod
-    def from_entries(p: int, g: int, n: int, grid) -> "Operator":
-        d = p**g
-        den = 1
-        for row in grid:
-            for e in row:
-                den = den * e.den // gcd(den, e.den)
-        arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                e = grid[i][j]
-                m = den // e.den
-                arr[i, j, :] = np.array(e.nums, dtype=np.int64) * m
-        return Operator(p, g, n, arr, den)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         assert (self.p, self.g, self.n) == (other.p, other.g, other.n)
         T = mul_table(self.n)
@@ -235,10 +222,12 @@ class QuadraticForm:
     def __init__(self, tag: str, g: int, p: int, diag, offdiag=None):
         self.tag, self.g, self.p = tag, g, p
         self.diag = tuple(diag)
-        assert len(self.diag) == g
+        if len(self.diag) != g:
+            raise ValueError(f"{len(self.diag)} diagonal labels for genus {g}")
         off = {} if offdiag is None else dict(offdiag)
         for (i, j), m in off.items():
-            assert 0 <= i < j < g and 0 < m < p
+            if not (0 <= i < j < g and 0 < m < p):
+                raise ValueError(f"off-diagonal entry {m} at {(i, j)} for genus {g}, field {p}")
         self.offdiag = off
 
     def __call__(self, v) -> Fraction:
@@ -259,10 +248,6 @@ class QuadraticForm:
         for (i, j), m in self.offdiag.items():
             total += Fraction((v[i] * m * v[j]) % p, p)
         return total % 1
-
-
-def quadform_eval(phi: QuadraticForm, v) -> Fraction:
-    return phi(v)
 
 
 def all_quadforms(tag: str, g: int, p: int):
@@ -306,72 +291,55 @@ def basis_quadforms(tag: str, g: int, p: int):
 
 def _phase(n: int, frac: Fraction) -> CycNum:
     k = frac * n
-    assert k.denominator == 1, (n, frac)
+    if k.denominator != 1:
+        raise ValueError(f"exp(2 pi i * {frac}) is not in Q(zeta_{n})")
     return CycNum.zeta_pow(n, int(k) % n)
+
+
+def _phase_operator(p: int, g: int, n: int, cells) -> Operator:
+    """The operator with entry (i, j) = exp(2 pi i t) for each cell (i, j, t), else 0."""
+    d = p**g
+    arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
+    for i, j, t in cells:
+        arr[i, j] = _phase(n, t).nums
+    return Operator(p, g, n, arr, 1)
 
 
 def gen_m(u, p: int, g: int, n: int | None = None) -> Operator:
     """The variable permutation x_v -> x_{uv}."""
     n = n or run_conductor(p)
     u = [list(map(int, row)) for row in u]
-    d = p**g
-    det = _det_mod(u, p)
-    if det % p == 0:
+    if len(rref(p, u)) != g:
         raise ValueError("u is singular")
-    arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-    for idx in range(d):
+    cells = []
+    for idx in range(p**g):
         v = index_vector(idx, p, g)
         uv = tuple(sum(u[i][j] * v[j] for j in range(g)) % p for i in range(g))
-        arr[idx, var_index(uv, p), 0] = 1
-    return Operator(p, g, n, arr, 1)
-
-
-def _det_mod(u, p: int) -> int:
-    m = [row[:] for row in u]
-    g = len(m)
-    det = 1
-    for c in range(g):
-        piv = next((i for i in range(c, g) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, g):
-            f = m[i][c] * inv % p
-            for j in range(c, g):
-                m[i][j] = (m[i][j] - f * m[c][j]) % p
-    return det % p
+        cells.append((idx, var_index(uv, p), 0))
+    return _phase_operator(p, g, n, cells)
 
 
 def gen_d(phi: QuadraticForm, n: int | None = None) -> Operator:
     """The diagonal phase operator x_v -> exp(2 pi i phi(v)) x_v."""
     p, g = phi.p, phi.g
     n = n or run_conductor(p)
-    d = p**g
-    arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-    for idx in range(d):
-        v = index_vector(idx, p, g)
-        arr[idx, idx, :] = _phase(n, phi(v)).nums
-    return Operator(p, g, n, arr, 1)
+    cells = [(idx, idx, phi(index_vector(idx, p, g))) for idx in range(p**g)]
+    return _phase_operator(p, g, n, cells)
 
 
 def gen_h(r: int, g: int, p: int, n: int | None = None) -> Operator:
     """Partial Fourier transform on the first r of g coordinates."""
-    assert 1 <= r <= g
+    if not 1 <= r <= g:
+        raise ValueError(f"h_r needs 1 <= r <= g, got r = {r}, g = {g}")
     n = n or run_conductor(p)
-    d = p**g
-    norm = sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
-    grid = [[CycNum.zero(n)] * d for _ in range(d)]
-    for idx in range(d):
+    cells = []
+    for idx in range(p**g):
         v = index_vector(idx, p, g)
         for head in iproduct(range(p), repeat=r):
             w = tuple(head) + v[r:]
-            phase = _phase(n, Fraction(sum(w[i] * v[i] for i in range(r)), p))
-            grid[idx][var_index(w, p)] = norm * phase
-    return Operator.from_entries(p, g, n, grid)
+            cells.append((idx, var_index(w, p), Fraction(sum(w[i] * v[i] for i in range(r)), p)))
+    norm = sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
+    return _phase_operator(p, g, n, cells).scale(norm)
 
 
 def gl_matrices(p: int, g: int):
@@ -379,7 +347,7 @@ def gl_matrices(p: int, g: int):
     out = []
     for flat in iproduct(range(p), repeat=g * g):
         u = [list(flat[i * g : (i + 1) * g]) for i in range(g)]
-        if _det_mod(u, p) % p:
+        if len(rref(p, u)) == g:
             out.append(u)
     return out
 
@@ -569,34 +537,28 @@ def close_group(gens: list, cap: int = CLOSURE_CAP, sub: GroupClosure | None = N
 
 
 @lru_cache(maxsize=None)
-def _monomial_subgroup(tag: str, g: int, p: int, cap: int) -> GroupClosure:
+def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
     """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
     gens = generators(tag, g, p, reduced=True, parabolic=True)[:-1]  # all but the center
-    return close_group(gens, cap)
+    return close_group(gens)
 
 
 @lru_cache(maxsize=None)
-def group_closure(tag: str, g: int, p: int = 2, cap: int = CLOSURE_CAP) -> GroupClosure:
+def group_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
     """Full Clifford-Weil group at desk scale; refuses unpredicted sizes."""
     predicted = PREDICTED_ORDER.get((tag, g, p))
     if predicted is None:
         raise ValueError(f"no feasible closure for {(tag, g, p)}")
-    if predicted > cap:
-        raise ValueError(f"predicted order {predicted} exceeds the cap {cap}")
-    return close_group(generators(tag, g, p, reduced=True), cap,
-                       _monomial_subgroup(tag, g, p, cap), predicted)
+    return close_group(generators(tag, g, p, reduced=True),
+                       sub=_monomial_subgroup(tag, g, p), expect=predicted)
 
 
 @lru_cache(maxsize=None)
-def parabolic_closure(tag: str, g: int, p: int = 2, cap: int = CLOSURE_CAP) -> GroupClosure:
+def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
     """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
-    return close_group(generators(tag, g, p, reduced=True, parabolic=True), cap,
-                       _monomial_subgroup(tag, g, p, cap), PREDICTED_PARABOLIC.get((tag, g, p)))
-
-
-def coset_reps(G: GroupClosure, P: GroupClosure) -> list:
-    """One representative per right coset P*sigma in P\\G."""
-    return coset_labels(G, P)[0]
+    return close_group(generators(tag, g, p, reduced=True, parabolic=True),
+                       sub=_monomial_subgroup(tag, g, p),
+                       expect=PREDICTED_PARABOLIC.get((tag, g, p)))
 
 
 def coset_labels(G: GroupClosure, P: GroupClosure):
@@ -809,7 +771,8 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
     with kernel exp(2 pi i sum_{i<=r} (w_i v_{g+i} + w_{g+i} v_i)/p) and
     normalisation p^(-r).
     """
-    assert 0 <= r <= g
+    if not 0 <= r <= g:
+        raise ValueError(f"tau_r needs 0 <= r <= g, got r = {r}, g = {g}")
     n = run_conductor(p)
     gg = 2 * g
     if r == 0:
@@ -819,21 +782,17 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
         {(i, g + i): 1 for i in range(r)},
     )
     d_pair = gen_d(pairing, n)
-    dd = p**gg
-    grid = [[CycNum.zero(n)] * dd for _ in range(dd)]
-    norm = CycNum.from_rat(n, Fraction(1, p**r))
     support = list(range(r)) + list(range(g, g + r))
-    for idx in range(dd):
+    cells = []
+    for idx in range(p**gg):
         v = index_vector(idx, p, gg)
         for vals in iproduct(range(p), repeat=2 * r):
             w = list(v)
             for pos, x in zip(support, vals):
                 w[pos] = x
-            phase = Fraction(
-                sum(w[i] * v[g + i] + w[g + i] * v[i] for i in range(r)), p
-            )
-            grid[idx][var_index(w, p)] = norm * _phase(n, phase)
-    h_mid = Operator.from_entries(p, gg, n, grid)
+            phase = Fraction(sum(w[i] * v[g + i] + w[g + i] * v[i] for i in range(r)), p)
+            cells.append((idx, var_index(w, p), phase))
+    h_mid = _phase_operator(p, gg, n, cells).scale(CycNum.from_rat(n, Fraction(1, p**r)))
     return d_pair @ h_mid @ d_pair
 
 

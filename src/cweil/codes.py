@@ -170,11 +170,6 @@ def check_type(C: LinearCode, tag: str | None = None) -> bool:
     return True
 
 
-def enumerate_codewords(C: LinearCode):
-    """Yield all p^k codewords exactly once."""
-    yield from C.words
-
-
 def weight_distribution(C: LinearCode) -> tuple[int, ...]:
     dist = [0] * (C.n + 1)
     for w in C.words:

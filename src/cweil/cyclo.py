@@ -301,38 +301,6 @@ class CycNum:
         return f"CycNum({self.n}, {self.nums}/{self.den})"
 
 
-# --- the module-level operations ---------------------------------------
-
-
-def cyc_reduce(raw, n: int) -> CycNum:
-    """Canonical representative of sum_k raw[k] * zeta_n^k (any length <= n).
-
-    Entries may be ints or Fractions.
-    """
-    rows = _power_table(n)
-    phi = phi_degree(n)
-    den = 1
-    for r in raw:
-        if isinstance(r, Fraction):
-            den = den * r.denominator // gcd(den, r.denominator)
-    out = [0] * phi
-    for k, r in enumerate(raw):
-        c = int(Fraction(r) * den)
-        if c:
-            row = rows[k % n]
-            for u in range(phi):
-                out[u] += c * row[u]
-    return CycNum(n, out, den)
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_conj(a: CycNum) -> CycNum:
-    return a.conj()
-
-
 def sqrt_prime_power(p: int, r: int, n: int) -> CycNum:
     """The positive real square root of p**r as an element of Q(zeta_n).
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .database import CodeDatabase
-from .poly import Poly, conj_poly, inner_product
+from .poly import Poly, conj_poly, inner_product, mono_factorial
 from .siegelphi import CuspBasis, cusp_basis, phi_op
 from .weightenum import cwe
 
@@ -92,13 +92,6 @@ def product_bipartite(a: Poly, b: Poly) -> BipartitePoly:
     return BipartitePoly(a.p, a.g, a.N, a.conductor, terms)
 
 
-def _mono_factorial(m) -> int:
-    out = 1
-    for e in m:
-        out *= factorial(e)
-    return out
-
-
 def pair_y(P: BipartitePoly, f: Poly) -> Poly:
     """Inner product in the y variables; conjugate-linear in f."""
     if (f.p, f.g, f.N, f.conductor) != (P.p, P.g, P.N, P.conductor):
@@ -109,7 +102,7 @@ def pair_y(P: BipartitePoly, f: Poly) -> Poly:
         fc = fbar.get(my)
         if fc is None:
             continue
-        contrib = c * fc * _mono_factorial(my)
+        contrib = c * fc * mono_factorial(my)
         s = out.get(mx)
         s = contrib if s is None else s + contrib
         if s:

@@ -17,7 +17,7 @@ associativity test below pins this convention).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm, prod
 
 from .cyclo import CycNum
 
@@ -73,12 +73,6 @@ class Poly:
     def monomial(p: int, g: int, conductor: int, exps, coeff: Coeff = 1) -> "Poly":
         exps = tuple(exps)
         return Poly(p, g, sum(exps), conductor, {exps: coeff})
-
-    @staticmethod
-    def variable(p: int, g: int, conductor: int, v) -> "Poly":
-        idx = var_index(v, p) if not isinstance(v, int) else v
-        exps = tuple(1 if i == idx else 0 for i in range(p**g))
-        return Poly(p, g, 1, conductor, {exps: 1})
 
     # --- ring structure ------------------------------------------------
 
@@ -137,6 +131,11 @@ class Poly:
         return self.terms.get(tuple(exps), CycNum.zero(self.conductor))
 
 
+def mono_factorial(m) -> int:
+    """prod_v (m_v)!, the weight of the monomial m in the inner product."""
+    return prod(map(factorial, m))
+
+
 def inner_product(a: Poly, b: Poly) -> CycNum:
     """(a, b) = sum_m a_m * conj(b_m) * prod_v (n_v!); hermitian, exact."""
     assert (a.p, a.g, a.conductor) == (b.p, b.g, b.conductor)
@@ -148,10 +147,7 @@ def inner_product(a: Poly, b: Poly) -> CycNum:
         cb = b.terms.get(m)
         if ca is None or cb is None:
             continue
-        w = 1
-        for e in m:
-            w *= factorial(e)
-        total = total + ca * cb.conj() * w
+        total = total + ca * cb.conj() * mono_factorial(m)
     return total
 
 
@@ -234,9 +230,7 @@ def parse_poly(text: str) -> Poly:
         left, right = ln.split("|")
         m = tuple(int(x) for x in left.split())
         fracs = [Fraction(x) for x in right.split()]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(*(f.denominator for f in fracs))
         nums = tuple(int(f * den) for f in fracs)
         terms[m] = CycNum(n, nums, den)
     return Poly(p, g, N, n, terms)

@@ -7,17 +7,22 @@ monomial they either kill it or strip the tails off its variables.  The
 lifts go the other way, appending a fixed tail.
 
 Cusp forms at genus g are the combinations of complete weight enumerators
-annihilated by Phi_{g,1}.  cusp_basis finds them by exact rational
-elimination: kernel of the Phi-image matrix, minus the combinations that
-are already zero as polynomials (enumerators of distinct codes need not be
+annihilated by Phi_{g,1}.  cusp_basis finds them with one exact rational
+elimination, the reduced row echelon form _rref.  The kernel of the
+Phi-image matrix is read off its RREF, and so are the combinations that are
+already zero as polynomials (enumerators of distinct codes need not be
 independent — two of the length-16 classes share their genus-2 enumerator).
+Each kernel vector is then reduced against the RREF of the zero combinations
+and of the residuals kept so far.  A vector reduced modulo a span until it
+vanishes at the span's pivot columns is unique, so the residuals do not
+depend on how the span was echeloned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import Poly, serialize_poly, var_index
 from .weightenum import cwe
@@ -105,57 +110,37 @@ def _rref(rows: list[list[Fraction]]):
     return pivots
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one vector per free column."""
-    work = [list(row) for row in rows]
-    pivots = _rref(work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def _primitive(vec) -> tuple[Fraction, ...]:
-    """Scale to coprime integers with positive leading entry."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
-def _reduce_against(vec, echelon):
-    """Reduce vec modulo the span of the rows in `echelon` (pivot-normalised)."""
+def _reduce(vec, rows, pivots) -> list[Fraction]:
+    """vec minus the combination of RREF rows that zeroes it at their pivots."""
     v = list(vec)
-    for row, pc in echelon:
+    for row, pc in zip(rows, pivots):
         if v[pc]:
             f = v[pc]
             v = [a - f * b for a, b in zip(v, row)]
     return v
 
 
-def _echelon_insert(echelon, vec) -> bool:
-    """Try to add vec to the echelon set; False if it was already in the span."""
-    v = _reduce_against(vec, echelon)
-    pc = next((i for i, x in enumerate(v) if x), None)
-    if pc is None:
-        return False
-    inv = 1 / v[pc]
-    echelon.append(([x * inv for x in v], pc))
-    return True
+def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel, one vector per free column, read off the RREF."""
+    pivots = _rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(c == fc) for c in range(ncols)]
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
+def _primitive(vec) -> tuple[Fraction, ...]:
+    """Scale to coprime integers with positive leading entry."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # --- cusp spaces --------------------------------------------------------
@@ -215,8 +200,10 @@ def cusp_basis(codes, g: int, names=None) -> CuspBasis:
         codes = list(codes)
         if names is None:
             names = [f"C{i}" for i in range(len(codes))]
-    assert len(set(names)) == len(codes)
-    assert len({(C.p, C.n, C.tag) for C in codes}) == 1
+    if len(set(names)) != len(codes):
+        raise ValueError(f"need {len(codes)} distinct code names, got {names}")
+    if len({(C.p, C.n, C.tag) for C in codes}) != 1:
+        raise ValueError("cusp_basis needs codes of one field, length and type")
     N = codes[0].n
 
     enums = [cwe(C, g) for C in codes]
@@ -224,18 +211,17 @@ def cusp_basis(codes, g: int, names=None) -> CuspBasis:
     img_monos = sorted(set().union(*[set(e.terms) for e in images]))
     kernel = _nullspace(_coeff_rows(images, img_monos), len(codes))
 
+    # the combinations that are already zero as polynomials span the start
     full_monos = sorted(set().union(*[set(e.terms) for e in enums]))
-    zero_combos = _nullspace(_coeff_rows(enums, full_monos), len(codes))
-
-    echelon = []
-    for z in zero_combos:
-        _echelon_insert(echelon, z)
+    span = _nullspace(_coeff_rows(enums, full_monos), len(codes))
+    pivots = _rref(span)
     combos = []
     for v in kernel:
-        resid = _reduce_against(v, echelon)
+        resid = _reduce(v, span, pivots)
         if any(resid):
             combos.append(_primitive(resid))
-            _echelon_insert(echelon, resid)
+            span.append(resid)
+            pivots = _rref(span)
 
     polys = []
     for combo in combos:
@@ -243,8 +229,8 @@ def cusp_basis(codes, g: int, names=None) -> CuspBasis:
         for c, e in zip(combo, enums):
             if c:
                 f = f + c * e
-        assert f
-        assert not phi_op(f, 1)
+        if not f or phi_op(f, 1):
+            raise ValueError(f"combo {combo} is not a nonzero cusp form")
         polys.append(f)
     return CuspBasis(
         codes[0].tag or "", N, g, tuple(names), tuple(combos), tuple(polys)

@@ -1,7 +1,9 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
 import hashlib
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 
@@ -421,3 +423,17 @@ def test_invalid_input_is_a_usage_error(argv, capsys):
 def test_genus_out_of_range_names_the_option(argv, capsys):
     _, _, err = run(capsys, *argv)
     assert "--genus must be at least" in err
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/tracer.py wraps these names from outside the package; one
+    # that no longer resolves would drop its spans and counters from traces
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    tracer = runpy.run_path(path)  # compiles from source, writes nothing
+    for mod, names in tracer["SPANNED"].items():
+        module = importlib.import_module(f"cweil.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"cweil.{mod}.{name}"
+    for mod, cls, meth in tracer["COUNTED"]:
+        owner = getattr(importlib.import_module(f"cweil.{mod}"), cls)
+        assert callable(vars(owner).get(meth)), f"cweil.{mod}.{cls}.{meth}"

@@ -14,6 +14,8 @@ import pytest
 import cweil
 import cweil.cliffordweil as cw
 from cweil.cliffordweil import (
+    CLOSURE_CAP,
+    PREDICTED_ORDER,
     ClosureError,
     GroupClosure,
     Int64OverflowError,
@@ -23,7 +25,6 @@ from cweil.cliffordweil import (
     center_generator,
     close_group,
     coset_labels,
-    coset_reps,
     delta_embed,
     eisenstein_coset,
     gen_d,
@@ -34,7 +35,6 @@ from cweil.cliffordweil import (
     group_closure,
     parabolic_closure,
     power_sum,
-    quadform_eval,
     seed_orbit,
     seed_poly,
     tau_operator,
@@ -65,7 +65,7 @@ def test_closure_and_coset_orders(key):
     P = parabolic_closure(tag, g, p)
     assert G.order == order
     assert P.order == parab
-    assert len(coset_reps(G, P)) == ncosets
+    assert len(coset_labels(G, P)[0]) == ncosets
 
 
 @pytest.mark.parametrize("key", [("2I", 1, 2), ("2II", 1, 2), ("Q", 1, 3), ("2II", 2, 2)])
@@ -94,11 +94,11 @@ def test_center_scalar_order(tag, p, z):
 
 def test_quadform_eval():
     phi = QuadraticForm("2II", 2, 2, (1, 2), {(0, 1): 1})
-    assert quadform_eval(phi, (1, 1)) == Fraction(1, 4)  # 1/4 + 2/4 + 1/2 mod 1
-    assert quadform_eval(phi, (0, 1)) == Fraction(1, 2)
-    assert quadform_eval(QuadraticForm("2I", 1, 2, (1,)), (1,)) == Fraction(1, 2)
-    assert quadform_eval(QuadraticForm("Q", 1, 3, (2,)), (2,)) == Fraction(2, 3)
-    assert quadform_eval(QuadraticForm("Q1", 1, 3, ((1, 2),)), (2,)) == Fraction(2, 3)
+    assert phi((1, 1)) == Fraction(1, 4)  # 1/4 + 2/4 + 1/2 mod 1
+    assert phi((0, 1)) == Fraction(1, 2)
+    assert QuadraticForm("2I", 1, 2, (1,))((1,)) == Fraction(1, 2)
+    assert QuadraticForm("Q", 1, 3, (2,))((2,)) == Fraction(2, 3)
+    assert QuadraticForm("Q1", 1, 3, ((1, 2),))((2,)) == Fraction(2, 3)
 
 
 def test_quadform_counts():
@@ -251,6 +251,41 @@ def test_order_certificate_survives_python_O():
     assert "closure has order 16, predicted 17" in out.stdout
 
 
+def test_cusp_and_generator_checks_survive_python_O():
+    # under -O an assert would label a mixed e8 + d16+ basis N = 8, and let
+    # h_0 through
+    code = (
+        "from cweil.cliffordweil import gen_h\n"
+        "from cweil.constructions import d16_plus, e8\n"
+        "from cweil.siegelphi import cusp_basis\n"
+        "for call in [lambda: cusp_basis([e8(), d16_plus()], 1),\n"
+        "             lambda: gen_h(0, 1, 2)]:\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('accepted')\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "cusp_basis needs codes of one field, length and type",
+        "h_r needs 1 <= r <= g, got r = 0, g = 1",
+    ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadraticForm("2II", 2, 2, (1,)),
+    lambda: QuadraticForm("2II", 2, 2, (1, 0), {(1, 0): 1}),
+    lambda: QuadraticForm("Q", 2, 3, (1, 0), {(0, 1): 3}),
+    lambda: tau_operator("2I", 1, 2),
+    lambda: cw._phase(8, Fraction(1, 3)),
+], ids=["diag-length", "offdiag-order", "offdiag-range", "tau-r", "phase"])
+def test_generator_inputs_raise(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def _run_python_O(code: str) -> subprocess.CompletedProcess:
     """Run code under python -O, which strips every assert, with cweil importable."""
     src = os.path.dirname(os.path.dirname(cweil.__file__))
@@ -265,8 +300,8 @@ def test_closure_refuses_unknown_or_oversized():
         group_closure("2II", 3, 2)
     with pytest.raises(ValueError):
         group_closure("Q", 1, 5)
-    with pytest.raises(ValueError):
-        group_closure("2II", 2, 2, cap=100)
+    # group_closure closes only predicted triples, and each fits under the cap
+    assert all(order <= CLOSURE_CAP for order in PREDICTED_ORDER.values())
 
 
 def test_eisenstein_genus1_e8():
@@ -290,7 +325,7 @@ def test_eisenstein_rejects_bad_weight():
 ])
 def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
     # oracle: substitute every coset rep into the seed, then average
-    reps = coset_reps(group_closure(tag, g, p), parabolic_closure(tag, g, p))
+    reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
     seed = seed_poly(tag, g, N, p)
     total = Poly.zero(p, g, N, seed.conductor)
     for rep in reps:
@@ -306,7 +341,7 @@ ORBIT_CASES = [("2I", 1, 8, 2, 2), ("2II", 1, 8, 2, 3), ("2I", 2, 8, 2, 6),
 @pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)
 def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
     # oracle: the power sum over the seed's rows of every coset rep of P\G
-    reps = coset_reps(group_closure(tag, g, p), parabolic_closure(tag, g, p))
+    reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
     used = range(p**g) if tag in ("2I", "2II") else range(1)
     forms: dict = {}
     for rep in reps:

@@ -7,7 +7,6 @@ from cweil.codes import (
     check_type,
     code_from_rows,
     dual_code,
-    enumerate_codewords,
     permute_code,
     weight_distribution,
 )
@@ -29,7 +28,7 @@ def test_tetracode_is_self_dual_not_q1():
     assert dual_code(t) == t
     assert check_type(t)
     assert not check_type(t, "Q1")
-    assert len(list(enumerate_codewords(t))) == 9
+    assert len(t.words) == 9
 
 
 def test_e8_hamming():
