@@ -7,6 +7,7 @@ failed structure check, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .database import (
     BUNDLED,
     CodeDatabase,
     DbParseError,
+    _bundled_text,
     bundled_index,
     load_bundled,
     parse_db,
@@ -52,12 +54,16 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _read_db(path: str) -> CodeDatabase:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read database {path!r}: {exc}")
+
+
+def _read_db(path: str) -> CodeDatabase:
+    text = _read_text(path)
     try:
         return parse_db(text)
     except (DbParseError, ValueError) as exc:
@@ -233,6 +239,31 @@ def cmd_aut(args) -> int:
         order = aut_order(rec.code)
     print(f"aut {rec.name} = {order}")
     return 0
+
+
+def cmd_certify(args) -> int:
+    if args.db:
+        sources = [(args.db, _read_text(args.db))]
+    else:
+        names = [args.file] if args.file else BUNDLED
+        try:
+            sources = [(name, _bundled_text(name)) for name in names]
+        except ValueError as exc:
+            raise CliError(str(exc))
+    failures = 0
+    for label, text in sources:
+        # every check at every length: no digest shortcut, no length cutoff
+        try:
+            db = parse_db(text, verify_aut=math.inf)
+        except ValueError as exc:
+            failures += 1
+            print(f"FAIL {label}: {exc}")
+            continue
+        orders = sum(r.aut is not None and r.p == 2 for r in db.records)
+        print(f"ok   {label}: {len(db.records)} records, "
+              f"{orders} aut orders recomputed")
+    print(f"certify: {'all checks passed' if not failures else f'{failures} FAILED'}")
+    return 0 if failures == 0 else 1
 
 
 # --- the selftest property suite ---------------------------------------
@@ -432,6 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True)
     sp.add_argument("--recompute", action="store_true",
                     help="ignore any recorded order and recompute")
+
+    sp = add("certify", cmd_certify,
+             help="recheck a database at every length: aut orders, mass "
+                  "identity, type checks")
+    src = sp.add_mutually_exclusive_group()
+    src.add_argument("--file",
+                     help="one bundled dataset (default: all of them)")
+    src.add_argument("--db", help="a database file instead of the bundled data")
 
     add("selftest", cmd_selftest, help="run the structural property suite")
     return top

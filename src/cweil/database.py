@@ -18,29 +18,51 @@ Format, one record per block::
 `complete TYPE N COUNT` declares that every equivalence class for that
 (type, length) is present.  Validation is strict: rows must give a code
 passing its type check, names must be unique, a declared-complete set must
-have the declared count, and any recorded aut order at length <= 16 is
-recomputed and compared.  Longer codes keep their recorded order at load;
-the test suite recomputes every length-24 order, and the N = 24 dataset is
-also certified in bulk by its mass-formula test.
+have the declared count, and a binary code's recorded aut order is
+recomputed and compared.  When every record of a `complete 2I N` or
+`complete 2II N` block carries an order, the block must satisfy the mass
+identity: each N!/|Aut| is an integer and their sum is the number of
+self-dual codes of that type and length.
+
+How far the aut orders are recomputed depends on where the file comes from:
+
+* a user file: at length <= `AUT_CHECK_MAX_LENGTH`; longer orders are kept
+  as declared, and the mass identity is then their check at load;
+* a bundled file whose bytes have the sha256 recorded in `CERTIFIED`: none.
+  The test suite recomputes every order of every bundled file and checks
+  the manifest against the files, so these bytes were certified already;
+* any other bundled bytes: every order, at every length.
+
+`cweil certify` reruns every check at every length, with no digest shortcut.
 
 Bundled data is routed: `bundled_index` reads only the `code`, `type` and
 `length` lines of the bundled files and maps each code name, and each
 (type, N), to the first file in `BUNDLED` order that has it.  A command
-then parses, with every check above, just that one file.
+then parses, with the checks above, just that one file.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
 
+# The interpreter's builtin sha256, as `random` takes `_sha512`: `hashlib`
+# would load OpenSSL, about 3.6 MB of resident memory per process.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    from _sha256 import sha256  # 3.10-3.11
+
 from .autgroup import aut_order
 from .codes import LinearCode, check_type, code_from_rows
 
-# Length-24 orders take about a second each to recompute, so checking them at
-# load would slow every 2II-24 command; the test suite recomputes them.
+# User files get their aut orders recomputed at load up to this length.
+# Length-24 orders take about a second each, which would slow every command
+# on such a file; the mass identity of a `complete` block still checks them,
+# and `cweil certify` recomputes them.
 AUT_CHECK_MAX_LENGTH = 16
 
 
@@ -95,7 +117,12 @@ class DbParseError(ValueError):
         self.lineno = lineno
 
 
-def parse_db(text: str, verify_aut: bool = True) -> CodeDatabase:
+def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabase:
+    """The database in `text`, with every check of the module docstring.
+
+    `verify_aut` is the longest length at which recorded aut orders are
+    recomputed: 0 (or False) recomputes none, `math.inf` all of them.
+    """
     db = CodeDatabase()
     cur: dict | None = None
     names = set()
@@ -141,15 +168,40 @@ def parse_db(text: str, verify_aut: bool = True) -> CodeDatabase:
     if cur is not None:
         raise DbParseError(cur["line"], f"record {cur['name']!r} never ended")
     for (tag, n), count in db.complete.items():
-        have = len(db.matching(tag, n))
-        if have != count:
+        recs = db.matching(tag, n)
+        if len(recs) != count:
             raise ValueError(
-                f"complete {tag} {n} declares {count} classes, found {have}"
+                f"complete {tag} {n} declares {count} classes, found {len(recs)}"
             )
+        if tag in ("2I", "2II") and recs and all(r.aut is not None for r in recs):
+            _check_mass(tag, n, recs)
     return db
 
 
-def _finish_record(cur: dict, verify_aut: bool) -> CodeRecord:
+def _check_mass(tag: str, n: int, recs: list[CodeRecord]) -> None:
+    """Σ n!/|Aut| over the classes must count every self-dual code of the type.
+
+    On labelled coordinates there are ∏_{i=1}^{n/2-1} (2^i + 1) self-dual
+    binary codes of length n, and ∏_{i=0}^{n/2-2} (2^i + 1) doubly-even ones.
+    """
+    mass = 0
+    for rec in recs:
+        if rec.aut < 1 or math.factorial(n) % rec.aut:
+            raise ValueError(
+                f"complete {tag} {n}: record {rec.name!r} has aut {rec.aut}, "
+                f"which does not divide {n}!"
+            )
+        mass += math.factorial(n) // rec.aut
+    first = 1 if tag == "2I" else 0
+    expected = math.prod(2**i + 1 for i in range(first, n // 2 - 1 + first))
+    if mass != expected:
+        raise ValueError(
+            f"complete {tag} {n}: mass identity fails: the sum of {n}!/|Aut| "
+            f"is {mass}, but there are {expected} self-dual codes"
+        )
+
+
+def _finish_record(cur: dict, verify_aut: float) -> CodeRecord:
     lineno, name = cur["line"], cur["name"]
     for key in ("field", "type", "length"):
         if key not in cur:
@@ -161,12 +213,7 @@ def _finish_record(cur: dict, verify_aut: bool) -> CodeRecord:
     if not check_type(code):
         raise DbParseError(lineno, f"record {name!r} fails its {code.tag} type check")
     aut = cur.get("aut")
-    if (
-        verify_aut
-        and aut is not None
-        and code.p == 2
-        and code.n <= AUT_CHECK_MAX_LENGTH
-    ):
+    if aut is not None and code.p == 2 and code.n <= verify_aut:
         computed = aut_order(code)
         if computed != aut:
             raise DbParseError(
@@ -195,13 +242,18 @@ def serialize_db(db: CodeDatabase) -> str:
     return "\n".join(lines) + "\n"
 
 
-BUNDLED = (
-    "codes_2i_n16",
-    "codes_2ii_n8",
-    "codes_2ii_n16",
-    "codes_2ii_n24",  # aut orders above the load-time recheck cutoff
-    "codes_q3_n4",
-)
+# sha256 of the bytes of each bundled file whose every check the test suite
+# reran at every length (tests/test_autgroup.py recomputes the aut orders,
+# tests/test_database.py compares this table with the files).  Editing a
+# file without updating its entry makes each load recheck it in full.
+CERTIFIED = MappingProxyType({
+    "codes_2i_n16": "6e4fb519e425f4c7532bc7a59b5580b2f02313b68d60cf238db62b0820c6d440",
+    "codes_2ii_n8": "3609b29a28da4f9143e0c90601b5b14b011d848a95db4347c23d58a17048a3d3",
+    "codes_2ii_n16": "c0a24a3f4a45b627792b3033632fe2dc17624cc8d10dee6436f04d235c798944",
+    "codes_2ii_n24": "a2da10857b1cc8654c47dc88139fc24d26d960d7056e2c5c5394a0158c6df608",
+    "codes_q3_n4": "ce08bf3d95ce5cbbec2eb25d04d9f11f57653e9c51f93df7448b46098a6ee8cd",
+})
+BUNDLED = tuple(CERTIFIED)
 
 
 def _bundled_text(name: str) -> str:
@@ -210,8 +262,11 @@ def _bundled_text(name: str) -> str:
     return (resources.files("cweil") / "data" / f"{name}.txt").read_text()
 
 
-def load_bundled(name: str, verify_aut: bool = True) -> CodeDatabase:
-    return parse_db(_bundled_text(name), verify_aut=verify_aut)
+def load_bundled(name: str) -> CodeDatabase:
+    """Bundled dataset `name`, its aut orders recomputed unless certified."""
+    text = _bundled_text(name)
+    certified = sha256(text.encode()).hexdigest() == CERTIFIED[name]
+    return parse_db(text, verify_aut=0 if certified else math.inf)
 
 
 @cache

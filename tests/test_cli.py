@@ -1,5 +1,6 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -14,7 +15,8 @@ import cweil.cli
 from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
 from cweil.constructions import e8
-from cweil.database import load_bundled, serialize_db
+from cweil.database import CodeDatabase, load_bundled, serialize_db
+from cweil.doubling import verify_doubling
 from cweil.poly import parse_poly
 from cweil.weightenum import cwe
 
@@ -146,15 +148,55 @@ def test_verify_doubling_match(capsys):
 
 
 def test_verify_doubling_detects_corrupt_data(tmp_path, capsys):
-    # a wrong trusted aut order above the recheck cutoff shifts the mass
-    # average, so the fitted scalar cannot match the predicted constant
+    # a wrong aut order above the recheck cutoff breaks the complete block's
+    # mass identity, so the file is rejected at load, like a bad order at N <= 16
     text = serialize_db(load_bundled("codes_2ii_n24"))
     bad = tmp_path / "bad.txt"
     bad.write_text(text.replace("aut 244823040", "aut 244823042"))
-    code, out, _ = run(capsys, "verify-doubling", "--db", str(bad), "--type",
-                       "2II", "--length", "24", "--genus", "1")
+    code, out, err = run(capsys, "verify-doubling", "--db", str(bad), "--type",
+                         "2II", "--length", "24", "--genus", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: complete 2II 24: ")
+
+
+def _db_with_wrong_golay_order() -> CodeDatabase:
+    db = load_bundled("codes_2ii_n24")
+    return CodeDatabase(
+        [dataclasses.replace(r, aut=244823042) if r.name == "golay24" else r
+         for r in db.records],
+        dict(db.complete),
+    )
+
+
+def test_verify_doubling_mismatch_on_a_wrong_order(monkeypatch, capsys):
+    # a wrong order that got past loading shifts the mass average, so the
+    # fitted scalar cannot match the predicted constant
+    assert not verify_doubling("2II", 24, 1, _db_with_wrong_golay_order()).match
+    monkeypatch.setattr(cweil.cli, "_db_for",
+                        lambda args, tag, n: _db_with_wrong_golay_order())
+    code, out, _ = run(capsys, "verify-doubling", "--type", "2II", "--length",
+                       "24", "--genus", "1")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_certify_bundled_file(capsys):
+    code, out, _ = run(capsys, "certify", "--file", "codes_2ii_n8")
+    assert code == 0
+    assert out == ("ok   codes_2ii_n8: 1 records, 1 aut orders recomputed\n"
+                   "certify: all checks passed\n")
+
+
+def test_certify_reports_a_wrong_order(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(serialize_db(load_bundled("codes_2ii_n8")).replace(
+        "aut 1344", "aut 1343"))
+    code, out, _ = run(capsys, "certify", "--db", str(bad))
+    assert code == 1
+    assert out.startswith(f"FAIL {bad}: line ")
+    assert "claims aut 1343, computed 1344" in out
+    assert out.endswith("certify: 1 FAILED\n")
 
 
 def test_eisenstein_compare(capsys):
@@ -342,16 +384,19 @@ NUMPY_FREE = [
     "aut --code golay24",
     "eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",
     "verify-doubling --type 2II --length 24 --genus 1 --factorial",
+    "verify-doubling --type 2I --length 16 --genus 1",
 ]
 
 
 def test_commands_without_array_work_never_run_numpy():
     # numpy's package body imports its submodules, so none of them in
-    # sys.modules means it never ran; a deferred `numpy` entry may be there
+    # sys.modules means it never ran; a deferred `numpy` entry may be there.
+    # OpenSSL's `_hashlib` must not load either: it costs ~3.6 MB of RSS
     code = (
         "import sys\n"
         "def ran():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('numpy.') or m == '_hashlib')\n"
         "import cweil.cli\n"
         "print('import', ran())\n"
         f"for argv in {NUMPY_FREE!r}:\n"
@@ -411,6 +456,7 @@ GENUS_OUT_OF_RANGE = [
      "--method", "siegel-weil"],
     ["eisenstein", "--type", "2II", "--length", "-8", "--genus", "1",
      "--method", "coset"],
+    ["certify", "--file", "codes_nonexistent"],
 ])
 def test_invalid_input_is_a_usage_error(argv, capsys):
     code, _, err = run(capsys, *argv)

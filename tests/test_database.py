@@ -1,18 +1,23 @@
 """Code database: bundled datasets, parsing, validation, mass certification."""
 
+import hashlib
+from importlib import resources
 from math import factorial, prod
 
 import pytest
 
+from cweil import database
 from cweil.codes import weight_distribution
 from cweil.database import (
     BUNDLED,
+    CERTIFIED,
     CodeDatabase,
     DbParseError,
     load_bundled,
     parse_db,
     serialize_db,
 )
+from tests.test_cliffordweil import _run_python_O
 
 EXPECTED_SIZES = {
     "codes_2i_n16": 7,
@@ -42,6 +47,60 @@ def test_bundled_round_trip():
 def test_unknown_bundled_name():
     with pytest.raises(ValueError):
         load_bundled("codes_nonexistent")
+
+
+# --- certification pinned to the bundled bytes --------------------------
+
+
+def test_certified_digests_match_the_files():
+    # tests/test_autgroup.py recomputes every order of these bytes, which is
+    # what lets a load with a matching digest skip the search
+    data = resources.files("cweil") / "data"
+    assert CERTIFIED == {
+        name: hashlib.sha256((data / f"{name}.txt").read_bytes()).hexdigest()
+        for name in BUNDLED
+    }
+
+
+def _counting_aut_order(monkeypatch, orders):
+    calls = []
+
+    def stub(code):
+        calls.append(code)
+        return orders[code]
+
+    monkeypatch.setattr(database, "aut_order", stub)
+    return calls
+
+
+def test_certified_load_runs_no_aut_search(monkeypatch):
+    calls = _counting_aut_order(monkeypatch, {})
+    for name in BUNDLED:
+        load_bundled(name)
+    assert calls == []
+
+
+def test_edited_bundled_bytes_are_rechecked_at_every_length(monkeypatch):
+    # one byte of a note changed: nothing the parser reads differs, but these
+    # bytes were never certified, so all nine length-24 orders are recomputed
+    orders = {r.code: r.aut for r in load_bundled("codes_2ii_n24").records}
+    text = database._bundled_text("codes_2ii_n24")
+    edited = text.replace("note extended binary Golay code",
+                          "note extended binary Golay codE")
+    assert len(edited) == len(text) and edited != text
+    monkeypatch.setattr(database, "_bundled_text", lambda name: edited)
+    calls = _counting_aut_order(monkeypatch, orders)
+    db = load_bundled("codes_2ii_n24")
+    assert len(calls) == 9
+    assert [r.aut for r in db.records] == list(orders.values())
+
+
+def test_edited_bundled_aut_order_is_rejected(monkeypatch):
+    text = database._bundled_text("codes_2i_n16")
+    edited = text.replace("aut 5160960", "aut 5160961")
+    monkeypatch.setattr(database, "_bundled_text", lambda name: edited)
+    with pytest.raises(DbParseError, match="claims aut 5160961, computed 5160960"):
+        load_bundled("codes_2i_n16")
 
 
 # --- completeness and the mass certification ----------------------------
@@ -145,12 +204,47 @@ def test_parse_wrong_aut_is_recomputed():
 
 
 def test_parse_large_lengths_trust_declared_aut():
-    # above the recheck cutoff the declared order is kept as-is (the mass
-    # test certifies those datasets); parsing stays fast
+    # above the recheck cutoff the declared order is not recomputed, so
+    # parsing stays fast; in a complete block the mass identity rejects it
     text = serialize_db(load_bundled("codes_2ii_n24"))
     tampered = text.replace("aut 244823040", "aut 244823041")
-    db = parse_db(tampered)
-    assert db["golay24"].aut == 244823041  # parser trusts; mass test would fail
+    with pytest.raises(ValueError, match="complete 2II 24: "):
+        parse_db(tampered)
+    db = parse_db(tampered.replace("complete 2II 24 9\n", ""))
+    assert db["golay24"].aut == 244823041  # no complete block: kept as declared
+
+
+@pytest.mark.parametrize("old,new,why", [
+    ("aut 244823040", "aut 244823041", "does not divide 24!"),
+    ("aut 244823040", "aut 122411520", "mass identity fails"),
+    ("aut 244823040", "aut 0", "does not divide 24!"),
+], ids=["not-a-divisor", "wrong-divisor", "zero"])
+def test_mass_identity_checked_at_load(old, new, why):
+    text = serialize_db(load_bundled("codes_2ii_n24"))
+    with pytest.raises(ValueError, match=why):
+        parse_db(text.replace(old, new))
+
+
+def test_mass_identity_checked_for_type_2i():
+    text = serialize_db(load_bundled("codes_2i_n16"))
+    with pytest.raises(ValueError, match="complete 2I 16: mass identity fails"):
+        parse_db(text.replace("aut 10321920", "aut 5160960"), verify_aut=False)
+
+
+def test_wrong_order_in_complete_block_rejected_under_python_O():
+    # the length-24 order is not recomputed at load; the mass identity must
+    # still reject it when -O strips every assert
+    code = (
+        "from cweil.database import load_bundled, parse_db, serialize_db\n"
+        "text = serialize_db(load_bundled('codes_2ii_n24'))\n"
+        "try:\n"
+        "    parse_db(text.replace('aut 244823040', 'aut 122411520'))\n"
+        "except ValueError as exc:\n"
+        "    print('rejected', exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("rejected complete 2II 24: mass identity fails")
 
 
 def test_parse_type_check_enforced():
