@@ -19,11 +19,13 @@ discrete partition the candidate permutation is read off and verified
 against the code itself.
 
 Intended scale: p = 2, N <= 24.  A length-16 code takes tens of
-milliseconds, a length-24 doubly-even code about a second.
+milliseconds, a length-24 doubly-even code about a second.  Other fields
+raise ValueError, and a search past NODE_LIMIT nodes answers "unknown".
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from ._lazy import lazy_import
@@ -31,16 +33,17 @@ from .codes import LinearCode
 
 np = lazy_import("numpy")
 
+# search nodes one aut_order call may visit before it answers "unknown"
+NODE_LIMIT = 2_000_000
+
 
 class _TooHard(Exception):
     pass
 
 
 class _AutSearch:
-    def __init__(self, C: LinearCode, node_limit: int):
-        assert C.p == 2
+    def __init__(self, C: LinearCode):
         self.n = C.n
-        self.limit = node_limit
         self.nodes = 0
         words = [w for w in C.words if w and w != (1 << C.n) - 1]
         self.members = frozenset(C.words)
@@ -146,7 +149,7 @@ class _AutSearch:
     def search(self, state):
         """Find any column bijection consistent with `state`; returns perm or None."""
         self.nodes += 1
-        if self.nodes > self.limit:
+        if self.nodes > NODE_LIMIT:
             raise _TooHard
         state = self.refine(state)
         if state is None:
@@ -208,8 +211,8 @@ def _orbit(points, gens: list) -> set:
 
 
 @lru_cache(maxsize=64)
-def aut_order(C: LinearCode, limit: int = 2_000_000):
-    """|Aut(C)| as an exact integer, or the string "unknown" past the budget.
+def aut_order(C: LinearCode):
+    """|Aut(C)| of a binary code as an exact integer, or "unknown" past NODE_LIMIT.
 
     Orbit-stabilizer product over the chain of stabilizers of columns
     0, 1, 2, ..., walked from the last level to the first.  An automorphism
@@ -219,12 +222,10 @@ def aut_order(C: LinearCode, limit: int = 2_000_000):
     backtracking search.
     """
     if C.p != 2:
-        return "unknown"
+        raise ValueError(f"aut_order handles binary codes only, got field {C.p}")
     if C.k == 0 or C.k == C.n:
-        import math
-
         return math.factorial(C.n)
-    S = _AutSearch(C, limit)
+    S = _AutSearch(C)
     gens: list = []
     order = 1
     try:

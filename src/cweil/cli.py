@@ -24,7 +24,7 @@ from .cliffordweil import (
     group_closure,
     parabolic_closure,
 )
-from .codes import is_prime
+from .codes import TYPES, field_fits, is_prime
 from .database import (
     BUNDLED,
     CodeDatabase,
@@ -95,7 +95,7 @@ def _check_genus(g: int, least: int) -> None:
 
 
 def _check_field(tag: str, p: int) -> None:
-    if (tag in ("2I", "2II")) != (p == 2):  # binary types, and odd-p types
+    if not field_fits(tag, p):
         raise CliError(f"type {tag} does not go with --field {p}")
     # bounded, so that trial division stays under 2^16 steps
     if p >= 2**32 or not is_prime(p):
@@ -128,7 +128,7 @@ def cmd_cusp(args) -> int:
     if not recs:
         raise CliError(f"no codes of type {args.type} length {args.length}")
     try:
-        basis = cusp_basis([r.code for r in recs], args.genus, [r.name for r in recs])
+        basis = cusp_basis({r.name: r.code for r in recs}, args.genus)
     except ValueError as exc:
         raise CliError(str(exc))
     print(basis.to_text(include_polys=args.polys))
@@ -236,7 +236,10 @@ def cmd_aut(args) -> int:
     rec = _find_code(args)
     order = rec.aut
     if order is None or args.recompute:
-        order = aut_order(rec.code)
+        try:
+            order = aut_order(rec.code)
+        except ValueError as exc:
+            raise CliError(str(exc))
     print(f"aut {rec.name} = {order}")
     return 0
 
@@ -259,7 +262,7 @@ def cmd_certify(args) -> int:
             failures += 1
             print(f"FAIL {label}: {exc}")
             continue
-        orders = sum(r.aut is not None and r.p == 2 for r in db.records)
+        orders = sum(r.aut is not None for r in db.records)
         print(f"ok   {label}: {len(db.records)} records, "
               f"{orders} aut orders recomputed")
     print(f"certify: {'all checks passed' if not failures else f'{failures} FAILED'}")
@@ -368,9 +371,7 @@ def _selftest_checks():
                 if not basis_expansion(f, "2I", 16, basis.g, db):
                     return False
         db24 = load_bundled("codes_2ii_n24")
-        f24 = cusp_basis(
-            [r.code for r in db24.records], 1, [r.name for r in db24.records]
-        ).polys[0]
+        f24 = cusp_basis({r.name: r.code for r in db24.records}, 1).polys[0]
         return bool(basis_expansion(f24, "2II", 24, 1, db24))
 
     return [
@@ -418,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("cusp", cmd_cusp, help="basis of the cusp space spanned by enumerators")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=["2I", "2II", "Q", "Q1"])
+    sp.add_argument("--type", required=True, choices=TYPES)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--polys", action="store_true", help="include full polynomials")
@@ -426,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("verify-doubling", cmd_verify_doubling,
              help="pair the doubled average against each cusp form")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=["2I", "2II", "Q", "Q1"])
+    sp.add_argument("--type", required=True, choices=TYPES)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--factorial", action="store_true",
@@ -435,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("eisenstein", cmd_eisenstein,
              help="averaged invariant polynomial, by coset sum or mass formula")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=["2I", "2II", "Q", "Q1"])
+    sp.add_argument("--type", required=True, choices=TYPES)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--field", type=int, default=2)
@@ -444,14 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run both methods and report the ratio")
 
     sp = add("constants", cmd_constants, help="closed-form scalars as exact fractions")
-    sp.add_argument("--type", required=True, choices=["2I", "2II", "Q", "Q1"])
+    sp.add_argument("--type", required=True, choices=TYPES)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--factorial", action="store_true")
 
     sp = add("group", cmd_group, help="group closure order and structure check")
-    sp.add_argument("--type", required=True, choices=["2I", "2II", "Q", "Q1"])
+    sp.add_argument("--type", required=True, choices=TYPES)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--parabolic", action="store_true",

@@ -126,10 +126,11 @@ class Operator:
     __slots__ = ("p", "g", "n", "den", "arr")
 
     def __init__(self, p: int, g: int, n: int, arr: np.ndarray, den: int):
-        assert den > 0
         arr = np.asarray(arr, dtype=np.int64)
         d = p**g
-        assert arr.shape == (d, d, phi_degree(n)), arr.shape
+        if den <= 0 or arr.shape != (d, d, phi_degree(n)):
+            raise ValueError(f"an operator needs den > 0 and shape {(d, d, phi_degree(n))}, "
+                             f"got den = {den} and shape {arr.shape}")
         g_all = int(np.gcd.reduce(np.abs(arr), axis=None))
         g_all = gcd(g_all, den)
         if g_all > 1:
@@ -146,7 +147,7 @@ class Operator:
         return Operator(p, g, n, arr, 1)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        assert (self.p, self.g, self.n) == (other.p, other.g, other.n)
+        _check_same(self, (other.p, other.g, other.n))
         T = mul_table(self.n)
         d, phi = self.arr.shape[0], T.shape[0]
         _check_int64(max(_absmax(self.arr) * _absmax(other.arr) * _absmax(T) * d * phi * phi,
@@ -181,7 +182,7 @@ class Operator:
         return [[self.entry(i, j) for j in range(d)] for i in range(d)]
 
     def apply(self, a: Poly) -> Poly:
-        assert (a.p, a.g, a.conductor) == (self.p, self.g, self.n)
+        _check_same(self, (a.p, a.g, a.conductor))
         return apply_operator(a, self.entries())
 
     def is_unitary(self) -> bool:
@@ -197,6 +198,12 @@ class Operator:
 
     def __repr__(self):
         return f"Operator(p={self.p}, g={self.g}, den={self.den})"
+
+
+def _check_same(op: Operator, pgn: tuple) -> None:
+    if (op.p, op.g, op.n) != pgn:
+        raise ValueError(f"(p, g, n) = {pgn} does not match the operator's "
+                         f"{(op.p, op.g, op.n)}")
 
 
 def _power_matrix(n: int, c: CycNum) -> np.ndarray:
@@ -296,18 +303,17 @@ def _phase(n: int, frac: Fraction) -> CycNum:
     return CycNum.zeta_pow(n, int(k) % n)
 
 
-def _phase_operator(p: int, g: int, n: int, cells) -> Operator:
+def _phase_operator(p: int, g: int, cells) -> Operator:
     """The operator with entry (i, j) = exp(2 pi i t) for each cell (i, j, t), else 0."""
-    d = p**g
+    d, n = p**g, run_conductor(p)
     arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
     for i, j, t in cells:
         arr[i, j] = _phase(n, t).nums
     return Operator(p, g, n, arr, 1)
 
 
-def gen_m(u, p: int, g: int, n: int | None = None) -> Operator:
+def gen_m(u, p: int, g: int) -> Operator:
     """The variable permutation x_v -> x_{uv}."""
-    n = n or run_conductor(p)
     u = [list(map(int, row)) for row in u]
     if len(rref(p, u)) != g:
         raise ValueError("u is singular")
@@ -316,30 +322,28 @@ def gen_m(u, p: int, g: int, n: int | None = None) -> Operator:
         v = index_vector(idx, p, g)
         uv = tuple(sum(u[i][j] * v[j] for j in range(g)) % p for i in range(g))
         cells.append((idx, var_index(uv, p), 0))
-    return _phase_operator(p, g, n, cells)
+    return _phase_operator(p, g, cells)
 
 
-def gen_d(phi: QuadraticForm, n: int | None = None) -> Operator:
+def gen_d(phi: QuadraticForm) -> Operator:
     """The diagonal phase operator x_v -> exp(2 pi i phi(v)) x_v."""
     p, g = phi.p, phi.g
-    n = n or run_conductor(p)
     cells = [(idx, idx, phi(index_vector(idx, p, g))) for idx in range(p**g)]
-    return _phase_operator(p, g, n, cells)
+    return _phase_operator(p, g, cells)
 
 
-def gen_h(r: int, g: int, p: int, n: int | None = None) -> Operator:
+def gen_h(r: int, g: int, p: int) -> Operator:
     """Partial Fourier transform on the first r of g coordinates."""
     if not 1 <= r <= g:
         raise ValueError(f"h_r needs 1 <= r <= g, got r = {r}, g = {g}")
-    n = n or run_conductor(p)
     cells = []
     for idx in range(p**g):
         v = index_vector(idx, p, g)
         for head in iproduct(range(p), repeat=r):
             w = tuple(head) + v[r:]
             cells.append((idx, var_index(w, p), Fraction(sum(w[i] * v[i] for i in range(r)), p)))
-    norm = sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
-    return _phase_operator(p, g, n, cells).scale(norm)
+    norm = sqrt_prime_power(p, r, run_conductor(p)) / p**r  # p^(-r/2), exactly
+    return _phase_operator(p, g, cells).scale(norm)
 
 
 def gl_matrices(p: int, g: int):
@@ -357,7 +361,8 @@ def gl_generators(p: int, g: int):
         if p == 2:
             return [[[1]]]
         return [[[_primitive_root(p)]]]
-    assert g == 2
+    if g != 2:
+        raise ValueError(f"GL_g generators are listed for g <= 2, got g = {g}")
     gens = [[[0, 1], [1, 0]], [[1, 1], [0, 1]]]
     if p > 2:
         gens.append([[_primitive_root(p), 0], [0, 1]])
@@ -376,26 +381,22 @@ def _primitive_root(p: int) -> int:
     raise ValueError(p)
 
 
-def center_generator(tag: str, p: int, g: int, n: int | None = None) -> Operator:
-    """zeta_|Z| times the identity."""
-    n = n or run_conductor(p)
-    z = center_order(tag, p)
-    assert n % z == 0
-    return Operator.identity(p, g, n).scale(CycNum.zeta_pow(n, n // z))
-
-
-def generators(tag: str, g: int, p: int, reduced: bool = True, parabolic: bool = False):
-    """Reduced (or full) generator list; parabolic drops the h's, adds the center."""
+def center_generator(tag: str, p: int, g: int) -> Operator:
+    """zeta_|Z| times the identity (|Z| divides the conductor of every type)."""
     n = run_conductor(p)
+    return Operator.identity(p, g, n).scale(CycNum.zeta_pow(n, n // center_order(tag, p)))
+
+
+def monomial_generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
+    """The m_u, then the d_phi: reduced generating sets, or every one of them."""
     ms = gl_generators(p, g) if reduced else gl_matrices(p, g)
-    forms = basis_quadforms(tag, g, p) if reduced else list(all_quadforms(tag, g, p))
-    gens = [gen_m(u, p, g, n) for u in ms]
-    gens += [gen_d(phi, n) for phi in forms]
-    if parabolic:
-        gens.append(center_generator(tag, p, g, n))
-    else:
-        gens += [gen_h(r, g, p, n) for r in range(1, g + 1)]
-    return gens
+    forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
+    return [gen_m(u, p, g) for u in ms] + [gen_d(phi) for phi in forms]
+
+
+def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
+    """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
+    return monomial_generators(tag, g, p, reduced) + [gen_h(r, g, p) for r in range(1, g + 1)]
 
 
 class GroupClosure:
@@ -470,7 +471,7 @@ def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
             for i in range(dens.size)]
 
 
-def close_group(gens: list, cap: int = CLOSURE_CAP, sub: GroupClosure | None = None,
+def close_group(gens: list, sub: GroupClosure | None = None,
                 expect: int | None = None) -> GroupClosure:
     """<gens> as a union of right cosets sub*r, breadth first over the cosets.
 
@@ -480,9 +481,10 @@ def close_group(gens: list, cap: int = CLOSURE_CAP, sub: GroupClosure | None = N
     generator; a product outside the cosets found so far opens the coset
     sub*y, one batched product more.  The union is then closed under right
     multiplication by the generators, so it is the whole group.  With expect,
-    any other order raises ClosureError.
+    any other order raises ClosureError, and so does growing past
+    CLOSURE_CAP, which is read at each call.
     """
-    p, g, n = gens[0].p, gens[0].g, gens[0].n
+    p, g, n, cap = gens[0].p, gens[0].g, gens[0].n, CLOSURE_CAP
     T = mul_table(n)
     limit = cap if expect is None else min(cap, expect)
     arr = np.empty((min(limit, 1024) if expect is None else limit,) + gens[0].arr.shape,
@@ -539,8 +541,7 @@ def close_group(gens: list, cap: int = CLOSURE_CAP, sub: GroupClosure | None = N
 @lru_cache(maxsize=None)
 def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
     """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
-    gens = generators(tag, g, p, reduced=True, parabolic=True)[:-1]  # all but the center
-    return close_group(gens)
+    return close_group(monomial_generators(tag, g, p))
 
 
 @lru_cache(maxsize=None)
@@ -556,7 +557,7 @@ def group_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
 @lru_cache(maxsize=None)
 def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
     """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
-    return close_group(generators(tag, g, p, reduced=True, parabolic=True),
+    return close_group(monomial_generators(tag, g, p) + [center_generator(tag, p, g)],
                        sub=_monomial_subgroup(tag, g, p),
                        expect=PREDICTED_PARABOLIC.get((tag, g, p)))
 
@@ -700,19 +701,20 @@ def eisenstein_coset(tag: str, g: int, N: int, p: int = 2) -> Poly:
         return seed_poly(tag, g, 0, p)
     mult = Counter(r for k in keys for r in k)
     forms = [(rows[r][0], rows[r][1].tolist(), m) for r, m in mult.items()]
-    return power_sum(p, g, N, run_conductor(p), forms, len(keys))
+    return power_sum(p, g, N, forms, len(keys))
 
 
-def power_sum(p: int, g: int, N: int, n: int, forms, scale: int) -> Poly:
+def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:
     """(1/scale) * sum of mult * l^N over forms (den, numerator rows, mult).
 
     A form is l = sum_w (row[w] / den) x_w, row[w] being the power-basis
-    numerators of a coefficient in Q(zeta_n).  Each l^N is expanded once by
-    the multinomial theorem over the support of l, from the powers
-    row[w]^e, e = 0..N, with every form over the lcm D of the denominators;
-    the CycNum coefficients are built at the end over D^N * scale.
+    numerators of a coefficient in Q(zeta_n), n = run_conductor(p).  Each
+    l^N is expanded once by the multinomial theorem over the support of l,
+    from the powers row[w]^e, e = 0..N, with every form over the lcm D of
+    the denominators; the CycNum coefficients are built at the end over
+    D^N * scale.
     """
-    forms = list(forms)
+    forms, n = list(forms), run_conductor(p)
     D = lcm(*(den for den, _, _ in forms))
     phi = phi_degree(n)
     one = [1] + [0] * (phi - 1)
@@ -781,7 +783,7 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
         tag, gg, p, [(0, 0) if tag == "Q1" else 0] * gg,
         {(i, g + i): 1 for i in range(r)},
     )
-    d_pair = gen_d(pairing, n)
+    d_pair = gen_d(pairing)
     support = list(range(r)) + list(range(g, g + r))
     cells = []
     for idx in range(p**gg):
@@ -792,13 +794,13 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
                 w[pos] = x
             phase = Fraction(sum(w[i] * v[g + i] + w[g + i] * v[i] for i in range(r)), p)
             cells.append((idx, var_index(w, p), phase))
-    h_mid = _phase_operator(p, gg, n, cells).scale(CycNum.from_rat(n, Fraction(1, p**r)))
+    h_mid = _phase_operator(p, gg, cells).scale(CycNum.from_rat(n, Fraction(1, p**r)))
     return d_pair @ h_mid @ d_pair
 
 
 def delta_embed(g1: Operator, g2: Operator) -> Operator:
     """Delta(gamma_1, gamma_2) acting on genus-2g variables X_(v1,v2)."""
-    assert (g1.p, g1.g, g1.n) == (g2.p, g2.g, g2.n)
+    _check_same(g1, (g2.p, g2.g, g2.n))
     p, g, n = g1.p, g1.g, g1.n
     d = p**g
     T = mul_table(n)

@@ -23,6 +23,24 @@ TYPES = ("2I", "2II", "Q", "Q1")
 WORD_BUDGET = 1 << 26
 
 
+def field_fits(tag: str, p: int) -> bool:
+    """2I and 2II are the binary types; Q and Q1 go with an odd p."""
+    return (p == 2) == (tag in ("2I", "2II"))
+
+
+def mass_range(tag: str, n: int) -> range:
+    """The i of the mass-formula factors (p^e + p^i) of type tag at length n.
+
+    At e = 0, p = 2 their product counts the self-dual (2I) or doubly-even
+    (2II) codes of length n on labelled coordinates; type Q has none here.
+    """
+    if tag == "2I":
+        return range(1, n // 2)
+    if tag in ("2II", "Q1"):
+        return range(0, n // 2 - 1)
+    raise ValueError(f"no Siegel-Weil normalization for type {tag}")
+
+
 def is_prime(p: int) -> bool:
     """Trial division; callers bound p so that it stays cheap."""
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
@@ -61,7 +79,7 @@ class LinearCode:
         if tag is not None:
             if tag not in TYPES:
                 raise ValueError(f"unknown type {tag!r}; have {TYPES}")
-            if (p == 2) != (tag in ("2I", "2II")):
+            if not field_fits(tag, p):
                 raise ValueError(f"type {tag} does not go with field {p}")
         self.p = p
         self.n = n
@@ -95,13 +113,7 @@ class LinearCode:
         return tuple(words)
 
     def contains(self, vec) -> bool:
-        v = [x % self.p for x in vec]
-        for row in self.rows:
-            c = next(i for i, x in enumerate(row) if x)
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        return not any(v)
+        return len(rref(self.p, self.rows + (tuple(vec),))) == self.k
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
@@ -157,11 +169,7 @@ def check_type(C: LinearCode, tag: str | None = None) -> bool:
     tag = tag or C.tag
     if tag not in TYPES:
         raise ValueError(f"unknown type {tag!r}; have {TYPES}")
-    if tag in ("2I", "2II") and C.p != 2:
-        return False
-    if tag in ("Q", "Q1") and C.p == 2:
-        return False
-    if dual_code(C).rows != C.rows:
+    if not field_fits(tag, C.p) or dual_code(C).rows != C.rows:
         return False
     if tag == "2II":
         return all(w.bit_count() % 4 == 0 for w in C.words)
@@ -179,7 +187,8 @@ def weight_distribution(C: LinearCode) -> tuple[int, ...]:
 
 def permute_code(C: LinearCode, sigma) -> LinearCode:
     """The code sigma(C): coordinate i of each word moves to sigma[i]."""
-    assert sorted(sigma) == list(range(C.n))
+    if sorted(sigma) != list(range(C.n)):
+        raise ValueError(f"{sigma} is not a permutation of {C.n} coordinates")
     rows = []
     for row in C.rows:
         new = [0] * C.n

@@ -18,11 +18,12 @@ Format, one record per block::
 `complete TYPE N COUNT` declares that every equivalence class for that
 (type, length) is present.  Validation is strict: rows must give a code
 passing its type check, names must be unique, a declared-complete set must
-have the declared count, and a binary code's recorded aut order is
-recomputed and compared.  When every record of a `complete 2I N` or
-`complete 2II N` block carries an order, the block must satisfy the mass
-identity: each N!/|Aut| is an integer and their sum is the number of
-self-dual codes of that type and length.
+have the declared count, and a recorded aut order is recomputed and
+compared.  Only binary codes may record one, as `aut_order` computes no
+other.  When every record of a `complete 2I N` or `complete 2II N` block
+carries an order, the block must satisfy the mass identity: each N!/|Aut|
+is an integer and their sum is the number of self-dual codes of that type
+and length.
 
 How far the aut orders are recomputed depends on where the file comes from:
 
@@ -57,7 +58,7 @@ except ImportError:
     from _sha256 import sha256  # 3.10-3.11
 
 from .autgroup import aut_order
-from .codes import LinearCode, check_type, code_from_rows
+from .codes import LinearCode, check_type, code_from_rows, mass_range
 
 # User files get their aut orders recomputed at load up to this length.
 # Length-24 orders take about a second each, which would slow every command
@@ -181,8 +182,8 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
 def _check_mass(tag: str, n: int, recs: list[CodeRecord]) -> None:
     """Σ n!/|Aut| over the classes must count every self-dual code of the type.
 
-    On labelled coordinates there are ∏_{i=1}^{n/2-1} (2^i + 1) self-dual
-    binary codes of length n, and ∏_{i=0}^{n/2-2} (2^i + 1) doubly-even ones.
+    On labelled coordinates there are ∏ (2^i + 1) self-dual codes of type
+    2I or 2II and length n, over the i of `codes.mass_range`.
     """
     mass = 0
     for rec in recs:
@@ -192,8 +193,7 @@ def _check_mass(tag: str, n: int, recs: list[CodeRecord]) -> None:
                 f"which does not divide {n}!"
             )
         mass += math.factorial(n) // rec.aut
-    first = 1 if tag == "2I" else 0
-    expected = math.prod(2**i + 1 for i in range(first, n // 2 - 1 + first))
+    expected = math.prod(2**i + 1 for i in mass_range(tag, n))
     if mass != expected:
         raise ValueError(
             f"complete {tag} {n}: mass identity fails: the sum of {n}!/|Aut| "
@@ -213,7 +213,11 @@ def _finish_record(cur: dict, verify_aut: float) -> CodeRecord:
     if not check_type(code):
         raise DbParseError(lineno, f"record {name!r} fails its {code.tag} type check")
     aut = cur.get("aut")
-    if aut is not None and code.p == 2 and code.n <= verify_aut:
+    if aut is not None and code.p != 2:
+        raise DbParseError(
+            lineno, f"record {name!r} records aut {aut}, but only binary orders can be checked"
+        )
+    if aut is not None and code.n <= verify_aut:
         computed = aut_order(code)
         if computed != aut:
             raise DbParseError(

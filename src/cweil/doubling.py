@@ -2,10 +2,12 @@
 
 The doubling map splits each genus-2g variable X_(v1,v2) into a product
 x_{v1} y_{v2}; on a complete weight enumerator it factors the genus-2g
-enumerator as cwe_g(C, x) * cwe_g(C, y).  Pairing the y-side against a
-cusp form f then collapses the doubled Eisenstein series to a scalar
-multiple of f-bar, and the scalar has a closed form: that identity is what
-verify_doubling checks, coefficient by coefficient, with zero residual.
+enumerator as cwe_g(C, x) * cwe_g(C, y).  Its image, a polynomial in y
+with genus-g polynomials in x as coefficients, is held as a dict from
+y-monomials to Polys.  Pairing the y-side against a cusp form f then
+collapses the doubled Eisenstein series to a scalar multiple of f-bar, and
+the scalar has a closed form: that identity is what verify_doubling
+checks, coefficient by coefficient, with zero residual.
 
 Eisenstein series here are computed the Siegel-Weil way — normalized sums
 of enumerators over a complete set of code classes weighted by 1/|Aut| —
@@ -21,45 +23,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .codes import mass_range
 from .database import CodeDatabase
 from .poly import Poly, conj_poly, inner_product, mono_factorial
 from .siegelphi import CuspBasis, cusp_basis, phi_op
 from .weightenum import cwe
 
 
-class BipartitePoly:
-    """Polynomial in paired variable sets x_v, y_w, both of genus g."""
+def dmap(a: Poly) -> dict:
+    """Split genus-2g variables X_(v1,v2) -> x_{v1} y_{v2}.
 
-    __slots__ = ("p", "g", "N", "conductor", "terms")
-
-    def __init__(self, p: int, g: int, N: int, conductor: int, terms: dict):
-        self.p, self.g, self.N, self.conductor = p, g, N, conductor
-        clean = {}
-        for (mx, my), c in terms.items():
-            if not c:
-                continue
-            assert sum(mx) == N and sum(my) == N
-            clean[(mx, my)] = c
-        self.terms = clean
-
-    def __eq__(self, other):
-        if not isinstance(other, BipartitePoly):
-            return NotImplemented
-        return (self.p, self.g, self.conductor) == (
-            other.p,
-            other.g,
-            other.conductor,
-        ) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"BipartitePoly(p={self.p}, g={self.g}, terms={len(self.terms)})"
-
-
-def dmap(a: Poly) -> BipartitePoly:
-    """Split genus-2g variables: X_(v1,v2) -> x_{v1} y_{v2}."""
+    The image lies in C[x] (x) C[y]: it is returned as {y-monomial: the
+    genus-g Poly in x that multiplies it}.
+    """
     if a.g % 2 or a.g < 2:
         raise ValueError("dmap needs an even genus >= 2")
     g = a.g // 2
@@ -72,44 +48,31 @@ def dmap(a: Poly) -> BipartitePoly:
             if e:
                 mx[idx // d] += e
                 my[idx % d] += e
-        key = (tuple(mx), tuple(my))
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return BipartitePoly(a.p, g, a.N, a.conductor, out)
+        terms = out.setdefault(tuple(my), {})
+        s = terms.get(tuple(mx))
+        terms[tuple(mx)] = c if s is None else s + c
+    split = {my: Poly(a.p, g, a.N, a.conductor, terms) for my, terms in out.items()}
+    return {my: px for my, px in split.items() if px}
 
 
-def product_bipartite(a: Poly, b: Poly) -> BipartitePoly:
-    """a(x) * b(y) as a BipartitePoly — the comparison oracle for dmap."""
-    assert (a.p, a.g, a.N, a.conductor) == (b.p, b.g, b.N, b.conductor)
-    terms = {}
-    for mx, cx in a.terms.items():
-        for my, cy in b.terms.items():
-            terms[(mx, my)] = cx * cy
-    return BipartitePoly(a.p, a.g, a.N, a.conductor, terms)
+def product_bipartite(a: Poly, b: Poly) -> dict:
+    """a(x) * b(y) in the form dmap returns: the comparison oracle for dmap."""
+    if (a.p, a.g, a.N, a.conductor) != (b.p, b.g, b.N, b.conductor):
+        raise ValueError("product_bipartite needs two polynomials of one shape")
+    return {my: cy * a for my, cy in b.terms.items()}
 
 
-def pair_y(P: BipartitePoly, f: Poly) -> Poly:
-    """Inner product in the y variables; conjugate-linear in f."""
-    if (f.p, f.g, f.N, f.conductor) != (P.p, P.g, P.N, P.conductor):
+def pair_y(P: dict, f: Poly) -> Poly:
+    """Inner product in the y variables of a dmap image; conjugate-linear in f."""
+    shape = (f.p, f.g, f.N, f.conductor)
+    if any((px.p, px.g, px.N, px.conductor) != shape for px in P.values()):
         raise ValueError("pair_y shape mismatch")
-    out: dict = {}
-    fbar = {m: c.conj() for m, c in f.terms.items()}
-    for (mx, my), c in P.terms.items():
-        fc = fbar.get(my)
-        if fc is None:
-            continue
-        contrib = c * fc * mono_factorial(my)
-        s = out.get(mx)
-        s = contrib if s is None else s + contrib
-        if s:
-            out[mx] = s
-        else:
-            del out[mx]
-    return Poly(P.p, P.g, P.N, P.conductor, out)
+    out = Poly.zero(*shape)
+    for my, px in P.items():
+        fc = f.terms.get(my)
+        if fc is not None:
+            out = out + (fc.conj() * mono_factorial(my)) * px
+    return out
 
 
 # --- Siegel-Weil normalizations and the closed-form constants -----------
@@ -117,14 +80,8 @@ def pair_y(P: BipartitePoly, f: Poly) -> Poly:
 
 def _sw_norm(tag: str, N: int, gexp: int, p: int = 2) -> Fraction:
     """The product normalization b with q^gexp in every factor."""
-    if tag == "2I":
-        lo, hi = 1, N // 2 - 1
-    elif tag in ("2II", "Q1"):
-        lo, hi = 0, N // 2 - 2
-    else:
-        raise ValueError(f"no Siegel-Weil normalization for type {tag}")
     b = Fraction(1)
-    for i in range(lo, hi + 1):
+    for i in mass_range(tag, N):
         b /= p**gexp + p**i
     return b
 
@@ -164,6 +121,18 @@ def const_conj(N: int, g: int) -> Fraction:
     for i in range(g, 2 * g):
         c /= 2**i + 1
     return factorial(N) * c
+
+
+def predicted_scalar(tag: str, N: int, g: int, recs) -> tuple[Fraction, bool]:
+    """The predicted c*N! at the records' field, and whether it is proven.
+
+    Type 2I has no proven constant; its value is the conjectural const_conj.
+    """
+    if not recs:
+        raise ValueError(f"no {tag} records of length {N}")
+    if tag == "2I":
+        return const_conj(N, g), False
+    return const_c(tag, N, g, recs[0].p) * factorial(N), True
 
 
 def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase, p: int = 2) -> Poly:
@@ -291,16 +260,13 @@ def _fit_scalar(pairing: Poly, target: Poly):
 def verify_doubling(tag: str, N: int, g: int, db: CodeDatabase) -> VerificationReport:
     recs = db.complete_records(tag, N)
     basis = cusp_basis({r.name: r.code for r in recs}, g)
-    if tag == "2I":
-        theoretical, conjectural = const_conj(N, g), True
-    else:
-        theoretical, conjectural = const_c(tag, N, g) * factorial(N), False
+    theoretical, proven = predicted_scalar(tag, N, g, recs)
     forms = []
     for f in basis.polys:
         pairing = doubling_pairing_sw(tag, N, g, db, f)
         mu, clean = _fit_scalar(pairing, conj_poly(f))
         forms.append(FormResult(mu, clean, theoretical))
-    return VerificationReport(tag, N, g, basis, tuple(forms), theoretical, conjectural)
+    return VerificationReport(tag, N, g, basis, tuple(forms), theoretical, not proven)
 
 
 def basis_expansion(f: Poly, tag: str, N: int, g: int, db: CodeDatabase):
@@ -313,7 +279,7 @@ def basis_expansion(f: Poly, tag: str, N: int, g: int, db: CodeDatabase):
         raise ValueError("input is not a cusp form (nonzero Phi image)")
     recs = db.complete_records(tag, N)
     b = const_b(tag, N, g, f.p)
-    cfull = const_conj(N, g) if tag == "2I" else const_c(tag, N, g) * factorial(N)
+    cfull = predicted_scalar(tag, N, g, recs)[0]
     out = []
     rebuilt = Poly.zero(f.p, g, N, f.conductor)
     for rec in recs:

@@ -187,21 +187,13 @@ def _coeff_rows(polys: list[Poly], monomials) -> list[list[Fraction]]:
     return rows
 
 
-def cusp_basis(codes, g: int, names=None) -> CuspBasis:
+def cusp_basis(codes, g: int) -> CuspBasis:
     """Basis of {f in span(cwe_g(C_i)) : Phi_{g,1}(f) = 0, f != 0}.
 
-    Accepts a mapping name -> code or a plain sequence (codes then named
-    positionally).  The returned combos are primitive integer vectors.
+    `codes` maps each code's name to the code.  The returned combos are
+    primitive integer vectors, in the mapping's order.
     """
-    if hasattr(codes, "items"):
-        names = list(codes.keys())
-        codes = list(codes.values())
-    else:
-        codes = list(codes)
-        if names is None:
-            names = [f"C{i}" for i in range(len(codes))]
-    if len(set(names)) != len(codes):
-        raise ValueError(f"need {len(codes)} distinct code names, got {names}")
+    names, codes = list(codes), list(codes.values())
     if len({(C.p, C.n, C.tag) for C in codes}) != 1:
         raise ValueError("cusp_basis needs codes of one field, length and type")
     N = codes[0].n

@@ -11,6 +11,7 @@ count off a popcount of the column-pattern mask  AND_i (c_i or ~c_i).  At
 genus 2 every count follows from wt c_1, wt c_2 and |c_1 AND c_2|, so that
 kernel is one numpy histogram over those triples.  Genus 0 is the
 degenerate case: one empty tuple, cwe_0 = x^N in the single variable.
+Both paths refuse more than DEFAULT_BUDGET tuples.
 """
 
 from __future__ import annotations
@@ -35,19 +36,17 @@ def run_conductor(p: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def cwe(C: LinearCode, g: int, budget: int = DEFAULT_BUDGET) -> Poly:
+def cwe(C: LinearCode, g: int) -> Poly:
     """The genus-g complete weight enumerator of C."""
-    if len(C.words) ** g > budget:
-        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {budget}")
     if C.p == 2 and C.n <= 64 and g >= 1:
         return cwe_binary_fast(C, g)
     return cwe_generic(C, g)
 
 
-def cwe_generic(C: LinearCode, g: int, budget: int = DEFAULT_BUDGET) -> Poly:
+def cwe_generic(C: LinearCode, g: int) -> Poly:
     """Definition-level path: loop over tuples, count vector occurrences."""
-    if len(C.words) ** g > budget:
-        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {budget}")
+    if len(C.words) ** g > DEFAULT_BUDGET:
+        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     p, n, d = C.p, C.n, C.p**g
     # each codeword as its tuple of coordinates (unpacked once for p = 2)
     vecs = [tuple((w >> i) & 1 for i in range(n)) if p == 2 else w for w in C.words]
@@ -61,13 +60,13 @@ def cwe_generic(C: LinearCode, g: int, budget: int = DEFAULT_BUDGET) -> Poly:
     return Poly(p, g, n, run_conductor(p), counts)
 
 
-def cwe_binary_fast(C: LinearCode, g: int, budget: int = DEFAULT_BUDGET) -> Poly:
+def cwe_binary_fast(C: LinearCode, g: int) -> Poly:
     """Popcount kernel for p = 2, N <= 64; output identical to cwe_generic."""
     if C.p != 2 or C.n > 64 or g < 1:
         raise ValueError(f"the popcount kernel needs p = 2, N <= 64 and g >= 1, "
                          f"got p = {C.p}, N = {C.n}, g = {g}")
-    if len(C.words) ** g > budget:
-        raise ValueError("tuple budget exceeded")
+    if len(C.words) ** g > DEFAULT_BUDGET:
+        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     n = C.n
     full = (1 << n) - 1
     d = 1 << g

@@ -199,6 +199,17 @@ def test_certify_reports_a_wrong_order(tmp_path, capsys):
     assert out.endswith("certify: 1 FAILED\n")
 
 
+def test_certify_rejects_an_order_on_a_ternary_record(tmp_path, capsys):
+    # aut_order computes binary orders only, so nothing could check this one
+    bad = tmp_path / "t4.txt"
+    bad.write_text("code t4\nfield 3\ntype Q\nlength 4\naut 7\n"
+                   "gen 1012\ngen 0111\nend\n")
+    code, out, _ = run(capsys, "certify", "--db", str(bad))
+    assert code == 1
+    assert out.startswith(f"FAIL {bad}: line 1: record 't4' records aut 7")
+    assert out.endswith("certify: 1 FAILED\n")
+
+
 def test_eisenstein_compare(capsys):
     code, out, _ = run(capsys, "eisenstein", "--type", "2II", "--length", "8",
                        "--genus", "1", "--compare")
@@ -410,6 +421,13 @@ def test_commands_without_array_work_never_run_numpy():
     assert lines == [f"ran {argv} 0 []" for argv in NUMPY_FREE]
 
 
+def test_selftest_passes_under_python_O():
+    # -O strips asserts: every check selftest relies on must raise instead
+    out = _python("-O", "-m", "cweil.cli", "selftest")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.endswith("selftest: all checks passed\n")
+
+
 @pytest.mark.parametrize("record,why", [
     ("field 17\ntype Q\nlength 2\ngen 14", "field size 17 is not a prime up to 13"),
     ("field 2\ntype 3I\nlength 2\ngen 11", "unknown type '3I'"),
@@ -425,6 +443,9 @@ def test_bad_db_record_is_rejected_under_python_O(tmp_path, record, why):
     assert out.stdout == ""
     assert out.stderr.startswith(f"error: {db}: line 1: record 'x': {why}")
 
+
+# the bundled ternary file, read as a user database
+TERNARY_DB = os.path.join(os.path.dirname(cweil.__file__), "data", "codes_q3_n4.txt")
 
 GENUS_OUT_OF_RANGE = [
     ["cwe", "--code", "e8", "--genus", "-2"],
@@ -457,6 +478,8 @@ GENUS_OUT_OF_RANGE = [
     ["eisenstein", "--type", "2II", "--length", "-8", "--genus", "1",
      "--method", "coset"],
     ["certify", "--file", "codes_nonexistent"],
+    ["aut", "--code", "tetracode"],  # aut orders are computed for binary codes only
+    ["aut", "--db", TERNARY_DB, "--code", "tetracode", "--recompute"],
 ])
 def test_invalid_input_is_a_usage_error(argv, capsys):
     code, _, err = run(capsys, *argv)

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cweil
 import cweil.cliffordweil as cw
@@ -31,6 +33,7 @@ from cweil.cliffordweil import (
     gen_h,
     gen_m,
     generators,
+    gl_generators,
     gl_matrices,
     group_closure,
     parabolic_closure,
@@ -42,9 +45,9 @@ from cweil.cliffordweil import (
     _fold,
 )
 from cweil.constructions import e8, tetracode
-from cweil.cyclo import CycNum, mul_table
+from cweil.cyclo import CycNum, mul_table, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
-from cweil.weightenum import cwe
+from cweil.weightenum import cwe, run_conductor
 
 # (tag, g, p) -> (|C_g|, |P_g| with scalars, # parabolic cosets)
 GROUP_TABLE = {
@@ -88,7 +91,7 @@ def test_generators_unitary(key):
 )
 def test_center_scalar_order(tag, p, z):
     zgen = center_generator(tag, p, 1)
-    assert len(close_group([zgen], 100)) == z
+    assert len(close_group([zgen])) == z
     assert zgen in group_closure(tag, 1, p)
 
 
@@ -217,10 +220,8 @@ def test_int64_overflow_raises_instead_of_wrapping():
         _fold(one.arr * 2**62, T)
 
 
-def test_closure_certificates_raise():
+def test_closure_certificates_raise(monkeypatch):
     gens = generators("2II", 1, 2)
-    with pytest.raises(ClosureError, match="cap"):
-        close_group(gens, cap=100)
     with pytest.raises(ClosureError, match="predicted"):
         close_group(gens, expect=191)
     with pytest.raises(ClosureError, match="predicted"):
@@ -232,6 +233,10 @@ def test_closure_certificates_raise():
                         dict(list(group.index.items())[:2]))
     with pytest.raises(ClosureError, match="overlap"):
         close_group([d @ d @ d], sub=fake)
+    # the cap is read at call time
+    monkeypatch.setattr(cw, "CLOSURE_CAP", 100)
+    with pytest.raises(ClosureError, match="cap"):
+        close_group(gens)
 
 
 def test_order_certificate_survives_python_O():
@@ -258,7 +263,7 @@ def test_cusp_and_generator_checks_survive_python_O():
         "from cweil.cliffordweil import gen_h\n"
         "from cweil.constructions import d16_plus, e8\n"
         "from cweil.siegelphi import cusp_basis\n"
-        "for call in [lambda: cusp_basis([e8(), d16_plus()], 1),\n"
+        "for call in [lambda: cusp_basis({'e8': e8(), 'd16+': d16_plus()}, 1),\n"
         "             lambda: gen_h(0, 1, 2)]:\n"
         "    try:\n"
         "        call()\n"
@@ -284,6 +289,40 @@ def test_cusp_and_generator_checks_survive_python_O():
 def test_generator_inputs_raise(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Operator(2, 1, 8, np.zeros((2, 2, 4)), 0),
+    lambda: Operator(2, 1, 8, np.zeros((2, 2, 3)), 1),
+    lambda: Operator.identity(2, 1, 8) @ Operator.identity(3, 1, 12),
+    lambda: Operator.identity(2, 1, 8).apply(Poly.monomial(2, 2, 8, (1, 0, 0, 0))),
+    lambda: delta_embed(Operator.identity(2, 1, 8), Operator.identity(2, 2, 8)),
+    lambda: gl_generators(2, 3),
+], ids=["den", "shape", "matmul", "apply", "delta", "gl-genus"])
+def test_operator_inputs_raise(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def _small_operator(data, p: int) -> Operator:
+    n = run_conductor(p)
+    size = p * p * phi_degree(n)
+    nums = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    arr = np.array(nums, dtype=np.int64).reshape(p, p, phi_degree(n))
+    return Operator(p, 1, n, arr, data.draw(st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_operator_arithmetic_matches_cycnum(p, data):
+    # the int64 numerator stacks against CycNum's own multiply and conjugate
+    A, B = _small_operator(data, p), _small_operator(data, p)
+    AB, At = A @ B, A.conj_t()
+    zero = CycNum.zero(A.n)
+    for i in range(p):
+        for j in range(p):
+            assert AB.entry(i, j) == sum((A.entry(i, k) * B.entry(k, j) for k in range(p)), zero)
+            assert At.entry(i, j) == A.entry(j, i).conj()
 
 
 def _run_python_O(code: str) -> subprocess.CompletedProcess:
@@ -349,7 +388,7 @@ def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
             form = forms.setdefault((rep.den, rep.arr[v].tobytes()),
                                     [rep.den, rep.arr[v].tolist(), 0])
             form[2] += 1
-    expect = power_sum(p, g, N, reps[0].n, forms.values(), len(reps))
+    expect = power_sum(p, g, N, forms.values(), len(reps))
     assert eisenstein_coset(tag, g, N, p) == expect
     assert len(seed_orbit(tag, g, p)[1]) == orbit
     assert len(reps) % orbit == 0
@@ -393,10 +432,10 @@ def test_power_sum_of_one_form_with_a_zero_entry(N):
     zero_row = [CycNum.zero(8)] * 4
     seed = Poly.monomial(2, 2, 8, (N, 0, 0, 0))
     expect = apply_operator(seed, [row] + [zero_row] * 3)
-    assert power_sum(2, 2, N, 8, [(2, nums, 1)], 1) == expect
-    assert power_sum(2, 2, N, 8, [(2, nums, 3)], 3) == expect
+    assert power_sum(2, 2, N, [(2, nums, 1)], 1) == expect
+    assert power_sum(2, 2, N, [(2, nums, 3)], 3) == expect
     # the zero form: 0^N, which is 1 at N = 0
-    assert power_sum(2, 2, N, 8, [(1, [[0] * 4] * 4, 1)], 1) == \
+    assert power_sum(2, 2, N, [(1, [[0] * 4] * 4, 1)], 1) == \
         apply_operator(seed, [zero_row] * 4)
 
 
@@ -444,7 +483,7 @@ def test_delta_subgroup_and_coset_cover(tag):
     ident = Operator.identity(2, 1, 8)
     dgens = [delta_embed(a, ident) for a in generators(tag, 1, 2)]
     dgens += [delta_embed(ident, a) for a in generators(tag, 1, 2)]
-    sub = close_group(dgens, 10**5)
+    sub = close_group(dgens)
     assert len(sub) == DELTA_ORDERS[tag]
     for op in sub[:50]:
         assert op in G

@@ -62,6 +62,14 @@ def test_certified_digests_match_the_files():
     }
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_builtin_sha256_matches_hashlib(name):
+    # load_bundled hashes with the interpreter's builtin module (_sha2 on
+    # 3.12+, _sha256 before), not hashlib
+    data = (resources.files("cweil") / "data" / f"{name}.txt").read_bytes()
+    assert database.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 def _counting_aut_order(monkeypatch, orders):
     calls = []
 

@@ -8,9 +8,8 @@ import pytest
 from cweil.cliffordweil import eisenstein_coset
 from cweil.constructions import e8, i2, tetracode
 from cweil.cyclo import CycNum
-from cweil.database import load_bundled
+from cweil.database import CodeDatabase, CodeRecord, load_bundled
 from cweil.doubling import (
-    BipartitePoly,
     basis_expansion,
     const_b,
     const_c,
@@ -19,6 +18,7 @@ from cweil.doubling import (
     doubling_pairing_sw,
     eisenstein_sw,
     pair_y,
+    predicted_scalar,
     product_bipartite,
     scalar_factorial_form,
     verify_doubling,
@@ -54,31 +54,30 @@ def test_dmap_rejects_odd_genus():
 def test_dmap_splits_variable_indices():
     # genus 2, p = 2: index 2 = binary (1,0) splits into x-index 1, y-index 0
     f = Poly.monomial(2, 2, 8, (0, 0, 3, 0))
-    split = dmap(f)
-    assert split.terms == {((0, 3), (3, 0)): CycNum.one(8)}
+    assert dmap(f) == {(3, 0): Poly.monomial(2, 1, 8, (0, 3))}
 
 
 # --- the factorial pairing in the y variables ---------------------------
 
 
 def test_pair_y_monomial_weights():
-    P = BipartitePoly(2, 1, 4, 8, {((4, 0), (4, 0)): CycNum.one(8)})
+    P = {(4, 0): Poly.monomial(2, 1, 8, (4, 0))}
     f = Poly.monomial(2, 1, 8, (4, 0))
     assert pair_y(P, f) == factorial(4) * f
     g = Poly.monomial(2, 1, 8, (2, 2))
-    P2 = BipartitePoly(2, 1, 4, 8, {((4, 0), (2, 2)): CycNum.one(8)})
+    P2 = {(2, 2): Poly.monomial(2, 1, 8, (4, 0))}
     assert pair_y(P2, g) == 4 * Poly.monomial(2, 1, 8, (4, 0))
 
 
 def test_pair_y_conjugate_linear_in_second_argument():
     z = CycNum.zeta_pow(8, 1)
-    P = BipartitePoly(2, 1, 4, 8, {((4, 0), (4, 0)): CycNum.one(8)})
+    P = {(4, 0): Poly.monomial(2, 1, 8, (4, 0))}
     f = Poly.monomial(2, 1, 8, (4, 0))
     assert pair_y(P, z * f) == z.conj() * pair_y(P, f)
 
 
 def test_pair_y_shape_mismatch():
-    P = BipartitePoly(2, 1, 4, 8, {((4, 0), (4, 0)): CycNum.one(8)})
+    P = {(4, 0): Poly.monomial(2, 1, 8, (4, 0))}
     with pytest.raises(ValueError):
         pair_y(P, Poly.monomial(2, 2, 8, (4, 0, 0, 0)))
 
@@ -286,3 +285,15 @@ def test_scalar_factorial_rendering():
     assert scalar_factorial_form(Fraction(242362656927046656000), 24) == "24!/(2^9*5)"
     assert scalar_factorial_form(Fraction(factorial(8)), 8) == "8!"
     assert scalar_factorial_form(Fraction(3 * factorial(4)), 4) == "3*4!"
+
+
+def test_predicted_scalar_is_taken_at_the_records_field():
+    # c*N! for Q at N = 4, g = 1 over F_3 is 3^-1 * 2/10 * 4! = 8/5, as
+    # `cweil constants --field 3` prints; at field 2 it would be 12/5.  The
+    # order, 3 permutations of the tetracode, is not read: one class spans
+    # no cusp form
+    db = CodeDatabase([CodeRecord("tetracode", tetracode(), 3)], {("Q", 4): 1})
+    rep = verify_doubling("Q", 4, 1, db)
+    assert rep.theoretical == Fraction(8, 5)
+    assert "predicted scalar (proven): 8/5" in rep.to_text()
+    assert predicted_scalar("Q", 4, 1, db.records) == (Fraction(8, 5), True)

@@ -124,14 +124,12 @@ def test_cusp_dimensions_and_membership():
 
 
 def test_single_code_has_no_cusp_forms():
-    assert cusp_basis([e8()], 1).dimension == 0
+    assert cusp_basis({"e8": e8()}, 1).dimension == 0
 
 
 def test_cusp_basis_rejects_mixed_codes_and_duplicate_names():
     with pytest.raises(ValueError, match="one field, length and type"):
-        cusp_basis([e8(), d16_plus()], 1)
-    with pytest.raises(ValueError, match="distinct code names"):
-        cusp_basis([e8(), e8()], 1, ["a", "a"])
+        cusp_basis({"e8": e8(), "d16+": d16_plus()}, 1)
 
 
 def test_cusp_basis_order_invariant():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cweil import weightenum
 from cweil.codes import code_from_rows, permute_code
-from cweil.constructions import e8, i2, table2_codes, tetracode
+from cweil.constructions import e8, golay24, i2, table2_codes, tetracode
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.poly import tuple_profile
@@ -115,8 +115,9 @@ def test_permutation_invariance():
 
 
 def test_budget_refused():
-    with pytest.raises(ValueError):
-        cwe(table2_codes()["E16"], 2, budget=1000)
+    # 4096^3 = 2^36 codeword triples exceed DEFAULT_BUDGET = 2^32
+    with pytest.raises(ValueError, match="exceed the budget"):
+        cwe(golay24(), 3)
 
 
 def test_tetracode_cwe1():
