@@ -39,16 +39,18 @@ identical either way, the seed being scalar-invariant.)  The parabolic
 subgroup is laid out over the same H as C_g, so its cosets in C_g are read
 off the H-cosets: P*r is the union of H*s*r over P's coset reps s.
 
-The Eisenstein average needs no closure and never substitutes into a Poly.
-The seed is a sum of pure powers x_v^N, so a coset P*x contributes the N-th
+The Eisenstein average needs no closure, no Operator and no numpy.  The
+seed is a sum of pure powers x_v^N, so a coset P*x contributes the N-th
 powers of the rows of x that the seed uses, and those rows, taken modulo the
 central phases, are fixed by P.  A breadth-first search of the orbit of the
-identity's rows under the generators therefore stands in for P\\C_g; the
-average is a power sum of the distinct rows, each expanded once by the
-multinomial theorem with integer numerators and the one cyclotomic multiply
-`cyclo.mul_nums`.  The tests check it against substituting the seed
-(`poly.apply_operator`, behind `Operator.apply`) into the coset reps of the
-closures.
+identity's rows under the generators therefore stands in for P\\C_g.  It
+runs in Python ints on the phase cells of `generator_cells`: a row is a gcd-
+normalised (den, numerators) held as the least of its z phase multiples, and
+a cell is one product with a power of zeta in the one cyclotomic multiply
+`cyclo.mul_nums`.  The average is a power sum of the distinct rows, each
+expanded once by the multinomial theorem.  The tests check it against
+substituting the seed (`poly.apply_operator`, behind `Operator.apply`) into
+the coset reps of the closures.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from ._lazy import lazy_import
 from .codes import rref
 from .cyclo import (
     CycNum,
+    _power_table,
     conj_table,
     mul_nums,
     mul_table,
@@ -189,11 +192,8 @@ class Operator:
         return self @ self.conj_t() == Operator.identity(self.p, self.g, self.n)
 
     def scale(self, c: CycNum) -> "Operator":
-        arr = np.einsum(
-            "ijs,su->iju",
-            self.arr,
-            _power_matrix(self.n, c),
-        )
+        vec = np.array(c.nums, dtype=np.int64)
+        arr = np.einsum("ijt,s,stu->iju", self.arr, vec, mul_table(self.n))
         return Operator(self.p, self.g, self.n, arr, self.den * c.den)
 
     def __repr__(self):
@@ -204,13 +204,6 @@ def _check_same(op: Operator, pgn: tuple) -> None:
     if (op.p, op.g, op.n) != pgn:
         raise ValueError(f"(p, g, n) = {pgn} does not match the operator's "
                          f"{(op.p, op.g, op.n)}")
-
-
-def _power_matrix(n: int, c: CycNum) -> np.ndarray:
-    """Matrix of multiplication by c's numerator part on the power basis."""
-    T = mul_table(n)
-    vec = np.array(c.nums, dtype=np.int64)
-    return np.einsum("s,stu->tu", vec, T)
 
 
 # --- quadratic forms ----------------------------------------------------
@@ -296,24 +289,26 @@ def basis_quadforms(tag: str, g: int, p: int):
 # --- generators ---------------------------------------------------------
 
 
-def _phase(n: int, frac: Fraction) -> CycNum:
+def _phase(n: int, frac: Fraction) -> int:
+    """The k in 0..n-1 with exp(2 pi i * frac) = zeta_n^k."""
     k = frac * n
     if k.denominator != 1:
         raise ValueError(f"exp(2 pi i * {frac}) is not in Q(zeta_{n})")
-    return CycNum.zeta_pow(n, int(k) % n)
+    return int(k) % n
 
 
-def _phase_operator(p: int, g: int, cells) -> Operator:
-    """The operator with entry (i, j) = exp(2 pi i t) for each cell (i, j, t), else 0."""
+def _phase_operator(p: int, g: int, cells, scale: CycNum | None = None) -> Operator:
+    """scale (None for 1) times the matrix with entry zeta_n^k at each cell (i, j, k), else 0."""
     d, n = p**g, run_conductor(p)
     arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-    for i, j, t in cells:
-        arr[i, j] = _phase(n, t).nums
-    return Operator(p, g, n, arr, 1)
+    for i, j, k in cells:
+        arr[i, j] = _power_table(n)[k]
+    op = Operator(p, g, n, arr, 1)
+    return op if scale is None else op.scale(scale)
 
 
-def gen_m(u, p: int, g: int) -> Operator:
-    """The variable permutation x_v -> x_{uv}."""
+def _m_cells(u, p: int, g: int):
+    """(cells, scale) of m_u, the variable permutation x_v -> x_{uv}."""
     u = [list(map(int, row)) for row in u]
     if len(rref(p, u)) != g:
         raise ValueError("u is singular")
@@ -322,28 +317,40 @@ def gen_m(u, p: int, g: int) -> Operator:
         v = index_vector(idx, p, g)
         uv = tuple(sum(u[i][j] * v[j] for j in range(g)) % p for i in range(g))
         cells.append((idx, var_index(uv, p), 0))
-    return _phase_operator(p, g, cells)
+    return cells, None
 
 
-def gen_d(phi: QuadraticForm) -> Operator:
-    """The diagonal phase operator x_v -> exp(2 pi i phi(v)) x_v."""
-    p, g = phi.p, phi.g
-    cells = [(idx, idx, phi(index_vector(idx, p, g))) for idx in range(p**g)]
-    return _phase_operator(p, g, cells)
+def _d_cells(phi: QuadraticForm):
+    """(cells, scale) of d_phi, the diagonal phase x_v -> exp(2 pi i phi(v)) x_v."""
+    p, g, n = phi.p, phi.g, run_conductor(phi.p)
+    return [(idx, idx, _phase(n, phi(index_vector(idx, p, g)))) for idx in range(p**g)], None
 
 
-def gen_h(r: int, g: int, p: int) -> Operator:
-    """Partial Fourier transform on the first r of g coordinates."""
+def _h_cells(r: int, g: int, p: int):
+    """(cells, scale) of h_r, the partial Fourier transform on the first r coordinates."""
     if not 1 <= r <= g:
         raise ValueError(f"h_r needs 1 <= r <= g, got r = {r}, g = {g}")
+    n = run_conductor(p)
     cells = []
     for idx in range(p**g):
         v = index_vector(idx, p, g)
         for head in iproduct(range(p), repeat=r):
             w = tuple(head) + v[r:]
-            cells.append((idx, var_index(w, p), Fraction(sum(w[i] * v[i] for i in range(r)), p)))
-    norm = sqrt_prime_power(p, r, run_conductor(p)) / p**r  # p^(-r/2), exactly
-    return _phase_operator(p, g, cells).scale(norm)
+            cells.append((idx, var_index(w, p),
+                          _phase(n, Fraction(sum(w[i] * v[i] for i in range(r)), p))))
+    return cells, sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
+
+
+def gen_m(u, p: int, g: int) -> Operator:
+    return _phase_operator(p, g, *_m_cells(u, p, g))
+
+
+def gen_d(phi: QuadraticForm) -> Operator:
+    return _phase_operator(phi.p, phi.g, *_d_cells(phi))
+
+
+def gen_h(r: int, g: int, p: int) -> Operator:
+    return _phase_operator(p, g, *_h_cells(r, g, p))
 
 
 def gl_matrices(p: int, g: int):
@@ -387,16 +394,23 @@ def center_generator(tag: str, p: int, g: int) -> Operator:
     return Operator.identity(p, g, n).scale(CycNum.zeta_pow(n, n // center_order(tag, p)))
 
 
-def monomial_generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
-    """The m_u, then the d_phi: reduced generating sets, or every one of them."""
+def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
+    """C_g's generators as (cells, scale) for _phase_operator: the m_u, the d_phi
+    (reduced generating sets, or every one of them), then h_1 .. h_g."""
     ms = gl_generators(p, g) if reduced else gl_matrices(p, g)
     forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
-    return [gen_m(u, p, g) for u in ms] + [gen_d(phi) for phi in forms]
+    return ([_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
+            + [_h_cells(r, g, p) for r in range(1, g + 1)])
+
+
+def monomial_generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
+    """The m_u, then the d_phi: the generators of C_g but the last g."""
+    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)[:-g]]
 
 
 def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
     """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
-    return monomial_generators(tag, g, p, reduced) + [gen_h(r, g, p) for r in range(1, g + 1)]
+    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)]
 
 
 class GroupClosure:
@@ -629,57 +643,66 @@ def seed_poly(tag: str, g: int, N: int, p: int) -> Poly:
 def seed_orbit(tag: str, g: int, p: int = 2):
     """The orbit O of key(1) under C_g, as (rows, keys).
 
-    rows[i] = (den, numerators) is one linear form, a representative of its
-    class modulo mu_z; each key is a frozenset of row numbers.  Refuses the
-    triples without a predicted order, and raises ClosureError unless |O|
-    divides the predicted index |C_g| / |P_g|.
+    rows[i] = (den, numerators) is the form sum_w (numerators[w] / den) x_w,
+    the least of its phase multiples by mu_z; each key is a frozenset of row
+    numbers.  Refuses the triples without a predicted order, and raises
+    ClosureError unless |O| divides the predicted index |C_g| / |P_g|.
     """
     predicted = PREDICTED_ORDER.get((tag, g, p))
     if predicted is None:
         raise ValueError(f"no feasible closure for {(tag, g, p)}")
-    n, z = run_conductor(p), center_order(tag, p)
-    T = mul_table(n)
-    phases = np.stack([_power_matrix(n, CycNum.zeta_pow(n, k * n // z)) for k in range(z)])
-    gens = [(_fold(x.arr, T), x.den) for x in generators(tag, g, p)]
-    index: dict = {}  # (den, least phase multiple's bytes) -> row number
-    rows: list = []
+    n, z, d = run_conductor(p), center_order(tag, p), p**g
+    table, zero = _power_table(n), (0,) * phi_degree(n)
+    phases = [table[k] for k in range(0, n, n // z)]
+    gens = generator_cells(tag, g, p)
+    rows, index, images = [], {}, {}  # index: row -> number; images: (r, j) -> number
+    least: dict = {}  # a first nonzero entry -> the phase that makes it least
 
-    def classes(arrs: np.ndarray, dens: np.ndarray) -> list:
-        """Row numbers of the normalised forms arrs[i] / dens[i], modulo mu_z."""
-        _check_int64(_absmax(arrs) * _absmax(phases) * arrs.shape[-1], "a phase multiple")
-        out = []
-        for mults, den in zip(np.einsum("mds,kst->mkdt", arrs, phases), dens.tolist()):
-            names = [(den, c.tobytes()) for c in mults]
-            k = min(range(z), key=names.__getitem__)
-            if names[k] not in index:
-                mults[k].setflags(write=False)
-                index[names[k]] = len(rows)
-                rows.append((den, mults[k]))
-            out.append(index[names[k]])
-        return out
+    def row_class(den: int, nums: list) -> int:
+        """The row number of nums / den modulo mu_z.  Distinct phases move the
+        first nonzero entry apart, so it alone picks the least multiple."""
+        common = gcd(den, *(x for a in nums for x in a))
+        lead = next(tuple(a) for a in nums if any(a))
+        c = least.get(lead)
+        if c is None:
+            c = least[lead] = min(phases, key=lambda c: mul_nums(n, lead, c))
+        if c is not phases[0]:
+            nums = [mul_nums(n, a, c) for a in nums]
+        row = (den // common, tuple(tuple(x // common for x in a) for a in nums))
+        if row not in index:
+            index[row] = len(rows)
+            rows.append(row)
+        return index[row]
 
-    one = Operator.identity(p, g, n)
-    seeds = range(p**g) if tag in ("2I", "2II") else range(1)
-    start = frozenset(classes(one.arr[list(seeds)], np.ones(len(seeds), dtype=np.int64)))
+    def image(r: int, j: int) -> int:
+        """The row number of rows[r] times generator j, computed once."""
+        got = images.get((r, j))
+        if got is None:
+            (den, nums), (cells, scale) = rows[r], gens[j]
+            out = [zero] * d
+            for i, w, k in cells:
+                if any(nums[i]):
+                    b = mul_nums(n, nums[i], table[k]) if k else nums[i]
+                    out[w] = b if out[w] is zero else [x + y for x, y in zip(out[w], b)]
+            if scale is not None:
+                out, den = [mul_nums(n, a, scale.nums) for a in out], den * scale.den
+            got = images[r, j] = row_class(den, out)
+        return got
+
+    seeds = range(d) if tag in ("2I", "2II") else range(1)
+    start = frozenset(row_class(1, [table[0] if w == v else zero for w in range(d)])
+                      for v in seeds)
     keys, seen, frontier = [start], {start}, [start]
-    image: dict = {}  # (row number, generator number) -> row number
-    while frontier:
-        todo = sorted({r for k in frontier for r in k if (r, 0) not in image})
-        if todo:
-            arrs = np.stack([rows[r][1] for r in todo])[:, None]
-            dens = np.array([rows[r][0] for r in todo], dtype=np.int64)
-            for j, (xt, xden) in enumerate(gens):
-                raw, out = _batch_mul(arrs, dens, xt, xden)
-                image.update(zip(((r, j) for r in todo), classes(raw[:, 0], out)))
+    parabolic = PREDICTED_PARABOLIC[tag, g, p]
+    while frontier and len(keys) <= predicted // parabolic:  # more keys can divide nothing
         level, frontier = frontier, []
         for k in level:
             for j in range(len(gens)):
-                k2 = frozenset(image[r, j] for r in k)
+                k2 = frozenset(image(r, j) for r in k)
                 if k2 not in seen:
                     seen.add(k2)
                     keys.append(k2)
                     frontier.append(k2)
-    parabolic = PREDICTED_PARABOLIC[tag, g, p]
     if predicted % parabolic or (predicted // parabolic) % len(keys):
         raise ClosureError(f"orbit of {len(keys)} keys does not divide the index "
                            f"{predicted}/{parabolic}")
@@ -700,7 +723,7 @@ def eisenstein_coset(tag: str, g: int, N: int, p: int = 2) -> Poly:
     if N == 0:  # the seed is the constant 1 (seed_poly), and so is its average
         return seed_poly(tag, g, 0, p)
     mult = Counter(r for k in keys for r in k)
-    forms = [(rows[r][0], rows[r][1].tolist(), m) for r, m in mult.items()]
+    forms = [(rows[r][0], rows[r][1], m) for r, m in mult.items()]
     return power_sum(p, g, N, forms, len(keys))
 
 
@@ -793,8 +816,8 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
             for pos, x in zip(support, vals):
                 w[pos] = x
             phase = Fraction(sum(w[i] * v[g + i] + w[g + i] * v[i] for i in range(r)), p)
-            cells.append((idx, var_index(w, p), phase))
-    h_mid = _phase_operator(p, gg, cells).scale(CycNum.from_rat(n, Fraction(1, p**r)))
+            cells.append((idx, var_index(w, p), _phase(n, phase)))
+    h_mid = _phase_operator(p, gg, cells, CycNum.from_rat(n, Fraction(1, p**r)))
     return d_pair @ h_mid @ d_pair
 
 

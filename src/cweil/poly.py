@@ -28,7 +28,8 @@ def var_index(v, p: int) -> int:
     """Encode v in F_p^g as an integer, most significant coordinate first."""
     idx = 0
     for x in v:
-        assert 0 <= x < p
+        if not 0 <= x < p:
+            raise ValueError(f"coordinate {x} of {tuple(v)} is not in 0..{p - 1}")
         idx = idx * p + x
     return idx
 
@@ -56,11 +57,11 @@ class Poly:
         for m, c in terms.items():
             if not isinstance(c, CycNum):
                 c = CycNum.from_rat(conductor, c)
-            assert c.n == conductor
-            if not c:
-                continue
-            assert len(m) == d and sum(m) == N, (m, N)
-            clean[m] = c
+            if c.n != conductor or len(m) != d or sum(m) != N:
+                raise ValueError(f"the term {m}: {c!r} does not fit {d} variables, "
+                                 f"degree {N} and conductor {conductor}")
+            if c:
+                clean[m] = c
         self.terms = clean
 
     # --- constructors --------------------------------------------------
@@ -76,12 +77,15 @@ class Poly:
 
     # --- ring structure ------------------------------------------------
 
-    def _like(self, other: "Poly"):
-        assert (self.p, self.g, self.conductor) == (other.p, other.g, other.conductor)
+    def _like(self, other: "Poly", degree: bool = False):
+        """Refuse other unless p, g, conductor (and N, with degree, if both are nonzero) match."""
+        if (self.p, self.g, self.conductor) != (other.p, other.g, other.conductor) or (
+                degree and self.N != other.N and self.terms and other.terms):
+            raise ValueError(f"{other!r} of conductor {other.conductor} does not match "
+                             f"{self!r} of conductor {self.conductor}")
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._like(other)
-        assert self.N == other.N or not self.terms or not other.terms
+        self._like(other, degree=True)
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
@@ -138,8 +142,7 @@ def mono_factorial(m) -> int:
 
 def inner_product(a: Poly, b: Poly) -> CycNum:
     """(a, b) = sum_m a_m * conj(b_m) * prod_v (n_v!); hermitian, exact."""
-    assert (a.p, a.g, a.conductor) == (b.p, b.g, b.conductor)
-    assert a.N == b.N or not a.terms or not b.terms
+    a._like(b, degree=True)
     small = a.terms if len(a.terms) <= len(b.terms) else b.terms
     total = CycNum.zero(a.conductor)
     for m in small:
@@ -159,7 +162,8 @@ def apply_operator(a: Poly, mat) -> Poly:
     """
     d = a.p**a.g
     rows = [[_as_cyc(x, a.conductor) for x in row] for row in mat]
-    assert len(rows) == d and all(len(r) == d for r in rows)
+    if len(rows) != d or any(len(r) != d for r in rows):
+        raise ValueError(f"the substituted matrix is not {d} x {d}")
     images = []
     for v in range(d):
         images.append(

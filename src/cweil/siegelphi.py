@@ -38,7 +38,8 @@ def phi_op_w(a: Poly, j: int, w) -> Poly:
     if not 1 <= j <= a.g:
         raise ValueError(f"j = {j} out of range for genus {a.g}")
     w = tuple(int(x) % a.p for x in w)
-    assert len(w) == j
+    if len(w) != j:
+        raise ValueError(f"the tail {w} does not have j = {j} coordinates")
     pj = a.p**j
     widx = var_index(w, a.p)
     d_new = a.p ** (a.g - j)
@@ -69,7 +70,8 @@ def lift_op(a: Poly, j: int = 1) -> Poly:
 
 def lift_op_w(a: Poly, j: int, w) -> Poly:
     w = tuple(int(x) % a.p for x in w)
-    assert len(w) == j
+    if len(w) != j:
+        raise ValueError(f"the tail {w} does not have j = {j} coordinates")
     pj = a.p**j
     widx = var_index(w, a.p)
     d_new = a.p ** (a.g + j)

@@ -396,6 +396,10 @@ NUMPY_FREE = [
     "eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",
     "verify-doubling --type 2II --length 24 --genus 1 --factorial",
     "verify-doubling --type 2I --length 16 --genus 1",
+    "eisenstein --type 2I --length 16 --genus 2 --method coset",
+    "eisenstein --type 2II --length 8 --genus 2 --method coset",
+    "eisenstein --type 2II --length 24 --genus 1 --method coset",
+    "eisenstein --type Q1 --length 12 --genus 1 --field 3 --method coset",
 ]
 
 

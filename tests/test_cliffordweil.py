@@ -25,6 +25,7 @@ from cweil.cliffordweil import (
     QuadraticForm,
     all_quadforms,
     center_generator,
+    center_order,
     close_group,
     coset_labels,
     delta_embed,
@@ -394,6 +395,24 @@ def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
     assert len(reps) % orbit == 0
 
 
+@pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)
+def test_orbit_rows_are_the_coset_rep_rows_mod_center(tag, g, N, p, orbit):
+    # oracle for the Python-int row arithmetic: taken as CycNums, the orbit's
+    # rows are one per class modulo mu_z, and their classes are exactly those
+    # of the used rows of the coset reps, computed by Operator products
+    n, z, d = run_conductor(p), center_order(tag, p), p**g
+    zetas = [CycNum.zeta_pow(n, k * n // z) for k in range(z)]
+
+    def cls(row) -> frozenset:
+        return frozenset(tuple(c * u for c in row) for u in zetas)
+
+    rows = [cls([CycNum(n, a, den) for a in nums]) for den, nums in seed_orbit(tag, g, p)[0]]
+    reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
+    used = range(d) if tag in ("2I", "2II") else range(1)
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == {cls([rep.entry(v, w) for w in range(d)]) for rep in reps for v in used}
+
+
 def test_orbit_average_closes_no_group(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the orbit average closed a group")
@@ -404,6 +423,16 @@ def test_orbit_average_closes_no_group(monkeypatch):
     E = eisenstein_coset("2II", 2, 8)
     # the golden stdout digest of `eisenstein --type 2II --length 8 --genus 2`
     assert hashlib.sha256(serialize_poly(E).encode()).hexdigest().startswith("a2f8991d")
+
+
+def test_orbit_search_stops_past_the_index(monkeypatch):
+    # without h_1's scalar 2^(-1/2) the rows grow without end; the search
+    # stops once the keys outnumber the index 192/32 = 6
+    cells = cw.generator_cells
+    monkeypatch.setattr(cw, "generator_cells", lambda *a: [(c, None) for c, _ in cells(*a)])
+    seed_orbit.cache_clear()
+    with pytest.raises(ClosureError, match="does not divide the index 192/32"):
+        seed_orbit("2II", 1, 2)
 
 
 def test_orbit_certificate_survives_python_O():

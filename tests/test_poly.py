@@ -18,6 +18,7 @@ from cweil.poly import (
     tuple_profile,
     var_index,
 )
+from tests.test_cliffordweil import _run_python_O
 
 
 def P(terms, p=2, g=1, n=8):
@@ -160,3 +161,41 @@ def test_apply_composition_is_matrix_product(data):
     ]
     lhs = apply_operator(apply_operator(a, M1), M2)
     assert lhs == apply_operator(a, prod)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: var_index((0, 2), 2),
+    lambda: Poly(2, 1, 1, 8, {(1, 0): CycNum.one(12)}),
+    lambda: Poly(2, 1, 8, 8, {(8, 0, 0): 1}),
+    lambda: P({(1, 0): 1}) * P({(1, 0, 0): 1}, p=3, n=12),
+    lambda: P({(1, 0): 1}) + P({(2, 0): 1}),
+    lambda: inner_product(P({(1, 0): 1}), P({(1, 0, 0, 0): 1}, g=2)),
+    lambda: inner_product(P({(1, 0): 1}), P({(2, 0): 1})),
+    lambda: apply_operator(P({(1, 0): 1}), [[1, 0], [0]]),
+], ids=["coordinate", "conductor", "length", "like", "add-degree", "inner-like",
+        "inner-degree", "apply-shape"])
+def test_poly_inputs_raise(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_poly_checks_survive_python_O():
+    # under -O an assert would add a genus-1 and a genus-2 monomial into a
+    # genus-1 Poly, and accept a degree-6 monomial in a degree-8 Poly
+    code = (
+        "from cweil.poly import Poly\n"
+        "for call in [lambda: Poly.monomial(2, 1, 8, (8, 0))\n"
+        "                     + Poly.monomial(2, 2, 8, (8, 0, 0, 0)),\n"
+        "             lambda: Poly(2, 1, 8, 8, {(3, 3): 1})]:\n"
+        "    try:\n"
+        "        print('accepted', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "Poly(p=2, g=2, N=8, 1 terms) of conductor 8 does not match "
+        "Poly(p=2, g=1, N=8, 1 terms) of conductor 8",
+        "the term (3, 3): CycNum(8, 1) does not fit 2 variables, degree 8 and conductor 8",
+    ]

@@ -17,6 +17,7 @@ from cweil.siegelphi import (
     phi_op_w,
 )
 from cweil.weightenum import cwe
+from tests.test_cliffordweil import _run_python_O
 
 
 def _random_poly(p, g, N, rng, nterms=6):
@@ -163,3 +164,22 @@ def test_cusp_basis_combos_reproduce_polys():
         assert rebuilt == f
     text = cb.to_text()
     assert "dim=2" in text and text.count("\n") == 2
+
+
+def test_tail_length_checks_survive_python_O():
+    # under -O an assert would let phi_op_w drop a two-coordinate tail from
+    # a genus-2 enumerator with j = 1, and lift_op_w append one
+    code = (
+        "from cweil.constructions import e8\n"
+        "from cweil.siegelphi import lift_op_w, phi_op_w\n"
+        "from cweil.weightenum import cwe\n"
+        "a = cwe(e8(), 2)\n"
+        "for call in [lambda: phi_op_w(a, 1, (0, 1)), lambda: lift_op_w(a, 1, (0, 1))]:\n"
+        "    try:\n"
+        "        print('accepted', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["the tail (0, 1) does not have j = 1 coordinates"] * 2
