@@ -20,8 +20,9 @@ A closure is a union of right cosets H*r of the monomial subgroup
 H = <m_u, d_phi> (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory,
 ch. 5), found breadth first over the cosets of a reduced generating set.
 H is generated by some of the group's own generators, so it lies in the
-group.  The closure is stored as one numerator stack, coset by coset, and
-every batched product is one integer matmul of the left numerators against
+group.  The closure is one int8 stack of fingerprints (den, numerators),
+coset by coset; an entry outside int8 raises ClosureError.  Each batched
+product widens to int64: one integer matmul of the left numerators against
 the right factor with the structure constants folded in.  The tests compare
 the result with a plain Operator.__matmul__ breadth-first search and
 re-assert that every textbook generator lands inside.  Predicted orders
@@ -341,16 +342,8 @@ def _h_cells(r: int, g: int, p: int):
     return cells, sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
 
 
-def gen_m(u, p: int, g: int) -> Operator:
-    return _phase_operator(p, g, *_m_cells(u, p, g))
-
-
 def gen_d(phi: QuadraticForm) -> Operator:
     return _phase_operator(phi.p, phi.g, *_d_cells(phi))
-
-
-def gen_h(r: int, g: int, p: int) -> Operator:
-    return _phase_operator(p, g, *_h_cells(r, g, p))
 
 
 def gl_matrices(p: int, g: int):
@@ -414,12 +407,14 @@ def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
 
 
 class GroupClosure:
-    """A finite matrix group, stored coset by coset as one numerator stack.
+    """A finite matrix group, stored coset by coset as one int8 stack.
 
-    Element i is arr[i] / den[i].  The elements k*h .. (k+1)*h - 1 form the
-    right coset H*r_k of the subgroup H = sub (h = |H|, and h = 1 when sub is
-    None), and r_k is the first of them.  index maps each element's
-    fingerprint to its position.  Indexing builds Operators on demand.
+    Element i is arr[i] / den[i]; close_group makes arr and den int8 views of
+    one (order, 1 + d*d*phi) stack whose row i is element i's fingerprint.
+    The elements k*h .. (k+1)*h - 1 form the right coset H*r_k of the
+    subgroup H = sub (h = |H|, and h = 1 when sub is None), and r_k is the
+    first of them.  index maps each fingerprint to its position.  Indexing
+    builds int64 Operators on demand.
     """
 
     def __init__(self, gens: list, sub, arr: np.ndarray, den: np.ndarray, index: dict):
@@ -458,10 +453,11 @@ def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
     """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
 
     Each arrs[f] holds r rows of d entries: r = d for an operator, r = 1 for
-    one linear form.  xt is X folded by _fold; the products are one int64
-    matmul.
+    one linear form.  xt is X folded by _fold; the stack is widened to int64
+    here, before any bound, and the products are one int64 matmul.
     """
     m, r, d, phi = arrs.shape
+    arrs, dens = np.asarray(arrs, np.int64), np.asarray(dens, np.int64)
     _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, _absmax(dens) * xden),
                  "a batched operator product")
     raw = (arrs.reshape(m * r, d * phi) @ xt).reshape(arrs.shape)
@@ -475,8 +471,9 @@ def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
 def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
     """Fingerprints of normalised elements: the bytes of (den, numerators).
 
-    An element whose entries all fit in int8 is written in int8, any other in
-    int64; the two lengths differ, so equal keys still mean equal elements.
+    An element whose entries all fit in int8 is written in int8, as a
+    GroupClosure stores it, any other in int64; the two lengths differ, so
+    equal keys still mean equal elements.  close_group refuses int64 keys.
     """
     flat = np.concatenate([dens[:, None], arrs.reshape(dens.size, -1)], axis=1)
     small = (flat.min(axis=1) >= -128) & (flat.max(axis=1) < 128)
@@ -495,61 +492,57 @@ def close_group(gens: list, sub: GroupClosure | None = None,
     generator; a product outside the cosets found so far opens the coset
     sub*y, one batched product more.  The union is then closed under right
     multiplication by the generators, so it is the whole group.  With expect,
-    any other order raises ClosureError, and so does growing past
-    CLOSURE_CAP, which is read at each call.
+    any other order raises ClosureError, and so do growing past CLOSURE_CAP,
+    which is read at each call, and an element with an entry outside int8.
     """
     p, g, n, cap = gens[0].p, gens[0].g, gens[0].n, CLOSURE_CAP
-    T = mul_table(n)
+    T, shape, width = mul_table(n), gens[0].arr.shape, 1 + gens[0].arr.size
     limit = cap if expect is None else min(cap, expect)
-    arr = np.empty((min(limit, 1024) if expect is None else limit,) + gens[0].arr.shape,
-                   dtype=np.int64)
-    den = np.empty(arr.shape[0], dtype=np.int64)
+    stack = np.empty((min(limit, 1024) if expect is None else limit, width), dtype=np.int8)
     index: dict = {}
 
-    def add(block, bden, keys) -> None:
-        nonlocal arr, den
+    def add(keys) -> None:
+        nonlocal stack
         start, top = len(index), len(index) + len(keys)
         if top > cap:
             raise ClosureError(f"closure exceeded the cap {cap}")
         if expect is not None and top > expect:
             raise ClosureError(f"closure order exceeds the predicted {expect}")
-        if top > den.size:
-            size = min(limit, 2 * top)
-            arr = np.concatenate([arr, np.empty((size - den.size,) + arr.shape[1:], arr.dtype)])
-            den = np.concatenate([den, np.empty(size - den.size, den.dtype)])
+        bad = next((np.frombuffer(k, np.int64) for k in keys if len(k) != width), None)
+        if bad is not None:
+            raise ClosureError(f"entries in [{bad.min()}, {bad.max()}] do not fit the int8 store")
+        if top > len(stack):
+            stack = np.concatenate([stack, np.empty((min(limit, 2 * top) - len(stack), width),
+                                                    dtype=np.int8)])
         index.update(zip(keys, range(start, top)))
         if len(index) != top:
             raise ClosureError("cosets overlap: sub is not a group inside <gens>")
-        arr[start:top] = block
-        den[start:top] = bden
+        stack[start:top] = np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, width)
 
     if sub is None:
-        one = Operator.identity(p, g, n)
-        add(one.arr[None], one.den, [one.fingerprint()])
+        add([Operator.identity(p, g, n).fingerprint()])
     else:
-        add(sub.arr, sub.den, list(sub.index))
+        add(list(sub.index))
+        sub_arr, sub_den = sub.arr.astype(np.int64), sub.den.astype(np.int64)
     folded = [(_fold(x.arr, T), x.den) for x in gens]
     frontier = [0]
     while frontier:
-        reps_arr, reps_den = arr[frontier], den[frontier]
-        frontier = []
+        reps, frontier = stack[frontier], []
         for xt, xden in folded:
-            raw, dens = _batch_mul(reps_arr, reps_den, xt, xden)
+            raw, dens = _batch_mul(reps[:, 1:].reshape((-1,) + shape), reps[:, 0], xt, xden)
             for key, y, yden in zip(_keys(raw, dens), raw, dens):
                 if key in index:
                     continue
                 frontier.append(len(index))
                 if sub is None:
-                    add(y, yden, [key])
+                    add([key])
                 else:
-                    block, bden = _batch_mul(sub.arr, sub.den, _fold(y, T), int(yden))
-                    add(block, bden, _keys(block, bden))
+                    add(_keys(*_batch_mul(sub_arr, sub_den, _fold(y, T), int(yden))))
     if expect is not None and len(index) != expect:
         raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
-    arr, den = arr[:len(index)], den[:len(index)]
-    arr.setflags(write=False)
-    den.setflags(write=False)
-    return GroupClosure(gens, sub, arr, den, index)
+    stack = stack[:len(index)]
+    stack.setflags(write=False)
+    return GroupClosure(gens, sub, stack[:, 1:].reshape((-1,) + shape), stack[:, 0], index)
 
 
 @lru_cache(maxsize=None)

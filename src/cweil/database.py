@@ -58,13 +58,16 @@ except ImportError:
     from _sha256 import sha256  # 3.10-3.11
 
 from .autgroup import aut_order
-from .codes import LinearCode, check_type, code_from_rows, mass_range
+from .codes import WORD_BUDGET, LinearCode, check_type, code_from_rows, mass_range
 
 # User files get their aut orders recomputed at load up to this length.
 # Length-24 orders take about a second each, which would slow every command
 # on such a file; the mass identity of a `complete` block still checks them,
 # and `cweil certify` recomputes them.
 AUT_CHECK_MAX_LENGTH = 16
+# The longest length a record may give: a self-dual code of length N has
+# dimension N/2, so at least 2^(N/2) codewords, which WORD_BUDGET caps.
+MAX_LENGTH = 2 * (WORD_BUDGET.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
     """
     db = CodeDatabase()
     cur: dict | None = None
-    names = set()
+    names, complete_line = set(), {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +141,7 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
                 try:
                     tag, n, count = rest.split()
                     db.complete[(tag, int(n))] = int(count)
+                    complete_line[tag, int(n)] = lineno
                 except ValueError:
                     raise DbParseError(lineno, f"bad complete directive {rest!r}")
             elif key == "code":
@@ -171,9 +175,8 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
     for (tag, n), count in db.complete.items():
         recs = db.matching(tag, n)
         if len(recs) != count:
-            raise ValueError(
-                f"complete {tag} {n} declares {count} classes, found {len(recs)}"
-            )
+            raise DbParseError(complete_line[tag, n],
+                               f"complete {tag} {n} declares {count} classes, found {len(recs)}")
         if tag in ("2I", "2II") and recs and all(r.aut is not None for r in recs):
             _check_mass(tag, n, recs)
     return db
@@ -206,6 +209,10 @@ def _finish_record(cur: dict, verify_aut: float) -> CodeRecord:
     for key in ("field", "type", "length"):
         if key not in cur:
             raise DbParseError(lineno, f"record {name!r} is missing {key}")
+    n, k = cur["length"], len(cur["rows"])
+    if not 0 <= n <= min(2 * k, MAX_LENGTH):  # before any O(N) work
+        raise DbParseError(lineno, f"record {name!r} has length {n}, but a self-dual code "
+                                   f"with {k} gen rows has length 0 to {min(2 * k, MAX_LENGTH)}")
     try:
         code = code_from_rows(cur["field"], cur["length"], cur["rows"], cur["type"])
     except ValueError as exc:

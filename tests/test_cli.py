@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -387,6 +388,25 @@ def _python(*args, **kwargs):
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, **kwargs)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["cwe", "--code", "big", "--genus", "1"], 2),
+    (["certify"], 1),  # certify reports a record it refuses as a FAIL line
+])
+def test_oversized_length_record_is_refused_under_a_memory_limit(tmp_path, argv, rc):
+    # a record with no gen line and length 99999999999 used to reach
+    # codes.dual_code and end in a MemoryError traceback
+    db = tmp_path / "big.txt"
+    db.write_text("code big\nfield 2\ntype 2I\nlength 99999999999\nend\n")
+    out = _python("-m", "cweil.cli", *argv, "--db", str(db), preexec_fn=_limit_address_space)
+    assert out.returncode == rc, out.stderr
+    assert "Traceback" not in out.stderr
+    assert f"{db}: line 1: record 'big' has length 99999999999" in out.stdout + out.stderr
 
 
 NUMPY_FREE = [

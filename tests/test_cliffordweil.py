@@ -31,8 +31,6 @@ from cweil.cliffordweil import (
     delta_embed,
     eisenstein_coset,
     gen_d,
-    gen_h,
-    gen_m,
     generators,
     gl_generators,
     gl_matrices,
@@ -44,11 +42,23 @@ from cweil.cliffordweil import (
     tau_operator,
     _batch_mul,
     _fold,
+    _h_cells,
+    _keys,
+    _m_cells,
+    _phase_operator,
 )
 from cweil.constructions import e8, tetracode
 from cweil.cyclo import CycNum, mul_table, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe, run_conductor
+
+def gen_m(u, p: int, g: int) -> Operator:
+    return _phase_operator(p, g, *_m_cells(u, p, g))
+
+
+def gen_h(r: int, g: int, p: int) -> Operator:
+    return _phase_operator(p, g, *_h_cells(r, g, p))
+
 
 # (tag, g, p) -> (|C_g|, |P_g| with scalars, # parabolic cosets)
 GROUP_TABLE = {
@@ -189,7 +199,8 @@ def test_coset_labels_match_generic_labelling(tag):
     assert Counter(label) == dict.fromkeys(range(len(reps)), P.order)
     # generic: walk G in order and label all of P*x, one einsum per coset
     T = mul_table(8)
-    where = {(int(den), arr.tobytes()): i for i, (arr, den) in enumerate(zip(G.arr, G.den))}
+    # keys through _keys, the fingerprint of Operator.fingerprint and G.index
+    where = dict(zip(_keys(G.arr, G.den), range(G.order)))
     expect = [-1] * G.order
     firsts = []
     for i in range(G.order):
@@ -200,8 +211,8 @@ def test_coset_labels_match_generic_labelling(tag):
         dens = P.den * x.den
         common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(len(raw), -1), axis=1), dens)
         raw //= common[:, None, None, None]
-        for arr, den in zip(raw, dens // common):
-            expect[where[(int(den), arr.tobytes())]] = len(firsts)
+        for key in _keys(raw, dens // common):
+            expect[where[key]] = len(firsts)
         firsts.append(x)
     assert label == expect
     assert reps == firsts
@@ -240,6 +251,46 @@ def test_closure_certificates_raise(monkeypatch):
         close_group(gens)
 
 
+def test_closure_refuses_an_entry_outside_int8():
+    # the powers of 2 * identity: 1 .. 64 fit in int8, the eighth element
+    # 128 * identity does not, and raises long before the cap
+    one = Operator.identity(2, 1, 8)
+    with pytest.raises(ClosureError, match=r"entries in \[0, 128\] do not fit the int8 store"):
+        close_group([Operator(2, 1, 8, one.arr * 2, 1)])
+
+
+def test_int8_refusal_survives_python_O():
+    code = (
+        "import sys\n"
+        "from cweil import cliffordweil as cw\n"
+        "one = cw.Operator.identity(2, 1, 8)\n"
+        "try:\n"
+        "    cw.close_group([cw.Operator(2, 1, 8, one.arr * 2, 1)])\n"
+        "except cw.ClosureError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(3)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 3, out.stderr
+    assert "entries in [0, 128] do not fit the int8 store" in out.stdout
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_closures_store_int8(key):
+    tag, g, p = key
+    n = run_conductor(p)
+    size = (p**g) ** 2 * phi_degree(n)
+    G, P = group_closure(*key), parabolic_closure(*key)
+    for X in (G, P):
+        assert X.arr.dtype == X.den.dtype == np.int8
+        assert X.arr.nbytes == X.order * size
+    assert G[X.order - 1].arr.dtype == np.int64
+    # an operator outside int8 still has a fingerprint, and is not in G
+    big = Operator(p, g, n, Operator.identity(p, g, n).arr * 128, 1)
+    assert big not in G
+    assert len(big.fingerprint()) == 8 * (1 + size)
+
+
 def test_order_certificate_survives_python_O():
     # under -O an assert would accept 17 for the order-16 group
     code = (
@@ -261,11 +312,11 @@ def test_cusp_and_generator_checks_survive_python_O():
     # under -O an assert would label a mixed e8 + d16+ basis N = 8, and let
     # h_0 through
     code = (
-        "from cweil.cliffordweil import gen_h\n"
+        "from cweil.cliffordweil import _h_cells\n"
         "from cweil.constructions import d16_plus, e8\n"
         "from cweil.siegelphi import cusp_basis\n"
         "for call in [lambda: cusp_basis({'e8': e8(), 'd16+': d16_plus()}, 1),\n"
-        "             lambda: gen_h(0, 1, 2)]:\n"
+        "             lambda: _h_cells(0, 1, 2)]:\n"
         "    try:\n"
         "        call()\n"
         "        print('accepted')\n"

@@ -287,6 +287,26 @@ def test_parse_bad_complete_count():
         parse_db("complete 2II 8 2\n" + E8_BLOCK)
 
 
+def test_parse_refuses_a_length_no_row_count_allows():
+    # a self-dual code of length N has N/2 rows; refused before any O(N) work.
+    # Lengths that would be cheap without the check: test_cli runs the
+    # huge one under an address-space limit
+    big = "code big\nfield 2\ntype 2I\nlength 100\nend\n"
+    with pytest.raises(DbParseError, match="line 1: record 'big' has length 100, but a "
+                                           "self-dual code with 0 gen rows has length 0 to 0"):
+        parse_db(big)
+    with pytest.raises(DbParseError, match="has length -8"):
+        parse_db(big.replace("100", "-8"))
+    rows = "".join(f"gen {'0' * i}1{'0' * (53 - i)}\n" for i in range(27))
+    with pytest.raises(DbParseError, match=f"length 0 to {database.MAX_LENGTH}"):
+        parse_db(big.replace("100", "54").replace("end", rows + "end"))
+
+
+def test_parse_bad_complete_count_names_its_line():
+    with pytest.raises(DbParseError, match="line 2: complete 2II 8 declares 2 classes"):
+        parse_db("# header\ncomplete 2II 8 2\n" + E8_BLOCK)
+
+
 def test_parse_bad_row():
     with pytest.raises(DbParseError):
         parse_db(E8_BLOCK.replace("gen 11110000", "gen 1111000x"))
