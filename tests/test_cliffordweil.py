@@ -284,7 +284,7 @@ def test_closures_store_int8(key):
     for X in (G, P):
         assert X.arr.dtype == X.den.dtype == np.int8
         assert X.arr.nbytes == X.order * size
-    assert G[X.order - 1].arr.dtype == np.int64
+    assert G[G.order - 1].arr.dtype == np.int64
     # an operator outside int8 still has a fingerprint, and is not in G
     big = Operator(p, g, n, Operator.identity(p, g, n).arr * 128, 1)
     assert big not in G
