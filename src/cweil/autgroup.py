@@ -173,23 +173,22 @@ class _AutSearch:
                 return got
         return None
 
-    def find(self, pairs):
-        """An automorphism with sigma(b) = t for each (b, t) in pairs, or None."""
+    def _start(self, pairs):
+        """The search state that colours b and t alike for each (b, t) in pairs."""
         ccol_d = np.zeros(self.n, dtype=np.int64)
         ccol_c = np.zeros(self.n, dtype=np.int64)
         for i, (b, t) in enumerate(pairs):
             ccol_d[b] = i + 1
             ccol_c[t] = i + 1
-        return self.search((ccol_d, ccol_c, self.winit.copy(), self.winit.copy()))
+        return ccol_d, ccol_c, self.winit.copy(), self.winit.copy()
+
+    def find(self, pairs):
+        """An automorphism with sigma(b) = t for each (b, t) in pairs, or None."""
+        return self.search(self._start(pairs))
 
     def candidate_cell(self, pairs, point):
         """Columns that refinement allows as images of `point` given `pairs`."""
-        ccol_d = np.zeros(self.n, dtype=np.int64)
-        ccol_c = np.zeros(self.n, dtype=np.int64)
-        for i, (b, t) in enumerate(pairs):
-            ccol_d[b] = i + 1
-            ccol_c[t] = i + 1
-        state = self.refine((ccol_d, ccol_c, self.winit.copy(), self.winit.copy()))
+        state = self.refine(self._start(pairs))
         if state is None:
             return []
         ccol_d, ccol_c = state[0], state[1]

@@ -227,8 +227,7 @@ def cmd_group(args) -> int:
     print(f"predicted order: {PREDICTED_ORDER[key]} (match)")
     print(f"parabolic order: {P.order}")
     print(f"coset index: {G.order // P.order}")
-    if key in PREDICTED_PARABOLIC:
-        print(f"predicted parabolic: {PREDICTED_PARABOLIC[key]} (match)")
+    print(f"predicted parabolic: {PREDICTED_PARABOLIC[key]} (match)")
     return 0
 
 
@@ -411,6 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         return sp
 
+    def type_length_genus(sp):
+        sp.add_argument("--type", required=True, choices=TYPES)
+        sp.add_argument("--length", type=int, required=True)
+        sp.add_argument("--genus", type=int, required=True)
+
     sp = add("cwe", cmd_cwe, help="complete weight enumerator of a code")
     sp.add_argument("--db", help="database file (default: bundled datasets)")
     sp.add_argument("--code", required=True, help="code name")
@@ -419,35 +423,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("cusp", cmd_cusp, help="basis of the cusp space spanned by enumerators")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=TYPES)
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
+    type_length_genus(sp)
     sp.add_argument("--polys", action="store_true", help="include full polynomials")
 
     sp = add("verify-doubling", cmd_verify_doubling,
              help="pair the doubled average against each cusp form")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=TYPES)
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
+    type_length_genus(sp)
     sp.add_argument("--factorial", action="store_true",
                     help="render scalars as factorial products")
 
     sp = add("eisenstein", cmd_eisenstein,
              help="averaged invariant polynomial, by coset sum or mass formula")
     sp.add_argument("--db")
-    sp.add_argument("--type", required=True, choices=TYPES)
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
+    type_length_genus(sp)
     sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--method", choices=["coset", "siegel-weil"])
     sp.add_argument("--compare", action="store_true",
                     help="run both methods and report the ratio")
 
     sp = add("constants", cmd_constants, help="closed-form scalars as exact fractions")
-    sp.add_argument("--type", required=True, choices=TYPES)
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
+    type_length_genus(sp)
     sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--factorial", action="store_true")
 

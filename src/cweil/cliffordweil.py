@@ -175,9 +175,6 @@ class Operator:
             and np.array_equal(self.arr, other.arr)
         )
 
-    def __hash__(self):
-        return hash(self.fingerprint())
-
     def entry(self, i: int, j: int) -> CycNum:
         return CycNum(self.n, tuple(int(x) for x in self.arr[i, j]), self.den)
 
@@ -342,10 +339,6 @@ def _h_cells(r: int, g: int, p: int):
     return cells, sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
 
 
-def gen_d(phi: QuadraticForm) -> Operator:
-    return _phase_operator(phi.p, phi.g, *_d_cells(phi))
-
-
 def gl_matrices(p: int, g: int):
     """All of GL_g(F_p) (g <= 2 scale)."""
     out = []
@@ -394,11 +387,6 @@ def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
     forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
     return ([_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
             + [_h_cells(r, g, p) for r in range(1, g + 1)])
-
-
-def monomial_generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
-    """The m_u, then the d_phi: the generators of C_g but the last g."""
-    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)[:-g]]
 
 
 def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
@@ -548,7 +536,7 @@ def close_group(gens: list, sub: GroupClosure | None = None,
 @lru_cache(maxsize=None)
 def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
     """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
-    return close_group(monomial_generators(tag, g, p))
+    return close_group(generators(tag, g, p)[:-g])
 
 
 @lru_cache(maxsize=None)
@@ -564,7 +552,7 @@ def group_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
 @lru_cache(maxsize=None)
 def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
     """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
-    return close_group(monomial_generators(tag, g, p) + [center_generator(tag, p, g)],
+    return close_group(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
                        sub=_monomial_subgroup(tag, g, p),
                        expect=PREDICTED_PARABOLIC.get((tag, g, p)))
 
@@ -799,7 +787,7 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
         tag, gg, p, [(0, 0) if tag == "Q1" else 0] * gg,
         {(i, g + i): 1 for i in range(r)},
     )
-    d_pair = gen_d(pairing)
+    d_pair = _phase_operator(p, gg, *_d_cells(pairing))
     support = list(range(r)) + list(range(g, g + r))
     cells = []
     for idx in range(p**gg):

@@ -183,16 +183,3 @@ def weight_distribution(C: LinearCode) -> tuple[int, ...]:
     for w in C.words:
         dist[weight(w, C.p)] += 1
     return tuple(dist)
-
-
-def permute_code(C: LinearCode, sigma) -> LinearCode:
-    """The code sigma(C): coordinate i of each word moves to sigma[i]."""
-    if sorted(sigma) != list(range(C.n)):
-        raise ValueError(f"{sigma} is not a permutation of {C.n} coordinates")
-    rows = []
-    for row in C.rows:
-        new = [0] * C.n
-        for i, x in enumerate(row):
-            new[sigma[i]] = x
-        rows.append(tuple(new))
-    return LinearCode(C.p, C.n, rows, C.tag)

@@ -33,7 +33,8 @@ np = lazy_import("numpy")
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low degree first, as exact integers."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"Phi_n needs n >= 1, got n = {n}")
     # x^n - 1, then strip off Phi_d for every proper divisor d | n.
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
@@ -44,7 +45,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
     """Divide num by monic den in Z[x]; the division must be exact."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ValueError(f"divisor {den} is not monic")
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
@@ -53,7 +55,8 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num[: len(den) - 1])
+    if any(num[: len(den) - 1]):
+        raise ValueError(f"division by {den} leaves remainder {num[: len(den) - 1]}")
     return q
 
 
@@ -225,8 +228,6 @@ class CycNum:
         return CycNum(self.n, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rat(self.n, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -309,7 +310,8 @@ def sqrt_prime_power(p: int, r: int, n: int) -> CycNum:
     G = sum_t zeta_p^(t^2); G = sqrt(p) if p = 1 mod 4 and i*sqrt(p) if
     p = 3 mod 4, so sqrt(p) = G or -i*G respectively.
     """
-    assert r >= 0
+    if r < 0:
+        raise ValueError(f"sqrt of p**r needs r >= 0, got r = {r}")
     whole = CycNum.from_rat(n, p ** (r // 2))
     if r % 2 == 0:
         return whole

@@ -178,11 +178,11 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
             raise DbParseError(complete_line[tag, n],
                                f"complete {tag} {n} declares {count} classes, found {len(recs)}")
         if tag in ("2I", "2II") and recs and all(r.aut is not None for r in recs):
-            _check_mass(tag, n, recs)
+            _check_mass(tag, n, recs, complete_line[tag, n])
     return db
 
 
-def _check_mass(tag: str, n: int, recs: list[CodeRecord]) -> None:
+def _check_mass(tag: str, n: int, recs: list[CodeRecord], lineno: int) -> None:
     """Σ n!/|Aut| over the classes must count every self-dual code of the type.
 
     On labelled coordinates there are ∏ (2^i + 1) self-dual codes of type
@@ -191,15 +191,15 @@ def _check_mass(tag: str, n: int, recs: list[CodeRecord]) -> None:
     mass = 0
     for rec in recs:
         if rec.aut < 1 or math.factorial(n) % rec.aut:
-            raise ValueError(
-                f"complete {tag} {n}: record {rec.name!r} has aut {rec.aut}, "
+            raise DbParseError(
+                lineno, f"complete {tag} {n}: record {rec.name!r} has aut {rec.aut}, "
                 f"which does not divide {n}!"
             )
         mass += math.factorial(n) // rec.aut
     expected = math.prod(2**i + 1 for i in mass_range(tag, n))
     if mass != expected:
-        raise ValueError(
-            f"complete {tag} {n}: mass identity fails: the sum of {n}!/|Aut| "
+        raise DbParseError(
+            lineno, f"complete {tag} {n}: mass identity fails: the sum of {n}!/|Aut| "
             f"is {mass}, but there are {expected} self-dual codes"
         )
 
@@ -231,26 +231,6 @@ def _finish_record(cur: dict, verify_aut: float) -> CodeRecord:
                 lineno, f"record {name!r} claims aut {aut}, computed {computed}"
             )
     return CodeRecord(name, code, aut, cur.get("note", ""))
-
-
-def serialize_db(db: CodeDatabase) -> str:
-    lines = []
-    for (tag, n), count in sorted(db.complete.items()):
-        lines.append(f"complete {tag} {n} {count}")
-    for rec in db.records:
-        lines.append("")
-        lines.append(f"code {rec.name}")
-        lines.append(f"field {rec.p}")
-        lines.append(f"type {rec.tag}")
-        lines.append(f"length {rec.n}")
-        if rec.aut is not None:
-            lines.append(f"aut {rec.aut}")
-        if rec.note:
-            lines.append(f"note {rec.note}")
-        for row in rec.code.rows:
-            lines.append("gen " + "".join(str(x) for x in row))
-        lines.append("end")
-    return "\n".join(lines) + "\n"
 
 
 # sha256 of the bytes of each bundled file whose every check the test suite

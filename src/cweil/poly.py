@@ -238,13 +238,3 @@ def parse_poly(text: str) -> Poly:
         nums = tuple(int(f * den) for f in fracs)
         terms[m] = CycNum(n, nums, den)
     return Poly(p, g, N, n, terms)
-
-
-def monomial_exponents(d: int, N: int):
-    """All exponent tuples of length d summing to N, lexicographically."""
-    if d == 1:
-        yield (N,)
-        return
-    for first in range(N, -1, -1):
-        for rest in monomial_exponents(d - 1, N - first):
-            yield (first,) + rest

@@ -52,14 +52,8 @@ def phi_op_w(a: Poly, j: int, w) -> Poly:
             if idx % pj != widx:
                 break
             new[idx // pj] += e
-        else:
-            key = tuple(new)
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            elif prev is not None:
-                del out[key]
+        else:  # idx -> idx // pj is one-to-one on idx = widx mod pj: no key repeats
+            out[tuple(new)] = c
     return Poly(a.p, a.g - j, a.N, a.conductor, out)
 
 
@@ -229,21 +223,3 @@ def cusp_basis(codes, g: int) -> CuspBasis:
     return CuspBasis(
         codes[0].tag or "", N, g, tuple(names), tuple(combos), tuple(polys)
     )
-
-
-def in_span(f: Poly, basis) -> bool:
-    """Is f a rational combination of the given polynomials?"""
-    basis = list(basis)
-    if not basis:
-        return not f
-    monos = sorted(set(f.terms).union(*[set(b.terms) for b in basis]))
-
-    def coords(poly):
-        return [
-            poly.terms[m].as_rational() if m in poly.terms else Fraction(0)
-            for m in monos
-        ]
-
-    rows = [coords(b) for b in basis]
-    rank = len(_rref([row[:] for row in rows]))
-    return len(_rref(rows + [coords(f)])) == rank

@@ -5,20 +5,19 @@ e7/e8, the extended quadratic-residue code of length 24) plus the generic
 "glue" search: extend a self-orthogonal base code by coset representatives
 of base^perp / base until it becomes self-dual of a requested type.
 
-The named length-16 representatives are assembled here from components and
-certified downstream: a construction is accepted only if its genus-1 and
-genus-2 enumerators and automorphism order match the classification data
-bit-exactly — nothing in this module is trusted by name.
+These constructions are the independent witness of the bundled data: the
+tests tie each bundled record to its construction here by weight
+distribution and automorphism order, so no record is trusted by name.
+Nothing in the cweil package imports this module.
 """
 
 from __future__ import annotations
 
-from .codes import (
+from cweil.codes import (
     LinearCode,
     check_type,
     code_from_rows,
     dual_code,
-    weight,
     weight_distribution,
 )
 
@@ -43,7 +42,8 @@ def e7() -> LinearCode:
 
 def d_chain(n: int) -> LinearCode:
     """d_n = [n, n/2 - 1]: spans of 1111 blocks at even offsets; weights = 0 mod 4."""
-    assert n % 2 == 0 and n >= 4
+    if n % 2 or n < 4:
+        raise ValueError(f"d_n needs an even n >= 4, got n = {n}")
     rows = []
     for i in range(n // 2 - 1):
         r = [0] * n
@@ -54,7 +54,8 @@ def d_chain(n: int) -> LinearCode:
 
 def direct_sum(*parts: LinearCode) -> LinearCode:
     p = parts[0].p
-    assert all(c.p == p for c in parts)
+    if any(c.p != p for c in parts):
+        raise ValueError("direct_sum needs codes over one field")
     n = sum(c.n for c in parts)
     rows = []
     off = 0
@@ -105,7 +106,8 @@ def glue_extensions(base: LinearCode, tag: str, min_glue_weight: int = 0):
     `min_glue_weight` keeps only glue cosets whose minimal weight reaches it —
     the lever that excludes gluings merging the intended components.
     """
-    assert base.p == 2
+    if base.p != 2:
+        raise ValueError(f"glue_extensions handles binary codes only, got field {base.p}")
     need = base.n // 2 - base.k
     packed = []
     for row in base.rows:
@@ -152,16 +154,12 @@ def glue_extensions(base: LinearCode, tag: str, min_glue_weight: int = 0):
     yield from dfs([], {0})
 
 
-def _find_by_distribution(base, tag, wd, min_glue_weight=0) -> LinearCode:
-    found = [
-        C
-        for C in glue_extensions(base, tag, min_glue_weight)
-        if weight_distribution(C) == wd
-    ]
-    assert found, "no gluing with the requested weight distribution"
-    first = found[0]
-    assert all(C.rows == first.rows or weight_distribution(C) == wd for C in found)
-    return first
+def _find_by_distribution(base, tag, keep, min_glue_weight=0) -> LinearCode:
+    """The first gluing of `base` whose weight distribution passes `keep`."""
+    for C in glue_extensions(base, tag, min_glue_weight):
+        if keep(weight_distribution(C)):
+            return C
+    raise LookupError("no gluing with the requested weight distribution")
 
 
 def d16_plus() -> LinearCode:
@@ -169,7 +167,8 @@ def d16_plus() -> LinearCode:
     rows = [list(r) for r in d_chain(16).rows]
     rows.append([1, 0] * 8)
     C = LinearCode(2, 16, rows, tag="2I")
-    assert check_type(C, "2II")
+    if not check_type(C, "2II"):
+        raise ValueError("d16+ is not doubly even")
     return C
 
 
@@ -185,7 +184,7 @@ def f16() -> LinearCode:
     wd[6] = wd[10] = 64
     wd[8] = 102
     C = _find_by_distribution(
-        direct_sum(d_chain(8), d_chain(8)), "2I", tuple(wd), min_glue_weight=4
+        direct_sum(d_chain(8), d_chain(8)), "2I", lambda got: got == tuple(wd), min_glue_weight=4
     )
     return LinearCode(2, 16, C.rows, tag="2I")
 
@@ -210,7 +209,7 @@ def d14() -> LinearCode:
     wd[4] = wd[10] = 14
     wd[6] = wd[8] = 49
     C = _find_by_distribution(
-        direct_sum(e7(), e7()), "2I", tuple(wd), min_glue_weight=4
+        direct_sum(e7(), e7()), "2I", lambda got: got == tuple(wd), min_glue_weight=4
     )
     return LinearCode(2, 14, C.rows, tag="2I")
 
@@ -227,9 +226,83 @@ def table2_codes() -> dict[str, LinearCode]:
         "8i2": retag(repeat_sum(i2(), 8), "2I"),
     }
     for name, c in out.items():
-        assert check_type(c), name
+        if not check_type(c):
+            raise ValueError(f"{name} is not self-dual of type 2I")
     return out
 
 
 def retag(C: LinearCode, tag: str) -> LinearCode:
     return LinearCode(C.p, C.n, C.rows, tag=tag)
+
+
+# --- the doubly-even self-dual codes of length 24 ------------------------
+
+
+def d24_plus() -> LinearCode:
+    """The d24 chain glued by 10 01 01 ... 01 (weight 12).
+
+    A swap inside the first coordinate pair takes this glue to 1010...10,
+    the analogue of d16_plus's.
+    """
+    rows = [list(r) for r in d_chain(24).rows]
+    rows.append([1, 0] + [0, 1] * 11)
+    return LinearCode(2, 24, rows, tag="2II")
+
+
+def tetrad_gluing(*parts: LinearCode) -> LinearCode:
+    """The doubly-even self-dual gluing of `parts` that adds no weight-4 word.
+
+    At length 24 the weight-4 words (the tetrads) of a doubly-even
+    self-dual code fix it up to equivalence, so its components name it.
+    """
+    base = direct_sum(*parts)
+    tetrads = weight_distribution(base)[4]
+    return _find_by_distribution(base, "2II", lambda wd: wd[4] == tetrads, min_glue_weight=8)
+
+
+# F4 = {0, 1, w, w^2} as 0, 1, 2, 3, so that addition is XOR
+TIMES_W = (0, 2, 3, 1)
+HEXACODE = [(1, 0, 0, 1, 3, 2), (0, 1, 0, 1, 2, 3), (0, 0, 1, 1, 1, 1)]
+
+
+def d4six() -> LinearCode:
+    """Six d4 blocks glued by the hexacode, through an additive F4 -> d4^perp / d4."""
+    rows = [list(r) for r in repeat_sum(d_chain(4), 6).rows]
+    for word in HEXACODE + [tuple(TIMES_W[x] for x in h) for h in HEXACODE]:
+        row = []
+        for x in word:
+            row += [(x & 1) ^ (x >> 1), x & 1, x >> 1, 0]  # x = 1 -> 1100, x = 2 -> 1010
+        rows.append(row)
+    return LinearCode(2, 24, rows, tag="2II")
+
+
+def bundled_witnesses() -> dict:
+    """A construction for each code name in the bundled data."""
+    length16 = table2_codes()
+    return {
+        **length16,
+        "e8": e8(),
+        "tetracode": tetracode(),
+        "golay24": golay24(),
+        "d24_plus": d24_plus(),
+        "d12sq": tetrad_gluing(d_chain(12), d_chain(12)),
+        "d10e7sq": tetrad_gluing(d_chain(10), e7(), e7()),
+        "d8cube": tetrad_gluing(*[d_chain(8)] * 3),
+        "d6four": tetrad_gluing(*[d_chain(6)] * 4),
+        "d4six": d4six(),
+        "e8cube": repeat_sum(e8(), 3),
+        "d16e8": direct_sum(length16["E16"], e8()),
+    }
+
+
+def permute_code(C: LinearCode, sigma) -> LinearCode:
+    """The code sigma(C): coordinate i of each word moves to sigma[i]."""
+    if sorted(sigma) != list(range(C.n)):
+        raise ValueError(f"{sigma} is not a permutation of {C.n} coordinates")
+    rows = []
+    for row in C.rows:
+        new = [0] * C.n
+        for i, x in enumerate(row):
+            new[sigma[i]] = x
+        rows.append(tuple(new))
+    return LinearCode(C.p, C.n, rows, C.tag)

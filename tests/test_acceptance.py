@@ -32,8 +32,9 @@ from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.doubling import const_c, const_conj, eisenstein_sw, verify_doubling
 from cweil.poly import Poly, tuple_profile
-from cweil.siegelphi import cusp_basis, in_span
+from cweil.siegelphi import cusp_basis
 from cweil.weightenum import cwe
+from tests.test_siegelphi import in_span
 
 
 @contextmanager

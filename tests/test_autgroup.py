@@ -5,9 +5,11 @@ from math import factorial
 import pytest
 
 from cweil.autgroup import aut_order
-from cweil.codes import code_from_rows, permute_code
-from cweil.constructions import b12, d_chain, direct_sum, e7, e8, i2, table2_codes
+from cweil.codes import code_from_rows
 from cweil.database import BUNDLED, load_bundled
+from tests.constructions import (
+    b12, d_chain, direct_sum, e7, e8, i2, permute_code, table2_codes,
+)
 from tests.test_constructions import LENGTH16_TABLE
 
 # Every recorded order in every bundled file.  Loading a bundled file whose

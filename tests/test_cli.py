@@ -1,5 +1,6 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -9,17 +10,23 @@ import runpy
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 import cweil
 import cweil.cli
+from cweil import autgroup
+from cweil.autgroup import aut_order
 from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
-from cweil.constructions import e8
-from cweil.database import CodeDatabase, load_bundled, serialize_db
+from cweil.codes import code_from_rows
+from cweil.database import CodeDatabase, load_bundled
 from cweil.doubling import verify_doubling
-from cweil.poly import parse_poly
+from cweil.poly import Poly, parse_poly
 from cweil.weightenum import cwe
+from tests.constructions import e8
+from tests.test_database import serialize_db
 
 
 def run(capsys, *argv):
@@ -158,7 +165,7 @@ def test_verify_doubling_detects_corrupt_data(tmp_path, capsys):
                          "2II", "--length", "24", "--genus", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {bad}: complete 2II 24: ")
+    assert err.startswith(f"error: {bad}: line 1: complete 2II 24: ")
 
 
 def _db_with_wrong_golay_order() -> CodeDatabase:
@@ -223,7 +230,7 @@ def test_eisenstein_coset_output(capsys):
                        "--genus", "1", "--field", "3", "--method", "coset")
     assert code == 0
     E = parse_poly(out)
-    from cweil.constructions import tetracode
+    from tests.constructions import tetracode
     from fractions import Fraction
     assert E == Fraction(1, 3) * cwe(tetracode(), 1)
 
@@ -445,6 +452,18 @@ def test_commands_without_array_work_never_run_numpy():
     assert lines == [f"ran {argv} 0 []" for argv in NUMPY_FREE]
 
 
+def test_package_has_no_asserts():
+    # python -O strips asserts, so every check in the package must raise
+    pkg = os.path.dirname(cweil.__file__)
+    found = [
+        f"{name}:{node.lineno}"
+        for name in sorted(os.listdir(pkg)) if name.endswith(".py")
+        for node in ast.walk(ast.parse(open(os.path.join(pkg, name)).read()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_selftest_passes_under_python_O():
     # -O strips asserts: every check selftest relies on must raise instead
     out = _python("-O", "-m", "cweil.cli", "selftest")
@@ -530,3 +549,48 @@ def test_benchmark_tracer_hooks_resolve():
     for mod, cls, meth in tracer["COUNTED"]:
         owner = getattr(importlib.import_module(f"cweil.{mod}"), cls)
         assert callable(vars(owner).get(meth)), f"cweil.{mod}.{cls}.{meth}"
+
+
+def _compare(capsys):
+    return run(capsys, "eisenstein", "--type", "2II", "--length", "8", "--genus", "1",
+               "--compare")
+
+
+def test_eisenstein_compare_reports_a_coefficient_mismatch(monkeypatch, capsys):
+    sw = cweil.cli.eisenstein_sw
+    monkeypatch.setattr(cweil.cli, "eisenstein_sw", lambda *args: 2 * sw(*args))
+    assert _compare(capsys) == (1, "MISMATCH: leading-coefficient ratio 1/2\n", "")
+
+
+def test_eisenstein_compare_reports_a_support_mismatch(monkeypatch, capsys):
+    # X0^2 X1^6 is not a monomial of the coset average, 1 + 14 X0^4 X1^4 + ...
+    monkeypatch.setattr(cweil.cli, "eisenstein_sw",
+                        lambda *args: Poly(2, 1, 8, 8, {(2, 6): Fraction(1)}))
+    assert _compare(capsys) == (1, "MISMATCH: averages differ in support\n", "")
+
+
+def test_coset_average_at_length_0_is_the_constant_1(capsys):
+    code, out, err = run(capsys, "eisenstein", "--type", "2II", "--length", "0",
+                         "--genus", "1", "--method", "coset")
+    assert (code, err) == (0, "")
+    assert parse_poly(out) == Poly(2, 1, 0, 8, {(0, 0): Fraction(1)})
+
+
+def test_aut_search_past_node_limit_answers_unknown(monkeypatch, tmp_path, capsys):
+    # i2 + i2 + i2 on the coordinate pairs {0, 3}, {1, 4}, {2, 5}: |Aut| = 48.
+    # The uncached search keeps the answer "unknown" out of aut_order's cache.
+    monkeypatch.setattr(autgroup, "NODE_LIMIT", 0)
+    monkeypatch.setattr(cweil.database, "aut_order", aut_order.__wrapped__)
+    rows = ["100100", "010010", "001001"]
+    assert aut_order.__wrapped__(code_from_rows(2, 6, rows, tag="2I")) == "unknown"
+    db = tmp_path / "hard.txt"
+    db.write_text("code x\nfield 2\ntype 2I\nlength 6\naut 48\n"
+                  + "".join(f"gen {r}\n" for r in rows) + "end\n")
+    code, out, err = run(capsys, "aut", "--db", str(db), "--code", "x")
+    assert (code, out) == (2, "")
+    assert err == f"error: {db}: line 1: record 'x' claims aut 48, computed unknown\n"
+
+
+def test_unknown_code_in_a_db_file_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cwe", "--db", TERNARY_DB, "--code", "e8", "--genus", "1")
+    assert (code, out, err) == (2, "", "error: no such code 'e8'\n")

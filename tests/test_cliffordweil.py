@@ -30,7 +30,6 @@ from cweil.cliffordweil import (
     coset_labels,
     delta_embed,
     eisenstein_coset,
-    gen_d,
     generators,
     gl_generators,
     gl_matrices,
@@ -41,16 +40,17 @@ from cweil.cliffordweil import (
     seed_poly,
     tau_operator,
     _batch_mul,
+    _d_cells,
     _fold,
     _h_cells,
     _keys,
     _m_cells,
     _phase_operator,
 )
-from cweil.constructions import e8, tetracode
 from cweil.cyclo import CycNum, mul_table, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe, run_conductor
+from tests.constructions import e8, tetracode
 
 def gen_m(u, p: int, g: int) -> Operator:
     return _phase_operator(p, g, *_m_cells(u, p, g))
@@ -58,6 +58,10 @@ def gen_m(u, p: int, g: int) -> Operator:
 
 def gen_h(r: int, g: int, p: int) -> Operator:
     return _phase_operator(p, g, *_h_cells(r, g, p))
+
+
+def gen_d(phi: QuadraticForm) -> Operator:
+    return _phase_operator(phi.p, phi.g, *_d_cells(phi))
 
 
 # (tag, g, p) -> (|C_g|, |P_g| with scalars, # parabolic cosets)
@@ -313,7 +317,7 @@ def test_cusp_and_generator_checks_survive_python_O():
     # h_0 through
     code = (
         "from cweil.cliffordweil import _h_cells\n"
-        "from cweil.constructions import d16_plus, e8\n"
+        "from tests.constructions import d16_plus, e8\n"
         "from cweil.siegelphi import cusp_basis\n"
         "for call in [lambda: cusp_basis({'e8': e8(), 'd16+': d16_plus()}, 1),\n"
         "             lambda: _h_cells(0, 1, 2)]:\n"
@@ -378,10 +382,12 @@ def test_operator_arithmetic_matches_cycnum(p, data):
 
 
 def _run_python_O(code: str) -> subprocess.CompletedProcess:
-    """Run code under python -O, which strips every assert, with cweil importable."""
+    """Run code under python -O, which strips every assert, with cweil and
+    the tests package (for tests.constructions) importable."""
     src = os.path.dirname(os.path.dirname(cweil.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+        [src, root] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
     return subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 

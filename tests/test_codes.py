@@ -7,9 +7,9 @@ from cweil.codes import (
     check_type,
     code_from_rows,
     dual_code,
-    permute_code,
     weight_distribution,
 )
+from tests.constructions import permute_code
 
 
 def test_repetition_code():

@@ -1,9 +1,15 @@
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
+import pytest
+
+from cweil.autgroup import aut_order
 from cweil.codes import check_type, dual_code, weight_distribution
-from cweil.constructions import (
+from cweil.database import BUNDLED, load_bundled
+from tests.constructions import (
     b12,
+    bundled_witnesses,
     d14,
     d_chain,
     direct_sum,
@@ -120,3 +126,18 @@ def test_direct_sum_distribution_convolves():
         assert wd[w] == sum(
             wa[u] * wb[w - u] for u in range(max(0, w - 2), min(8, w) + 1)
         )
+
+
+_witnesses = cache(bundled_witnesses)
+
+
+@pytest.mark.parametrize("fname,name", [
+    (fname, rec.name) for fname in BUNDLED for rec in load_bundled(fname).records
+])
+def test_bundled_record_matches_its_construction(fname, name):
+    # every bundled basis is exactly its construction's, so the order below
+    # is the one tests/test_autgroup.py recomputes (and aut_order caches)
+    rec, C = load_bundled(fname)[name], _witnesses()[name]
+    assert C == rec.code
+    assert weight_distribution(C) == weight_distribution(rec.code)
+    assert rec.aut is None or aut_order(C) == rec.aut

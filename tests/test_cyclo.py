@@ -16,6 +16,7 @@ from cweil.cyclo import (
     phi_degree,
     sqrt_prime_power,
 )
+from tests.test_cliffordweil import _run_python_O
 
 CONDUCTORS = [1, 2, 3, 4, 8, 12, 20, 24]
 
@@ -176,4 +177,27 @@ def test_bad_construction_raises_under_python_O():
     assert out.stdout.splitlines() == [
         "ZeroDivisionError CycNum with denominator 0 over Q(zeta_8)",
         "ValueError 3 numerators for Q(zeta_8), whose degree is 4",
+    ]
+
+
+def test_input_checks_raise_under_python_O():
+    # under -O an assert would let sqrt_prime_power(3, -1, 12) build a CycNum
+    # from the float 3 ** -1, and cyclotomic_poly(0) return x - 1
+    code = (
+        "from cweil.cyclo import _exact_div, cyclotomic_poly, sqrt_prime_power\n"
+        "for call in [lambda: sqrt_prime_power(3, -1, 12), lambda: cyclotomic_poly(0),\n"
+        "             lambda: _exact_div([1, 0, 1], [1, 2]),\n"
+        "             lambda: _exact_div([1, 0, 1], [1, 1])]:\n"
+        "    try:\n"
+        "        print('accepted', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "sqrt of p**r needs r >= 0, got r = -1",
+        "Phi_n needs n >= 1, got n = 0",
+        "divisor [1, 2] is not monic",
+        "division by [1, 1] leaves remainder [2]",
     ]

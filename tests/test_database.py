@@ -15,9 +15,29 @@ from cweil.database import (
     DbParseError,
     load_bundled,
     parse_db,
-    serialize_db,
 )
 from tests.test_cliffordweil import _run_python_O
+
+
+def serialize_db(db: CodeDatabase) -> str:
+    """The text that parse_db reads back as db."""
+    lines = []
+    for (tag, n), count in sorted(db.complete.items()):
+        lines.append(f"complete {tag} {n} {count}")
+    for rec in db.records:
+        lines.append("")
+        lines.append(f"code {rec.name}")
+        lines.append(f"field {rec.p}")
+        lines.append(f"type {rec.tag}")
+        lines.append(f"length {rec.n}")
+        if rec.aut is not None:
+            lines.append(f"aut {rec.aut}")
+        if rec.note:
+            lines.append(f"note {rec.note}")
+        for row in rec.code.rows:
+            lines.append("gen " + "".join(str(x) for x in row))
+        lines.append("end")
+    return "\n".join(lines) + "\n"
 
 EXPECTED_SIZES = {
     "codes_2i_n16": 7,
@@ -233,6 +253,12 @@ def test_mass_identity_checked_at_load(old, new, why):
         parse_db(text.replace(old, new))
 
 
+def test_mass_identity_failure_names_its_complete_line():
+    text = database._bundled_text("codes_2ii_n24").replace("aut 244823040", "aut 122411520")
+    with pytest.raises(DbParseError, match="line 7: complete 2II 24: mass identity fails"):
+        parse_db(text)
+
+
 def test_mass_identity_checked_for_type_2i():
     text = serialize_db(load_bundled("codes_2i_n16"))
     with pytest.raises(ValueError, match="complete 2I 16: mass identity fails"):
@@ -243,8 +269,8 @@ def test_wrong_order_in_complete_block_rejected_under_python_O():
     # the length-24 order is not recomputed at load; the mass identity must
     # still reject it when -O strips every assert
     code = (
-        "from cweil.database import load_bundled, parse_db, serialize_db\n"
-        "text = serialize_db(load_bundled('codes_2ii_n24'))\n"
+        "from cweil.database import _bundled_text, parse_db\n"
+        "text = _bundled_text('codes_2ii_n24')\n"
         "try:\n"
         "    parse_db(text.replace('aut 244823040', 'aut 122411520'))\n"
         "except ValueError as exc:\n"
@@ -252,7 +278,7 @@ def test_wrong_order_in_complete_block_rejected_under_python_O():
     )
     out = _run_python_O(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("rejected complete 2II 24: mass identity fails")
+    assert out.stdout.startswith("rejected line 7: complete 2II 24: mass identity fails")
 
 
 def test_parse_type_check_enforced():

@@ -6,7 +6,6 @@ from math import factorial, prod
 import pytest
 
 from cweil.cliffordweil import eisenstein_coset
-from cweil.constructions import e8, i2, tetracode
 from cweil.cyclo import CycNum
 from cweil.database import CodeDatabase, CodeRecord, load_bundled
 from cweil.doubling import (
@@ -24,8 +23,10 @@ from cweil.doubling import (
     verify_doubling,
 )
 from cweil.poly import Poly, conj_poly
-from cweil.siegelphi import cusp_basis, in_span
+from cweil.siegelphi import cusp_basis
 from cweil.weightenum import cwe
+from tests.constructions import e8, i2, tetracode
+from tests.test_siegelphi import in_span
 
 
 # --- the splitting map D ------------------------------------------------

@@ -12,13 +12,22 @@ from cweil.poly import (
     conj_poly,
     index_vector,
     inner_product,
-    monomial_exponents,
     parse_poly,
     serialize_poly,
     tuple_profile,
     var_index,
 )
 from tests.test_cliffordweil import _run_python_O
+
+
+def monomial_exponents(d: int, N: int):
+    """All exponent tuples of length d summing to N, lexicographically."""
+    if d == 1:
+        yield (N,)
+        return
+    for first in range(N, -1, -1):
+        for rest in monomial_exponents(d - 1, N - first):
+            yield (first,) + rest
 
 
 def P(terms, p=2, g=1, n=8):

@@ -5,19 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from cweil.constructions import d16_plus, e8, i2, table2_codes
-from cweil.poly import Poly, conj_poly, inner_product, monomial_exponents
+from cweil.poly import Poly, conj_poly, inner_product
 from cweil.siegelphi import (
     CuspBasis,
+    _rref,
     cusp_basis,
-    in_span,
     lift_op,
     lift_op_w,
     phi_op,
     phi_op_w,
 )
 from cweil.weightenum import cwe
+from tests.constructions import d16_plus, e8, i2, table2_codes
 from tests.test_cliffordweil import _run_python_O
+from tests.test_poly import monomial_exponents
+
+
+def in_span(f: Poly, basis) -> bool:
+    """Is f a rational combination of the given polynomials?"""
+    basis = list(basis)
+    if not basis:
+        return not f
+    monos = sorted(set(f.terms).union(*[set(b.terms) for b in basis]))
+
+    def coords(poly):
+        return [
+            poly.terms[m].as_rational() if m in poly.terms else Fraction(0)
+            for m in monos
+        ]
+
+    rows = [coords(b) for b in basis]
+    rank = len(_rref([row[:] for row in rows]))
+    return len(_rref(rows + [coords(f)])) == rank
 
 
 def _random_poly(p, g, N, rng, nterms=6):
@@ -170,7 +189,7 @@ def test_tail_length_checks_survive_python_O():
     # under -O an assert would let phi_op_w drop a two-coordinate tail from
     # a genus-2 enumerator with j = 1, and lift_op_w append one
     code = (
-        "from cweil.constructions import e8\n"
+        "from tests.constructions import e8\n"
         "from cweil.siegelphi import lift_op_w, phi_op_w\n"
         "from cweil.weightenum import cwe\n"
         "a = cwe(e8(), 2)\n"

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cweil import weightenum
-from cweil.codes import code_from_rows, permute_code
-from cweil.constructions import e8, golay24, i2, table2_codes, tetracode
+from cweil.codes import code_from_rows
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.poly import tuple_profile
 from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
+from tests.constructions import e8, golay24, i2, permute_code, table2_codes, tetracode
 
 # genus-2 tuple coefficients of the seven length-16 classes, columns
 # (12,2,2) (10,4,2) (8,6,2) (8,4,4) (6,6,4) (8,4,2,2) (10,2,2,2)
