@@ -14,7 +14,6 @@ traceback at the command line is exactly an exception escaping `main`.
 
 import json
 import os
-import resource
 import subprocess
 import sys
 
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 import cweil
 from cweil.database import BUNDLED, _bundled_text
+from tests.test_cli import _limit_address_space
 
 WORKER = r"""
 import contextlib, io, json, sys, traceback
@@ -74,10 +74,6 @@ def _commands(name: str, tag: str, n: int, p: int) -> list[list[str]]:
         ["eisenstein", *kind, "--field", str(p), "--method", "siegel-weil"],
         ["certify"],
     ]
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture(scope="module")
