@@ -15,14 +15,13 @@ from math import factorial
 
 from .autgroup import aut_order
 from .cliffordweil import (
-    PREDICTED_ORDER,
-    PREDICTED_PARABOLIC,
     ClosureError,
     center_order,
     eisenstein_coset,
     generators,
     group_closure,
     parabolic_closure,
+    predicted_orders,
 )
 from .codes import TYPES, field_fits, is_prime
 from .database import (
@@ -220,14 +219,14 @@ def cmd_group(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     # both closures are certified against their predicted orders
-    key = (tag, g, p)
+    order, parabolic = predicted_orders(tag, g, p)
     print(f"type={tag} genus={g} field={p}")
     print(f"group order: {G.order}")
     print(f"center order: {center_order(tag, p)}")
-    print(f"predicted order: {PREDICTED_ORDER[key]} (match)")
+    print(f"predicted order: {order} (match)")
     print(f"parabolic order: {P.order}")
     print(f"coset index: {G.order // P.order}")
-    print(f"predicted parabolic: {PREDICTED_PARABOLIC[key]} (match)")
+    print(f"predicted parabolic: {parabolic} (match)")
     return 0
 
 

@@ -40,23 +40,15 @@ identical either way, the seed being scalar-invariant.)  The parabolic
 subgroup is laid out over the same H as C_g, so its cosets in C_g are read
 off the H-cosets: P*r is the union of H*s*r over P's coset reps s.
 
-The Eisenstein average needs no closure, no Operator and no numpy.  The
-seed is a sum of pure powers x_v^N, so a coset P*x contributes the N-th
-powers of the rows of x that the seed uses, and those rows, taken modulo the
-central phases, are fixed by P.  A breadth-first search of the orbit of the
-identity's rows under the generators therefore stands in for P\\C_g.  It
-runs in Python ints on the phase cells of `generator_cells`: a row is a gcd-
-normalised (den, numerators) held as the least of its z phase multiples, and
-a cell is one product with a power of zeta in the one cyclotomic multiply
-`cyclo.mul_nums`.  The average is a power sum of the distinct rows, each
-expanded once by the multinomial theorem.  The tests check it against
-substituting the seed (`poly.apply_operator`, behind `Operator.apply`) into
-the coset reps of the closures.
+The Eisenstein average needs no closure, no Operator and no numpy: it is
+a power sum over the orbit of the row x_0 modulo the central phases (see
+the comment above `seed_orbit`).  The orbit search runs in Python ints on
+the phase cells of `generator_cells`, each cell one product with a power of
+zeta in the one cyclotomic multiply `cyclo.mul_nums`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -189,11 +181,6 @@ class Operator:
     def is_unitary(self) -> bool:
         return self @ self.conj_t() == Operator.identity(self.p, self.g, self.n)
 
-    def scale(self, c: CycNum) -> "Operator":
-        vec = np.array(c.nums, dtype=np.int64)
-        arr = np.einsum("ijt,s,stu->iju", self.arr, vec, mul_table(self.n))
-        return Operator(self.p, self.g, self.n, arr, self.den * c.den)
-
     def __repr__(self):
         return f"Operator(p={self.p}, g={self.g}, den={self.den})"
 
@@ -296,13 +283,15 @@ def _phase(n: int, frac: Fraction) -> int:
 
 
 def _phase_operator(p: int, g: int, cells, scale: CycNum | None = None) -> Operator:
-    """scale (None for 1) times the matrix with entry zeta_n^k at each cell (i, j, k), else 0."""
+    """The matrix with entry scale * zeta_n^k at each cell (i, j, k), else 0 (None for 1)."""
     d, n = p**g, run_conductor(p)
+    table = _power_table(n)[:n]
+    if scale is not None:
+        table = [mul_nums(n, t, scale.nums) for t in table]
     arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
     for i, j, k in cells:
-        arr[i, j] = _power_table(n)[k]
-    op = Operator(p, g, n, arr, 1)
-    return op if scale is None else op.scale(scale)
+        arr[i, j] = table[k]
+    return Operator(p, g, n, arr, 1 if scale is None else scale.den)
 
 
 def _m_cells(u, p: int, g: int):
@@ -376,8 +365,8 @@ def _primitive_root(p: int) -> int:
 
 def center_generator(tag: str, p: int, g: int) -> Operator:
     """zeta_|Z| times the identity (|Z| divides the conductor of every type)."""
-    n = run_conductor(p)
-    return Operator.identity(p, g, n).scale(CycNum.zeta_pow(n, n // center_order(tag, p)))
+    k = run_conductor(p) // center_order(tag, p)
+    return _phase_operator(p, g, [(i, i, k) for i in range(p**g)])
 
 
 def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
@@ -539,22 +528,27 @@ def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
     return close_group(generators(tag, g, p)[:-g])
 
 
+def predicted_orders(tag: str, g: int, p: int) -> tuple[int, int]:
+    """(|C_g|, |P_g|) as tabulated; refuses every triple without a predicted order."""
+    if (tag, g, p) not in PREDICTED_ORDER:
+        raise ValueError(f"no feasible closure for {(tag, g, p)}")
+    return PREDICTED_ORDER[tag, g, p], PREDICTED_PARABOLIC[tag, g, p]
+
+
 @lru_cache(maxsize=None)
 def group_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
-    """Full Clifford-Weil group at desk scale; refuses unpredicted sizes."""
-    predicted = PREDICTED_ORDER.get((tag, g, p))
-    if predicted is None:
-        raise ValueError(f"no feasible closure for {(tag, g, p)}")
+    """Full Clifford-Weil group at desk scale."""
+    expect = predicted_orders(tag, g, p)[0]
     return close_group(generators(tag, g, p, reduced=True),
-                       sub=_monomial_subgroup(tag, g, p), expect=predicted)
+                       sub=_monomial_subgroup(tag, g, p), expect=expect)
 
 
 @lru_cache(maxsize=None)
 def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
     """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
+    expect = predicted_orders(tag, g, p)[1]
     return close_group(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
-                       sub=_monomial_subgroup(tag, g, p),
-                       expect=PREDICTED_PARABOLIC.get((tag, g, p)))
+                       sub=_monomial_subgroup(tag, g, p), expect=expect)
 
 
 def coset_labels(G: GroupClosure, P: GroupClosure):
@@ -595,53 +589,48 @@ def coset_labels(G: GroupClosure, P: GroupClosure):
 # --- Eisenstein series by orbit averaging --------------------------------
 #
 # The seed is f = sum_{v in S} x_v^N, with S every v for 2I/2II and S = {0}
-# for Q/Q1, so f^x = sum_{v in S} l^N over the rows l = row_v(x).  Let key(x)
-# be the set of those rows, each taken modulo the central phases mu_z
-# (z = |Z| divides N, so c^N = 1 for c in mu_z).  P's generators are
-# monomial with phases in mu_z and fix S, so key(px) = key(x), and
-# Px -> key(x) maps P\G onto the orbit O of key(1) under right
-# multiplication by the generators, with fibres of one size.  Hence
-# E_g = |O|^-1 sum_{k in O} sum_{l in k} l^N: a power sum over the distinct
-# rows, each counted once per key it lies in.  A breadth-first orbit search
-# finds O (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-# 2005, section 4.1) without closing any group; 2II at g = 2 has 15 keys and
-# 60 distinct rows.  The tests check the result against substituting the
-# seed into the coset reps of the closures.
+# for Q/Q1, so f^x = sum_{v in S} l^N over the rows l = x_v x of x.  C_g acts
+# on the rows modulo the central phases mu_z, and l^N depends only on the
+# class, z = |Z| dividing N.  If every x_v (v in S) lies in the orbit O of
+# x_0, then x -> x_v x maps C_g onto O with fibres of size |C_g| / |O|, so
+# E_g = |C_g|^-1 sum_x f^x = (|S| / |O|) sum_{l in O} l^N.  P's generators
+# are monomial with phases in mu_z and fix x_0, so |O| divides [C_g : P_g].
+# A breadth-first orbit search (Holt, Eick and O'Brien, Handbook of
+# Computational Group Theory, 2005, section 4.1) finds O without closing any
+# group; 2II at g = 2 has 60 rows.  The tests check the result against
+# substituting the seed into the coset reps of the closures.
+
+
+def seed_vars(tag: str, g: int, p: int) -> range:
+    """S, the v whose x_v^N the seed sums."""
+    return range(p**g) if tag in ("2I", "2II") else range(1)
 
 
 def seed_poly(tag: str, g: int, N: int, p: int) -> Poly:
-    n = run_conductor(p)
     d = p**g
-    if tag in ("2I", "2II"):
-        terms = {
-            tuple(N if i == v else 0 for i in range(d)): 1 for v in range(d)
-        }
-        return Poly(p, g, N, n, terms)
-    return Poly.monomial(p, g, n, tuple(N if i == 0 else 0 for i in range(d)))
+    terms = {tuple(N if i == v else 0 for i in range(d)): 1 for v in seed_vars(tag, g, p)}
+    return Poly(p, g, N, run_conductor(p), terms)
 
 
 @lru_cache(maxsize=None)
-def seed_orbit(tag: str, g: int, p: int = 2):
-    """The orbit O of key(1) under C_g, as (rows, keys).
+def seed_orbit(tag: str, g: int, p: int = 2) -> tuple:
+    """The orbit O of x_0 modulo mu_z under C_g, as rows; rows[0] is x_0.
 
-    rows[i] = (den, numerators) is the form sum_w (numerators[w] / den) x_w,
-    the least of its phase multiples by mu_z; each key is a frozenset of row
-    numbers.  Refuses the triples without a predicted order, and raises
-    ClosureError unless |O| divides the predicted index |C_g| / |P_g|.
+    A row (den, numerators) is the form sum_w (numerators[w] / den) x_w, the
+    least of its phase multiples by mu_z.  Refuses the triples without a
+    predicted order, and raises ClosureError unless |O| divides the predicted
+    index |C_g| / |P_g| and every x_v of the seed lies in O.
     """
-    predicted = PREDICTED_ORDER.get((tag, g, p))
-    if predicted is None:
-        raise ValueError(f"no feasible closure for {(tag, g, p)}")
+    order, parabolic = predicted_orders(tag, g, p)
     n, z, d = run_conductor(p), center_order(tag, p), p**g
     table, zero = _power_table(n), (0,) * phi_degree(n)
     phases = [table[k] for k in range(0, n, n // z)]
     gens = generator_cells(tag, g, p)
-    rows, index, images = [], {}, {}  # index: row -> number; images: (r, j) -> number
     least: dict = {}  # a first nonzero entry -> the phase that makes it least
 
-    def row_class(den: int, nums: list) -> int:
-        """The row number of nums / den modulo mu_z.  Distinct phases move the
-        first nonzero entry apart, so it alone picks the least multiple."""
+    def canon(den: int, nums: list) -> tuple:
+        """nums / den as the least of its multiples by mu_z.  Distinct phases
+        move the first nonzero entry apart, so it alone picks the least one."""
         common = gcd(den, *(x for a in nums for x in a))
         lead = next(tuple(a) for a in nums if any(a))
         c = least.get(lead)
@@ -649,63 +638,49 @@ def seed_orbit(tag: str, g: int, p: int = 2):
             c = least[lead] = min(phases, key=lambda c: mul_nums(n, lead, c))
         if c is not phases[0]:
             nums = [mul_nums(n, a, c) for a in nums]
-        row = (den // common, tuple(tuple(x // common for x in a) for a in nums))
-        if row not in index:
-            index[row] = len(rows)
-            rows.append(row)
-        return index[row]
+        return den // common, tuple(tuple(x // common for x in a) for a in nums)
 
-    def image(r: int, j: int) -> int:
-        """The row number of rows[r] times generator j, computed once."""
-        got = images.get((r, j))
-        if got is None:
-            (den, nums), (cells, scale) = rows[r], gens[j]
+    def unit(v: int) -> tuple:
+        return canon(1, [table[0] if w == v else zero for w in range(d)])
+
+    rows = [unit(0)]
+    seen = set(rows)
+    for den, nums in rows:  # rows grows as it is walked: breadth first
+        if len(rows) > order // parabolic:  # a larger orbit divides nothing
+            break
+        for cells, scale in gens:
             out = [zero] * d
             for i, w, k in cells:
                 if any(nums[i]):
                     b = mul_nums(n, nums[i], table[k]) if k else nums[i]
                     out[w] = b if out[w] is zero else [x + y for x, y in zip(out[w], b)]
-            if scale is not None:
-                out, den = [mul_nums(n, a, scale.nums) for a in out], den * scale.den
-            got = images[r, j] = row_class(den, out)
-        return got
-
-    seeds = range(d) if tag in ("2I", "2II") else range(1)
-    start = frozenset(row_class(1, [table[0] if w == v else zero for w in range(d)])
-                      for v in seeds)
-    keys, seen, frontier = [start], {start}, [start]
-    parabolic = PREDICTED_PARABOLIC[tag, g, p]
-    while frontier and len(keys) <= predicted // parabolic:  # more keys can divide nothing
-        level, frontier = frontier, []
-        for k in level:
-            for j in range(len(gens)):
-                k2 = frozenset(image(r, j) for r in k)
-                if k2 not in seen:
-                    seen.add(k2)
-                    keys.append(k2)
-                    frontier.append(k2)
-    if predicted % parabolic or (predicted // parabolic) % len(keys):
-        raise ClosureError(f"orbit of {len(keys)} keys does not divide the index "
-                           f"{predicted}/{parabolic}")
-    return rows, keys
+            if scale is None:
+                row = canon(den, out)
+            else:
+                row = canon(den * scale.den, [mul_nums(n, a, scale.nums) for a in out])
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+    if order % parabolic or (order // parabolic) % len(rows):
+        raise ClosureError(f"orbit of {len(rows)} rows does not divide the index "
+                           f"{order}/{parabolic}")
+    missing = next((v for v in seed_vars(tag, g, p) if unit(v) not in seen), None)
+    if missing is not None:
+        raise ClosureError(f"x_{missing} of the seed is not in the orbit of x_0")
+    return tuple(rows)
 
 
 def eisenstein_coset(tag: str, g: int, N: int, p: int = 2) -> Poly:
-    """E_g as the average of the seed over P_g \\ C_g, read off the orbit O.
-
-    Each key of O stands for equally many cosets, so the average is the power
-    sum of the rows of the keys over |O|.
-    """
+    """E_g as the average of the seed over P_g \\ C_g: (|S| / |O|) sum_{l in O} l^N."""
     if N < 0:
         raise ValueError(f"N = {N} is negative")
     if N % center_order(tag, p):
         raise ValueError(f"N = {N} not divisible by |Z| = {center_order(tag, p)}")
-    rows, keys = seed_orbit(tag, g, p)
+    rows = seed_orbit(tag, g, p)
     if N == 0:  # the seed is the constant 1 (seed_poly), and so is its average
         return seed_poly(tag, g, 0, p)
-    mult = Counter(r for k in keys for r in k)
-    forms = [(rows[r][0], rows[r][1], m) for r, m in mult.items()]
-    return power_sum(p, g, N, forms, len(keys))
+    size = len(seed_vars(tag, g, p))
+    return power_sum(p, g, N, [(den, nums, size) for den, nums in rows], len(rows))
 
 
 def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:

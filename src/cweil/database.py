@@ -154,15 +154,15 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
             else:
                 raise DbParseError(lineno, f"unexpected {key!r} outside a record")
             continue
+        if key in ("field", "type", "length", "aut", "note") and key in cur:
+            raise DbParseError(lineno, f"record {cur['name']!r} repeats {key}")
         if key in ("field", "length", "aut"):
             try:
                 cur[key] = int(rest)
             except ValueError:
                 raise DbParseError(lineno, f"bad integer for {key}: {rest!r}")
-        elif key == "type":
-            cur["type"] = rest
-        elif key == "note":
-            cur["note"] = rest
+        elif key in ("type", "note"):
+            cur[key] = rest
         elif key == "gen":
             cur["rows"].append(rest)
         elif key == "end":

@@ -430,7 +430,8 @@ def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
     assert eisenstein_coset(tag, g, N, p) == total / len(reps)
 
 
-# one weight per desk-scale (tag, g, p), and |O| for each
+# one weight per desk-scale (tag, g, p), and |O| / |S| for each: E_g is the
+# sum of l^N over the orbit O of x_0 divided by it, and |O| is the index
 ORBIT_CASES = [("2I", 1, 8, 2, 2), ("2II", 1, 8, 2, 3), ("2I", 2, 8, 2, 6),
                ("2II", 2, 8, 2, 15), ("Q", 1, 4, 3, 4), ("Q1", 1, 12, 3, 12)]
 
@@ -448,8 +449,7 @@ def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
             form[2] += 1
     expect = power_sum(p, g, N, forms.values(), len(reps))
     assert eisenstein_coset(tag, g, N, p) == expect
-    assert len(seed_orbit(tag, g, p)[1]) == orbit
-    assert len(reps) % orbit == 0
+    assert len(seed_orbit(tag, g, p)) == orbit * len(used) == len(reps)
 
 
 @pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)
@@ -463,7 +463,7 @@ def test_orbit_rows_are_the_coset_rep_rows_mod_center(tag, g, N, p, orbit):
     def cls(row) -> frozenset:
         return frozenset(tuple(c * u for c in row) for u in zetas)
 
-    rows = [cls([CycNum(n, a, den) for a in nums]) for den, nums in seed_orbit(tag, g, p)[0]]
+    rows = [cls([CycNum(n, a, den) for a in nums]) for den, nums in seed_orbit(tag, g, p)]
     reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
     used = range(d) if tag in ("2I", "2II") else range(1)
     assert len(set(rows)) == len(rows)
@@ -484,7 +484,7 @@ def test_orbit_average_closes_no_group(monkeypatch):
 
 def test_orbit_search_stops_past_the_index(monkeypatch):
     # without h_1's scalar 2^(-1/2) the rows grow without end; the search
-    # stops once the keys outnumber the index 192/32 = 6
+    # stops once the rows outnumber the index 192/32 = 6
     cells = cw.generator_cells
     monkeypatch.setattr(cw, "generator_cells", lambda *a: [(c, None) for c, _ in cells(*a)])
     seed_orbit.cache_clear()
@@ -492,8 +492,32 @@ def test_orbit_search_stops_past_the_index(monkeypatch):
         seed_orbit("2II", 1, 2)
 
 
+def test_orbit_certifies_that_it_holds_every_seed_variable(monkeypatch):
+    # without the h_r, x_0 is fixed: an orbit of 1 row divides the index
+    # 192/32, but x_1 is not in it, so the seed's average is not read off it
+    cells = cw.generator_cells
+    monkeypatch.setattr(cw, "generator_cells", lambda tag, g, p: cells(tag, g, p)[:-g])
+    seed_orbit.cache_clear()
+    with pytest.raises(ClosureError, match="x_1 of the seed is not in the orbit of x_0"):
+        eisenstein_coset("2II", 1, 8)
+    seed_orbit.cache_clear()
+    assert len(seed_orbit("Q", 1, 3)) == 1  # S = {0}: x_0 alone is enough
+    seed_orbit.cache_clear()
+
+
+@pytest.mark.parametrize("key", [("2II", 3, 2), ("Q", 2, 3), ("2I", 1, 3)])
+def test_unpredicted_triples_are_refused_before_any_closure(monkeypatch, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was attempted")
+
+    monkeypatch.setattr(cw, "close_group", refuse)
+    for f in (group_closure, parabolic_closure, seed_orbit):
+        with pytest.raises(ValueError, match=r"no feasible closure for \("):
+            f(*key)
+
+
 def test_orbit_certificate_survives_python_O():
-    # index 192/48 = 4 is not a multiple of |O| = 3
+    # the search stops at 5 rows, past the index 192/48 = 4 (|O| is 6)
     code = (
         "import sys\n"
         "from cweil import cliffordweil as cw\n"
@@ -506,7 +530,7 @@ def test_orbit_certificate_survives_python_O():
     )
     out = _run_python_O(code)
     assert out.returncode == 3, out.stderr
-    assert "orbit of 3 keys does not divide the index 192/48" in out.stdout
+    assert "orbit of 5 rows does not divide the index 192/48" in out.stdout
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5])

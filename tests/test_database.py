@@ -224,6 +224,17 @@ def test_parse_duplicate_name():
         parse_db(E8_BLOCK + E8_BLOCK)
 
 
+@pytest.mark.parametrize("line", ["field 2", "type 2II", "length 8", "aut 1344", "note again"])
+def test_parse_repeated_key_names_its_line(line):
+    # a repeat used to overwrite the first value silently, even an equal one
+    text = E8_BLOCK.replace("gen 11110000", f"note first\n{line}\ngen 11110000")
+    key = line.split()[0]
+    with pytest.raises(DbParseError, match=f"^line 7: record 'e8' repeats {key}$") as exc:
+        parse_db(text)
+    assert exc.value.lineno == 7
+    assert parse_db(text.replace(f"first\n{line}\n", "first\n")).records[0].note == "first"
+
+
 def test_parse_wrong_aut_is_recomputed():
     bad = E8_BLOCK.replace("aut 1344", "aut 1343")
     with pytest.raises(DbParseError, match="claims aut 1343, computed 1344"):
