@@ -20,7 +20,8 @@ against the code itself.
 
 Intended scale: p = 2, N <= 24.  A length-16 code takes tens of
 milliseconds, a length-24 doubly-even code about a second.  Other fields
-raise ValueError, and a search past NODE_LIMIT nodes answers "unknown".
+raise ValueError; a longer code, or a search past NODE_LIMIT nodes, answers
+"unknown".
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _orbit(points, gens: list) -> set:
 
 @lru_cache(maxsize=64)
 def aut_order(C: LinearCode):
-    """|Aut(C)| of a binary code as an exact integer, or "unknown" past NODE_LIMIT.
+    """|Aut(C)| of a binary code as an exact integer, or "unknown" past its scale.
 
     Orbit-stabilizer product over the chain of stabilizers of columns
     0, 1, 2, ..., walked from the last level to the first.  An automorphism
@@ -222,6 +223,8 @@ def aut_order(C: LinearCode):
     """
     if C.p != 2:
         raise ValueError(f"aut_order handles binary codes only, got field {C.p}")
+    if C.n > 24:  # past the intended scale its words alone can fill memory
+        return "unknown"
     if C.k == 0 or C.k == C.n:
         return math.factorial(C.n)
     S = _AutSearch(C)

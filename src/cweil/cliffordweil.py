@@ -4,32 +4,36 @@ The group C_g attached to a self-dual code type is generated by
 
     m_u : x_v -> x_{uv}                       (u in GL_g(F_p))
     d_phi : x_v -> exp(2 pi i phi(v)) x_v     (phi a quadratic form of the type)
-    h_r : partial Fourier transform on the first r coordinates,
-          x_v -> p^(-r/2) sum_w exp(2 pi i sum_{i<=r} w_i v_i / p) x_w
-          over the w agreeing with v past the r-th coordinate.
+    h_r : x_v -> p^(-k/2) sum_w exp(2 pi i sum_(a,b) w_a v_b / p) x_w over the
+          w agreeing with v off the coordinates a, for the k = r kernel pairs
+          (a, b) = (i, i), i <= r: the partial Fourier transform.
+
+Each kind is built one way, as phase cells of `_phase_operator`.  A form's
+diagonal terms are (a x^2 + b x) / den by the per-type table FORM_RULE.  The
+middle factor of the doubling representative tau_r is h_r's Fourier operator
+(`_fourier_cells`) on the 2r kernel pairs (i, g+i) and (g+i, i).
 
 An Operator stores its matrix as an int64 array of power-basis numerators
-over a single common denominator, normalised by gcd; the product of two
-operators is one einsum against the cyclotomic structure-constants tensor.
-With our substitution convention, "act by A, then act by B" is the matrix
-product A*B — Operator.__matmul__ is exactly that product.  Every int64
-product first bounds its partial sums and raises Int64OverflowError rather
-than wrap.
+over a single common denominator, normalised by gcd.  Every product of
+operators, Operator.__matmul__ included, is one integer matmul against the
+right factor with the cyclotomic structure constants folded in (`_fold`,
+`_batch_mul`).  With our substitution convention, "act by A, then act by
+B" is the matrix product A*B.  Every int64 product first bounds its partial
+sums and raises Int64OverflowError rather than wrap.
 
 A closure is a union of right cosets H*r of the monomial subgroup
 H = <m_u, d_phi> (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory,
 ch. 5), found breadth first over the cosets of a reduced generating set.
 H is generated by some of the group's own generators, so it lies in the
 group.  The closure is one int8 stack of fingerprints (den, numerators),
-coset by coset; an entry outside int8 raises ClosureError.  Each batched
-product widens to int64: one integer matmul of the left numerators against
-the right factor with the structure constants folded in.  The tests compare
-the result with a plain Operator.__matmul__ breadth-first search and
-re-assert that every textbook generator lands inside.  Predicted orders
-come from the tabulated group data |Z| * |ker lambda|^2 * |G_g|; we keep
-the six desk-scale values, certify each closure against its value with a
-raised ClosureError, and refuse every other triple.  All six fit under
-CLOSURE_CAP, the bound close_group enforces.
+coset by coset; an entry outside int8 raises ClosureError, and each batched
+product widens to int64.  The tests compare the result with a plain
+breadth-first search of single products and re-assert that every textbook
+generator lands inside.  Predicted orders come from the tabulated group
+data |Z| * |ker lambda|^2 * |G_g|; we keep the six desk-scale values,
+certify each closure against its value with a raised ClosureError, and
+refuse every other triple.  All six fit under CLOSURE_CAP, the bound
+close_group enforces.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
@@ -144,12 +148,9 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same(self, (other.p, other.g, other.n))
-        T = mul_table(self.n)
-        d, phi = self.arr.shape[0], T.shape[0]
-        _check_int64(max(_absmax(self.arr) * _absmax(other.arr) * _absmax(T) * d * phi * phi,
-                         self.den * other.den), "an operator product")
-        arr = np.einsum("iks,kjt,stu->iju", self.arr, other.arr, T)
-        return Operator(self.p, self.g, self.n, arr, self.den * other.den)
+        raw, den = _batch_mul(self.arr[None], np.array([self.den]),
+                              _fold(other.arr, mul_table(self.n)), other.den)
+        return Operator(self.p, self.g, self.n, raw[0], int(den[0]))
 
     def conj_t(self) -> "Operator":
         C = conj_table(self.n)
@@ -194,19 +195,30 @@ def _check_same(op: Operator, pgn: tuple) -> None:
 # --- quadratic forms ----------------------------------------------------
 
 
-class QuadraticForm:
-    """diagonal labels per type plus a strictly upper-triangular F_p part.
+# Per type, den and the number of values of b in each diagonal term
+# (a x^2 + b x) / den of a form, 0 standing for p.  A label is (a, b).
+FORM_RULE = {"2I": (2, 1), "2II": (4, 1), "Q": (0, 1), "Q1": (0, 0)}
 
-    Evaluation is a rational mod 1: sum_i phi_i(v_i) + sum_{i<j} v_i m_ij v_j / p
-    with the x^2/2, x^2/4, x^2/p, (ax^2+bx)/p diagonal conventions of the
-    four types (integer lifts 0..p-1 of the entries).
+
+def _form_labels(tag: str, p: int) -> list:
+    """The diagonal labels (a, b) of the type, (0, 0) first."""
+    den, bs = (x or p for x in FORM_RULE[tag])
+    return list(iproduct(range(den), range(bs)))
+
+
+class QuadraticForm:
+    """diagonal labels (a, b), a lone a standing for (a, 0), plus a strictly
+    upper-triangular F_p part.
+
+    Evaluation is a rational mod 1: sum_i (a_i v_i^2 + b_i v_i) / den +
+    sum_{i<j} v_i m_ij v_j / p by FORM_RULE, on integer lifts 0..p-1.
     """
 
     __slots__ = ("tag", "g", "p", "diag", "offdiag")
 
     def __init__(self, tag: str, g: int, p: int, diag, offdiag=None):
         self.tag, self.g, self.p = tag, g, p
-        self.diag = tuple(diag)
+        self.diag = tuple(lab if isinstance(lab, tuple) else (lab, 0) for lab in diag)
         if len(self.diag) != g:
             raise ValueError(f"{len(self.diag)} diagonal labels for genus {g}")
         off = {} if offdiag is None else dict(offdiag)
@@ -216,36 +228,18 @@ class QuadraticForm:
         self.offdiag = off
 
     def __call__(self, v) -> Fraction:
-        p = self.p
+        p, den = self.p, FORM_RULE[self.tag][0] or self.p
         total = Fraction(0)
-        for i, x in enumerate(v):
-            x = x % p
-            a = self.diag[i]
-            if self.tag == "2I":
-                total += Fraction(a * x * x, 2)
-            elif self.tag == "2II":
-                total += Fraction(a * x * x, 4)
-            elif self.tag == "Q":
-                total += Fraction((a * x * x) % p, p)
-            else:
-                ai, bi = a
-                total += Fraction((ai * x * x + bi * x) % p, p)
+        for (a, b), x in zip(self.diag, v):
+            total += Fraction(a * (x % p) ** 2 + b * (x % p), den)
         for (i, j), m in self.offdiag.items():
             total += Fraction((v[i] * m * v[j]) % p, p)
         return total % 1
 
 
 def all_quadforms(tag: str, g: int, p: int):
-    if tag == "2I":
-        diags = iproduct(range(2), repeat=g)
-    elif tag == "2II":
-        diags = iproduct(range(4), repeat=g)
-    elif tag == "Q":
-        diags = iproduct(range(p), repeat=g)
-    else:
-        diags = iproduct(list(iproduct(range(p), range(p))), repeat=g)
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    for diag in diags:
+    for diag in iproduct(_form_labels(tag, p), repeat=g):
         for ms in iproduct(range(p), repeat=len(pairs)):
             off = {pos: m for pos, m in zip(pairs, ms) if m}
             yield QuadraticForm(tag, g, p, diag, off)
@@ -253,22 +247,13 @@ def all_quadforms(tag: str, g: int, p: int):
 
 def basis_quadforms(tag: str, g: int, p: int):
     """Forms with a single active slot; they generate all d_phi under products."""
-    out = []
-    zero_d = (0, 0) if tag == "Q1" else 0
-    for i in range(g):
-        if tag == "Q1":
-            for lab in [(1, 0), (0, 1)]:
-                diag = [zero_d] * g
-                diag[i] = lab
-                out.append(QuadraticForm(tag, g, p, diag))
-        else:
-            diag = [zero_d] * g
-            diag[i] = 1
-            out.append(QuadraticForm(tag, g, p, diag))
-    for i in range(g):
-        for j in range(i + 1, g):
-            out.append(QuadraticForm(tag, g, p, [zero_d] * g, {(i, j): 1}))
-    return out
+    labels = _form_labels(tag, p)
+    units = [lab for lab in [(1, 0), (0, 1)] if lab in labels]
+    zero = [(0, 0)] * g
+    out = [QuadraticForm(tag, g, p, zero[:i] + [lab] + zero[i + 1:])
+           for i in range(g) for lab in units]
+    return out + [QuadraticForm(tag, g, p, zero, {(i, j): 1})
+                  for i in range(g) for j in range(i + 1, g)]
 
 
 # --- generators ---------------------------------------------------------
@@ -313,19 +298,27 @@ def _d_cells(phi: QuadraticForm):
     return [(idx, idx, _phase(n, phi(index_vector(idx, p, g)))) for idx in range(p**g)], None
 
 
+def _fourier_cells(pairs: list, g: int, p: int):
+    """(cells, scale) of the Fourier operator on the kernel pairs (a, b):
+    x_v -> p^(-k/2) sum_w exp(2 pi i sum w_a v_b / p) x_w, w = v off the a's."""
+    n, free = run_conductor(p), [a for a, _ in pairs]
+    cells = []
+    for idx in range(p**g):
+        v = index_vector(idx, p, g)
+        for vals in iproduct(range(p), repeat=len(free)):
+            w = list(v)
+            for a, x in zip(free, vals):
+                w[a] = x
+            phase = Fraction(sum(w[a] * v[b] for a, b in pairs), p)
+            cells.append((idx, var_index(w, p), _phase(n, phase)))
+    return cells, sqrt_prime_power(p, len(pairs), n) / p ** len(pairs)  # p^(-k/2), exactly
+
+
 def _h_cells(r: int, g: int, p: int):
     """(cells, scale) of h_r, the partial Fourier transform on the first r coordinates."""
     if not 1 <= r <= g:
         raise ValueError(f"h_r needs 1 <= r <= g, got r = {r}, g = {g}")
-    n = run_conductor(p)
-    cells = []
-    for idx in range(p**g):
-        v = index_vector(idx, p, g)
-        for head in iproduct(range(p), repeat=r):
-            w = tuple(head) + v[r:]
-            cells.append((idx, var_index(w, p),
-                          _phase(n, Fraction(sum(w[i] * v[i] for i in range(r)), p))))
-    return cells, sqrt_prime_power(p, r, n) / p**r  # p^(-r/2), exactly
+    return _fourier_cells([(i, i) for i in range(r)], g, p)
 
 
 def gl_matrices(p: int, g: int):
@@ -429,15 +422,15 @@ def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
 def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
     """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
 
-    Each arrs[f] holds r rows of d entries: r = d for an operator, r = 1 for
-    one linear form.  xt is X folded by _fold; the stack is widened to int64
-    here, before any bound, and the products are one int64 matmul.
+    xt is X folded by _fold; the stack is widened to int64 here, before any
+    bound, and the products are one int64 matmul.  Operator.__matmul__ is
+    the stack of one.
     """
-    m, r, d, phi = arrs.shape
+    m, d, _, phi = arrs.shape
     arrs, dens = np.asarray(arrs, np.int64), np.asarray(dens, np.int64)
     _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, _absmax(dens) * xden),
                  "a batched operator product")
-    raw = (arrs.reshape(m * r, d * phi) @ xt).reshape(arrs.shape)
+    raw = (arrs.reshape(m * d, d * phi) @ xt).reshape(arrs.shape)
     out = dens * xden
     common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
     raw //= common[:, None, None, None]
@@ -746,43 +739,29 @@ def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:
 def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
     """pi(tau_r) on the genus-2g variables; r = 0 is the identity.
 
-    The product d_phi * h' * d'_r: the off-diagonal pairing phase
+    The product d_phi * h' * d_phi: the off-diagonal pairing phase
     phi(v) = sum_{i<=r} v_i v_{g+i} / p on both ends, and in the middle the
-    Fourier-type operator supported on the coordinates {1..r, g+1..g+r},
-    with kernel exp(2 pi i sum_{i<=r} (w_i v_{g+i} + w_{g+i} v_i)/p) and
-    normalisation p^(-r).
+    Fourier operator with the 2r kernel pairs (i, g+i) and (g+i, i), i <= r:
+    kernel exp(2 pi i sum_{i<=r} (w_i v_{g+i} + w_{g+i} v_i)/p), scale p^(-r).
     """
     if not 0 <= r <= g:
         raise ValueError(f"tau_r needs 0 <= r <= g, got r = {r}, g = {g}")
-    n = run_conductor(p)
-    gg = 2 * g
+    n, gg = run_conductor(p), 2 * g
     if r == 0:
         return Operator.identity(p, gg, n)
-    pairing = QuadraticForm(
-        tag, gg, p, [(0, 0) if tag == "Q1" else 0] * gg,
-        {(i, g + i): 1 for i in range(r)},
-    )
+    pairing = QuadraticForm(tag, gg, p, [(0, 0)] * gg, {(i, g + i): 1 for i in range(r)})
     d_pair = _phase_operator(p, gg, *_d_cells(pairing))
-    support = list(range(r)) + list(range(g, g + r))
-    cells = []
-    for idx in range(p**gg):
-        v = index_vector(idx, p, gg)
-        for vals in iproduct(range(p), repeat=2 * r):
-            w = list(v)
-            for pos, x in zip(support, vals):
-                w[pos] = x
-            phase = Fraction(sum(w[i] * v[g + i] + w[g + i] * v[i] for i in range(r)), p)
-            cells.append((idx, var_index(w, p), _phase(n, phase)))
-    h_mid = _phase_operator(p, gg, cells, CycNum.from_rat(n, Fraction(1, p**r)))
-    return d_pair @ h_mid @ d_pair
+    pairs = [(i, g + i) for i in range(r)] + [(g + i, i) for i in range(r)]
+    return d_pair @ _phase_operator(p, gg, *_fourier_cells(pairs, gg, p)) @ d_pair
 
 
 def delta_embed(g1: Operator, g2: Operator) -> Operator:
     """Delta(gamma_1, gamma_2) acting on genus-2g variables X_(v1,v2)."""
     _check_same(g1, (g2.p, g2.g, g2.n))
     p, g, n = g1.p, g1.g, g1.n
-    d = p**g
-    T = mul_table(n)
+    d, T, phi = p**g, mul_table(n), phi_degree(n)
+    _check_int64(max(_absmax(g1.arr) * _absmax(g2.arr) * _absmax(T) * phi * phi,
+                     g1.den * g2.den), "a Delta embedding")
     arr = np.einsum("ips,jqt,stu->ijpqu", g1.arr, g2.arr, T)
-    arr = arr.reshape(d * d, d * d, phi_degree(n))
+    arr = arr.reshape(d * d, d * d, phi)
     return Operator(p, 2 * g, n, arr, g1.den * g2.den)

@@ -20,7 +20,9 @@ from functools import cached_property
 from math import isqrt
 
 TYPES = ("2I", "2II", "Q", "Q1")
-WORD_BUDGET = 1 << 26
+# LinearCode.words holds every codeword: 2^20 of them take about 40 MB as
+# Python ints, and 3^12 tuples of length 24 about 130 MB.
+WORD_BUDGET = 1 << 20
 
 
 def field_fits(tag: str, p: int) -> bool:

@@ -140,10 +140,13 @@ def parse_db(text: str, verify_aut: float = AUT_CHECK_MAX_LENGTH) -> CodeDatabas
             if key == "complete":
                 try:
                     tag, n, count = rest.split()
-                    db.complete[(tag, int(n))] = int(count)
-                    complete_line[tag, int(n)] = lineno
+                    kind, count = (tag, int(n)), int(count)
                 except ValueError:
                     raise DbParseError(lineno, f"bad complete directive {rest!r}")
+                if kind in db.complete:
+                    raise DbParseError(lineno, f"complete {tag} {n} repeats line "
+                                               f"{complete_line[kind]}")
+                db.complete[kind], complete_line[kind] = count, lineno
             elif key == "code":
                 if not rest:
                     raise DbParseError(lineno, "code needs a name")

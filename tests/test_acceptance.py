@@ -17,23 +17,14 @@ import pytest
 
 from cweil.autgroup import aut_order
 from cweil.cli import main as cli_main
-from cweil.cliffordweil import (
-    Operator,
-    close_group,
-    coset_labels,
-    delta_embed,
-    eisenstein_coset,
-    generators,
-    group_closure,
-    parabolic_closure,
-    tau_operator,
-)
+from cweil.cliffordweil import eisenstein_coset, group_closure, parabolic_closure
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.doubling import const_c, const_conj, eisenstein_sw, verify_doubling
 from cweil.poly import Poly, tuple_profile
 from cweil.siegelphi import cusp_basis
 from cweil.weightenum import cwe
+from tests.test_cliffordweil import delta_cover
 from tests.test_siegelphi import in_span
 
 
@@ -234,35 +225,11 @@ def test_criterion_08_double_coset_cover(capsys):
         "two doubled-subgroup cells tile all 60 parabolic cosets disjointly",
         600.0,
     ):
-        G = group_closure("2II", 2, 2)
-        P = parabolic_closure("2II", 2, 2)
-        reps, label = coset_labels(G, P)
+        G, reps, sub, orbits = delta_cover("2II")
         assert len(reps) == 60
-        ident = Operator.identity(2, 1, 8)
-        dgens = [delta_embed(a, ident) for a in generators("2II", 1, 2)]
-        dgens += [delta_embed(ident, a) for a in generators("2II", 1, 2)]
-        sub = close_group(dgens)
         assert len(sub) == 4608  # the doubled image of C_1 x C_1
         for op in sub[:25]:
             assert op in G
-
-        def coset_of(op):
-            return label[G.index[op.fingerprint()]]
-
-        orbits = []
-        for r in (0, 1):
-            orb = {coset_of(tau_operator("2II", 1, r))}
-            frontier = list(orb)
-            while frontier:
-                nxt = []
-                for cid in frontier:
-                    for dgen in dgens:
-                        c2 = coset_of(reps[cid] @ dgen)
-                        if c2 not in orb:
-                            orb.add(c2)
-                            nxt.append(c2)
-                frontier = nxt
-            orbits.append(orb)
         assert tuple(len(o) for o in orbits) == (36, 24)
         assert not (orbits[0] & orbits[1])
         assert len(orbits[0] | orbits[1]) == 60

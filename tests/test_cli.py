@@ -9,6 +9,7 @@ import resource
 import runpy
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 
 import cweil
 import cweil.cli
-from cweil import autgroup
+from cweil import autgroup, database
 from cweil.autgroup import aut_order
 from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
@@ -414,6 +415,25 @@ def test_oversized_length_record_is_refused_under_a_memory_limit(tmp_path, argv,
     assert out.returncode == rc, out.stderr
     assert "Traceback" not in out.stderr
     assert f"{db}: line 1: record 'big' has length 99999999999" in out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cwe", "--code", "big", "--genus", "1"],
+    ["aut", "--code", "big", "--recompute"],
+    ["certify"],
+])
+def test_record_at_max_length_fits_a_memory_limit(tmp_path, argv):
+    # i2^(N/2) at N = MAX_LENGTH with a wrong aut order: at the length 52
+    # that MAX_LENGTH once allowed, certify ended in a MemoryError traceback
+    n = database.MAX_LENGTH
+    rows = "".join(f"gen {'0' * i}11{'0' * (n - i - 2)}\n" for i in range(0, n, 2))
+    db = tmp_path / "big.txt"
+    db.write_text(f"code big\nfield 2\ntype 2I\nlength {n}\naut 1\n{rows}end\n")
+    start = time.monotonic()
+    out = _python("-m", "cweil.cli", *argv, "--db", str(db), preexec_fn=_limit_address_space)
+    assert time.monotonic() - start < 30
+    assert out.returncode in (0, 1, 2), out.stderr
+    assert "Traceback" not in out.stderr
 
 
 NUMPY_FREE = [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -176,6 +177,8 @@ def test_coset_closure_matches_plain_matmul_bfs(key):
 
 @pytest.mark.parametrize("key", [("2II", 2, 2), ("Q1", 1, 3)])
 def test_batched_kernel_matches_matmul(key):
+    # oracle: the entries of each product as sums of CycNum products, since
+    # Operator.__matmul__ is itself a batched product of one
     rng = random.Random(7)
     gens = generators(*key)
 
@@ -191,9 +194,12 @@ def test_batched_kernel_matches_matmul(key):
         raw, dens = _batch_mul(np.stack([a.arr for a in left]),
                                np.array([a.den for a in left], dtype=np.int64),
                                _fold(right.arr, mul_table(right.n)), right.den)
+        d, zero = right.p**right.g, CycNum.zero(right.n)
         for a, arr, den in zip(left, raw, dens):
-            assert Operator(a.p, a.g, a.n, arr, int(den)) == a @ right
-            assert den == (a @ right).den
+            expect = [[sum((a.entry(i, k) * right.entry(k, j) for k in range(d)), zero)
+                       for j in range(d)] for i in range(d)]
+            assert Operator(a.p, a.g, a.n, arr, int(den)).entries() == expect
+            assert den == lcm(*(c.den for row in expect for c in row))  # gcd-normalised
 
 
 @pytest.mark.parametrize("tag", ["2I", "2II"])
@@ -234,6 +240,8 @@ def test_int64_overflow_raises_instead_of_wrapping():
         _batch_mul(big.arr[None], np.array([1]), _fold(big.arr, T), 1)
     with pytest.raises(Int64OverflowError):
         _fold(one.arr * 2**62, T)
+    with pytest.raises(Int64OverflowError):
+        delta_embed(big, big)
 
 
 def test_closure_certificates_raise(monkeypatch):
@@ -562,6 +570,26 @@ def test_seed_fixed_by_parabolic():
         assert op.apply(seed) == seed
 
 
+# sha256 over the fingerprints below, taken before the form rule, the Fourier
+# cells and the product kernel each had one construction: every operator
+# they build keeps its bytes
+OPERATOR_DIGEST = "63a744e6aa6aadbd5d769e07672da47227435efb041facdce687bc0548a285db"
+
+
+def test_operator_bytes_are_pinned():
+    h = hashlib.sha256()
+    for tag, g, p in sorted(set(PREDICTED_ORDER) | {("Q", 2, 3)}):
+        for reduced in (True, False):
+            for op in generators(tag, g, p, reduced):
+                h.update(op.fingerprint())
+        h.update(center_generator(tag, p, g).fingerprint())
+    for tag, g, p in [("2I", 1, 2), ("2I", 2, 2), ("2II", 1, 2), ("2II", 2, 2),
+                      ("Q", 1, 3), ("Q1", 1, 3)]:
+        for r in range(g + 1):
+            h.update(tau_operator(tag, g, r, p).fingerprint())
+    assert h.hexdigest() == OPERATOR_DIGEST
+
+
 @pytest.mark.parametrize("tag", ["2I", "2II"])
 def test_tau_operators(tag):
     assert tau_operator(tag, 1, 0) == Operator.identity(2, 2, 8)
@@ -585,18 +613,16 @@ DELTA_ORDERS = {"2I": 128, "2II": 4608}
 COVER_ORBITS = {"2I": (16, 8), "2II": (36, 24)}
 
 
-@pytest.mark.parametrize("tag", ["2I", "2II"])
-def test_delta_subgroup_and_coset_cover(tag):
+def delta_cover(tag: str):
+    """(G, reps, Delta, orbits) at genus 2 over F_2: the closure C_2, its
+    parabolic coset reps, the closure of Delta(C_1 x C_1), and the orbits of
+    Delta's generators on the parabolic cosets seeded from tau_0 and tau_1."""
     G = group_closure(tag, 2, 2)
     P = parabolic_closure(tag, 2, 2)
     reps, label = coset_labels(G, P)
     ident = Operator.identity(2, 1, 8)
     dgens = [delta_embed(a, ident) for a in generators(tag, 1, 2)]
     dgens += [delta_embed(ident, a) for a in generators(tag, 1, 2)]
-    sub = close_group(dgens)
-    assert len(sub) == DELTA_ORDERS[tag]
-    for op in sub[:50]:
-        assert op in G
 
     def coset_of(op):
         return label[G.index[op.fingerprint()]]
@@ -615,6 +641,15 @@ def test_delta_subgroup_and_coset_cover(tag):
                         nxt.append(c2)
             frontier = nxt
         orbits.append(orb)
+    return G, reps, close_group(dgens), orbits
+
+
+@pytest.mark.parametrize("tag", ["2I", "2II"])
+def test_delta_subgroup_and_coset_cover(tag):
+    G, reps, sub, orbits = delta_cover(tag)
+    assert len(sub) == DELTA_ORDERS[tag]
+    for op in sub[:50]:
+        assert op in G
     assert tuple(len(o) for o in orbits) == COVER_ORBITS[tag]
     assert not (orbits[0] & orbits[1])
     assert len(orbits[0] | orbits[1]) == len(reps)

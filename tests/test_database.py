@@ -224,9 +224,17 @@ def test_parse_duplicate_name():
         parse_db(E8_BLOCK + E8_BLOCK)
 
 
-@pytest.mark.parametrize("line", ["field 2", "type 2II", "length 8", "aut 1344", "note again"])
+@pytest.mark.parametrize("line", ["field 2", "type 2II", "length 8", "aut 1344", "note again",
+                                  "complete 2II 8 1"])
 def test_parse_repeated_key_names_its_line(line):
     # a repeat used to overwrite the first value silently, even an equal one
+    if line.startswith("complete"):  # a directive, repeated outside any record
+        text = f"complete 2II 8 5\n{line}\n" + E8_BLOCK
+        with pytest.raises(DbParseError, match="^line 2: complete 2II 8 repeats line 1$") as exc:
+            parse_db(text)
+        assert exc.value.lineno == 2
+        assert parse_db(text.replace("complete 2II 8 5\n", "")).complete == {("2II", 8): 1}
+        return
     text = E8_BLOCK.replace("gen 11110000", f"note first\n{line}\ngen 11110000")
     key = line.split()[0]
     with pytest.raises(DbParseError, match=f"^line 7: record 'e8' repeats {key}$") as exc:
