@@ -18,10 +18,11 @@ partitions stay comparable; any histogram mismatch prunes the branch.  At a
 discrete partition the candidate permutation is read off and verified
 against the code itself.
 
-Intended scale: p = 2, N <= 24.  A length-16 code takes tens of
-milliseconds, a length-24 doubly-even code about a second.  Other fields
-raise ValueError; a longer code, or a search past NODE_LIMIT nodes, answers
-"unknown".
+Intended scale: p = 2 and a 2^k x N word-column incidence of at most 2^18
+entries, which every code of length 24 and i2^13 at length 26 meet.  A
+length-16 code takes tens of milliseconds, a length-24 doubly-even code
+about a second.  Other fields raise ValueError; a larger code, or a search
+past NODE_LIMIT nodes, answers "unknown".
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ class _AutSearch:
         self.nodes = 0
         words = [w for w in C.words if w and w != (1 << C.n) - 1]
         self.members = frozenset(C.words)
-        M = np.zeros((len(words), C.n), dtype=bool)
-        for i, w in enumerate(words):
-            for j in range(C.n):
-                if (w >> j) & 1:
-                    M[i, j] = True
-        # the (word, column) incidence list, shared by both sides
-        self.rows, self.cols = np.nonzero(M)
+        # the (word, column) incidence list, shared by both sides: bit j of
+        # word i, unpacked from the words' little-endian bytes
+        size = (C.n + 7) // 8
+        packed = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), np.uint8)
+        self.rows, self.cols = np.nonzero(np.unpackbits(
+            packed.reshape(len(words), size), axis=1, count=C.n, bitorder="little"))
         self.winit = np.array([w.bit_count() for w in words], dtype=np.int64)
         self.gen_masks = [sum(b << i for i, b in enumerate(r)) for r in C.rows]
 
@@ -223,10 +223,10 @@ def aut_order(C: LinearCode):
     """
     if C.p != 2:
         raise ValueError(f"aut_order handles binary codes only, got field {C.p}")
-    if C.n > 24:  # past the intended scale its words alone can fill memory
-        return "unknown"
     if C.k == 0 or C.k == C.n:
         return math.factorial(C.n)
+    if C.n << C.k > 1 << 18:  # the 2^k x N incidence, refused before any word is built
+        return "unknown"
     S = _AutSearch(C)
     gens: list = []
     order = 1

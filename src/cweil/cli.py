@@ -81,7 +81,11 @@ def _db_for(args, tag: str, n: int) -> CodeDatabase:
 
 def _find_code(args):
     if args.db:
-        return _read_db(args.db)[args.code]
+        db = _read_db(args.db)
+        try:
+            return db[args.code]
+        except KeyError:
+            raise CliError(f"no such code {args.code!r}")
     fname = bundled_index()[0].get(args.code)
     if fname is None:
         raise CliError(f"no bundled code named {args.code!r}; use --db")
@@ -479,9 +483,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: no such code {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,23 +17,24 @@ An Operator stores its matrix as an int64 array of power-basis numerators
 over a single common denominator, normalised by gcd.  Every product of
 operators, Operator.__matmul__ included, is one integer matmul against the
 right factor with the cyclotomic structure constants folded in (`_fold`,
-`_batch_mul`).  With our substitution convention, "act by A, then act by
-B" is the matrix product A*B.  Every int64 product first bounds its partial
-sums and raises Int64OverflowError rather than wrap.
+`_batch_mul`), Delta(gamma_1, gamma_2) = (gamma_1 x 1)(1 x gamma_2) too.
+With our substitution convention, "act by A, then act by B" is the matrix
+product A*B.  Every int64 product first bounds its partial sums and raises
+Int64OverflowError rather than wrap.
 
 A closure is a union of right cosets H*r of the monomial subgroup
 H = <m_u, d_phi> (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory,
 ch. 5), found breadth first over the cosets of a reduced generating set.
 H is generated by some of the group's own generators, so it lies in the
-group.  The closure is one int8 stack of fingerprints (den, numerators),
-coset by coset; an entry outside int8 raises ClosureError, and each batched
-product widens to int64.  The tests compare the result with a plain
-breadth-first search of single products and re-assert that every textbook
-generator lands inside.  Predicted orders come from the tabulated group
-data |Z| * |ker lambda|^2 * |G_g|; we keep the six desk-scale values,
-certify each closure against its value with a raised ClosureError, and
-refuse every other triple.  All six fit under CLOSURE_CAP, the bound
-close_group enforces.
+group; H itself is closed as a union of cosets of {1}.  The closure is one
+int8 stack of fingerprints (den, numerators), coset by coset; an entry
+outside int8 raises ClosureError, and each batched product widens to
+int64.  The tests compare the result with a plain breadth-first search of
+single products and re-assert that every textbook generator lands inside.
+Predicted orders come from the tabulated group data |Z| * |ker lambda|^2 *
+|G_g|; we keep the six desk-scale values, certify each closure against its
+value with a raised ClosureError, and refuse every other triple.  All six
+fit under CLOSURE_CAP, the bound close_group enforces.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
@@ -382,9 +383,9 @@ class GroupClosure:
     Element i is arr[i] / den[i]; close_group makes arr and den int8 views of
     one (order, 1 + d*d*phi) stack whose row i is element i's fingerprint.
     The elements k*h .. (k+1)*h - 1 form the right coset H*r_k of the
-    subgroup H = sub (h = |H|, and h = 1 when sub is None), and r_k is the
-    first of them.  index maps each fingerprint to its position.  Indexing
-    builds int64 Operators on demand.
+    subgroup H = sub (h = |H|), and r_k is the first of them; a plain closure
+    is a coset closure over sub = None, H = {1}, h = 1.  index maps each
+    fingerprint to its position.  Indexing builds int64 Operators on demand.
     """
 
     def __init__(self, gens: list, sub, arr: np.ndarray, den: np.ndarray, index: dict):
@@ -457,7 +458,7 @@ def close_group(gens: list, sub: GroupClosure | None = None,
     """<gens> as a union of right cosets sub*r, breadth first over the cosets.
 
     sub must be generated by some of gens, so that it lies in the group; None
-    stands for {1} and gives the plain breadth-first closure.  Each level
+    stands for {1}, so a plain closure is this search over {1}.  Each level
     multiplies its coset reps by every generator, one batched product per
     generator; a product outside the cosets found so far opens the coset
     sub*y, one batched product more.  The union is then closed under right
@@ -489,11 +490,10 @@ def close_group(gens: list, sub: GroupClosure | None = None,
             raise ClosureError("cosets overlap: sub is not a group inside <gens>")
         stack[start:top] = np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, width)
 
-    if sub is None:
-        add([Operator.identity(p, g, n).fingerprint()])
-    else:
-        add(list(sub.index))
-        sub_arr, sub_den = sub.arr.astype(np.int64), sub.den.astype(np.int64)
+    one = Operator.identity(p, g, n)
+    sub_arr, sub_den = (one.arr[None], np.ones(1)) if sub is None else (sub.arr, sub.den)
+    sub_arr, sub_den = sub_arr.astype(np.int64), sub_den.astype(np.int64)
+    add(_keys(sub_arr, sub_den))
     folded = [(_fold(x.arr, T), x.den) for x in gens]
     frontier = [0]
     while frontier:
@@ -504,10 +504,7 @@ def close_group(gens: list, sub: GroupClosure | None = None,
                 if key in index:
                     continue
                 frontier.append(len(index))
-                if sub is None:
-                    add([key])
-                else:
-                    add(_keys(*_batch_mul(sub_arr, sub_den, _fold(y, T), int(yden))))
+                add(_keys(*_batch_mul(sub_arr, sub_den, _fold(y, T), int(yden))))
     if expect is not None and len(index) != expect:
         raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
     stack = stack[:len(index)]
@@ -756,12 +753,9 @@ def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
 
 
 def delta_embed(g1: Operator, g2: Operator) -> Operator:
-    """Delta(gamma_1, gamma_2) acting on genus-2g variables X_(v1,v2)."""
+    """Delta(gamma_1, gamma_2) = (gamma_1 x 1) @ (1 x gamma_2) on X_(v1,v2)."""
     _check_same(g1, (g2.p, g2.g, g2.n))
     p, g, n = g1.p, g1.g, g1.n
-    d, T, phi = p**g, mul_table(n), phi_degree(n)
-    _check_int64(max(_absmax(g1.arr) * _absmax(g2.arr) * _absmax(T) * phi * phi,
-                     g1.den * g2.den), "a Delta embedding")
-    arr = np.einsum("ips,jqt,stu->ijpqu", g1.arr, g2.arr, T)
-    arr = arr.reshape(d * d, d * d, phi)
-    return Operator(p, 2 * g, n, arr, g1.den * g2.den)
+    eye = np.eye(p**g, dtype=np.int64)[:, :, None]
+    left = Operator(p, 2 * g, n, np.kron(g1.arr, eye), g1.den)
+    return left @ Operator(p, 2 * g, n, np.kron(eye, g2.arr), g2.den)

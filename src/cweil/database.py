@@ -105,10 +105,12 @@ class CodeDatabase:
         return [r for r in self.records if r.tag == tag and r.n == n]
 
     def complete_records(self, tag: str, n: int) -> list[CodeRecord]:
-        """All class representatives for (tag, n); error if not declared so."""
+        """All class representatives for (tag, n); error unless declared, and nonempty."""
         if (tag, n) not in self.complete:
             raise ValueError(f"database not declared complete for {tag} N={n}")
         recs = self.matching(tag, n)
+        if not recs:
+            raise ValueError(f"database declares no {tag} classes of length {n}")
         for rec in recs:
             if rec.aut is None:
                 raise ValueError(f"record {rec.name} lacks an aut order")

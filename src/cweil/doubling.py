@@ -128,8 +128,6 @@ def predicted_scalar(tag: str, N: int, g: int, recs) -> tuple[Fraction, bool]:
 
     Type 2I has no proven constant; its value is the conjectural const_conj.
     """
-    if not recs:
-        raise ValueError(f"no {tag} records of length {N}")
     if tag == "2I":
         return const_conj(N, g), False
     return const_c(tag, N, g, recs[0].p) * factorial(N), True

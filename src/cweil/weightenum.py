@@ -5,13 +5,13 @@ where a_v counts the coordinates i with (c_1[i], ..., c_g[i]) = v.  The
 result is homogeneous of degree N in p^g variables with nonnegative integer
 coefficients summing to |C|^g.
 
-Two paths compute it: the generic definition (any p, any g, used as the
-oracle) and a bit-packed kernel for p = 2, N <= 64 that reads each occupancy
-count off a popcount of the column-pattern mask  AND_i (c_i or ~c_i).  At
-genus 2 every count follows from wt c_1, wt c_2 and |c_1 AND c_2|, so that
-kernel is one numpy histogram over those triples.  Genus 0 is the
-degenerate case: one empty tuple, cwe_0 = x^N in the single variable.
-Both paths refuse more than DEFAULT_BUDGET tuples.
+Binary codes with N <= 64 go to a popcount kernel at genus 1 and 2: at
+genus 1 the exponents are (N - wt c, wt c), and at genus 2 every count
+follows from wt c_1, wt c_2 and |c_1 AND c_2|, so that kernel is one numpy
+histogram over those triples.  Everything else, genus 0 and genus >= 3
+included, runs the definition, which is also the kernels' oracle.  Genus 0
+is the degenerate case: one empty tuple, cwe_0 = x^N in the single
+variable.  Both paths refuse more than DEFAULT_BUDGET tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def run_conductor(p: int) -> int:
 @lru_cache(maxsize=256)
 def cwe(C: LinearCode, g: int) -> Poly:
     """The genus-g complete weight enumerator of C."""
-    if C.p == 2 and C.n <= 64 and g >= 1:
+    if C.p == 2 and C.n <= 64 and g in (1, 2):
         return cwe_binary_fast(C, g)
     return cwe_generic(C, g)
 
@@ -61,34 +61,21 @@ def cwe_generic(C: LinearCode, g: int) -> Poly:
 
 
 def cwe_binary_fast(C: LinearCode, g: int) -> Poly:
-    """Popcount kernel for p = 2, N <= 64; output identical to cwe_generic."""
-    if C.p != 2 or C.n > 64 or g < 1:
-        raise ValueError(f"the popcount kernel needs p = 2, N <= 64 and g >= 1, "
+    """Popcount kernel for p = 2, N <= 64, g = 1 or 2; output identical to cwe_generic."""
+    if C.p != 2 or C.n > 64 or g not in (1, 2):
+        raise ValueError(f"the popcount kernel needs p = 2, N <= 64 and g = 1 or 2, "
                          f"got p = {C.p}, N = {C.n}, g = {g}")
     if len(C.words) ** g > DEFAULT_BUDGET:
         raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     n = C.n
-    full = (1 << n) - 1
-    d = 1 << g
     counts: dict[tuple, int] = {}
     if g == 1:
         for w in C.words:
             k = w.bit_count()
             key = (n - k, k)
             counts[key] = counts.get(key, 0) + 1
-    elif g == 2:
-        counts = _genus2_counts(C.words, n)
     else:
-        for tup in product(C.words, repeat=g):
-            exps = [0] * d
-            for v in range(d):
-                mask = full
-                for i, w in enumerate(tup):
-                    # bit g-1-i of v is the required value of codeword i
-                    mask &= w if (v >> (g - 1 - i)) & 1 else ~w & full
-                exps[v] = mask.bit_count()
-            key = tuple(exps)
-            counts[key] = counts.get(key, 0) + 1
+        counts = _genus2_counts(C.words, n)
     return Poly(2, g, n, run_conductor(2), counts)
 
 

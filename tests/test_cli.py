@@ -614,3 +614,40 @@ def test_aut_search_past_node_limit_answers_unknown(monkeypatch, tmp_path, capsy
 def test_unknown_code_in_a_db_file_is_a_usage_error(capsys):
     code, out, err = run(capsys, "cwe", "--db", TERNARY_DB, "--code", "e8", "--genus", "1")
     assert (code, out, err) == (2, "", "error: no such code 'e8'\n")
+
+
+def test_a_key_error_inside_a_command_escapes(monkeypatch):
+    # a missing --code is the one KeyError that is a usage error; any other
+    # is a defect and must not be reported as a missing code
+    def broken(args):
+        raise KeyError("e8")
+
+    monkeypatch.setattr(cweil.cli, "cmd_cwe", broken)
+    with pytest.raises(KeyError):
+        main(["cwe", "--code", "e8", "--genus", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["eisenstein", "--method", "siegel-weil"],
+    ["eisenstein", "--compare"],
+    ["verify-doubling"],
+])
+def test_complete_set_with_no_classes_is_a_usage_error(tmp_path, argv, capsys):
+    db = tmp_path / "empty.txt"
+    db.write_text("complete 2II 8 0\n")
+    code, out, err = run(capsys, *argv, "--type", "2II", "--length", "8", "--genus", "1",
+                         "--db", str(db))
+    assert (code, out, err) == (2, "", "error: database declares no 2II classes of length 8\n")
+
+
+def test_aut_certifies_a_code_past_length_24(tmp_path, capsys):
+    # i2^13 on the coordinate pairs (2i, 2i+1): |Aut| = 2^13 * 13!, and its
+    # 2^13 x 26 word-column incidence is within the search's bound
+    rows = "".join(f"gen {'0' * i}11{'0' * (24 - i)}\n" for i in range(0, 26, 2))
+    db = tmp_path / "i2x13.txt"
+    db.write_text(f"code i2x13\nfield 2\ntype 2I\nlength 26\naut 51011754393600\n{rows}end\n")
+    code, out, _ = run(capsys, "certify", "--db", str(db))
+    assert (code, out) == (0, f"ok   {db}: 1 records, 1 aut orders recomputed\n"
+                              "certify: all checks passed\n")
+    code, out, _ = run(capsys, "aut", "--recompute", "--db", str(db), "--code", "i2x13")
+    assert (code, out) == (0, "aut i2x13 = 51011754393600\n")

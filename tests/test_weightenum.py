@@ -10,8 +10,9 @@ from cweil.codes import code_from_rows
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.poly import tuple_profile
+from cweil.siegelphi import phi_op
 from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
-from tests.constructions import e8, golay24, i2, permute_code, table2_codes, tetracode
+from tests.constructions import direct_sum, e8, golay24, i2, permute_code, table2_codes, tetracode
 
 # genus-2 tuple coefficients of the seven length-16 classes, columns
 # (12,2,2) (10,4,2) (8,6,2) (8,4,4) (6,6,4) (8,4,2,2) (10,2,2,2)
@@ -92,7 +93,7 @@ def test_total_mass():
 
 
 def test_generic_equals_fast():
-    for C, g in [(e8(), 1), (e8(), 2), (i2(), 3)]:
+    for C, g in [(e8(), 1), (e8(), 2)]:
         assert cwe_generic(C, g) == cwe_binary_fast(C, g)
     rows = []
     for j in range(8):
@@ -101,6 +102,13 @@ def test_generic_equals_fast():
         rows.append(r)
     i2_8 = code_from_rows(2, 16, rows)
     assert cwe_generic(i2_8, 1) == cwe_binary_fast(i2_8, 1)
+
+
+def test_genus_3_definition_against_the_kernels_and_direct_sums():
+    # genus 3 runs the definition only: Phi ties it to the genus-2 histogram
+    # kernel, and the enumerator of a direct sum is the product of the parts'
+    assert phi_op(cwe(e8(), 3)) == cwe(e8(), 2)
+    assert cwe(direct_sum(i2(), e8()), 3) == cwe(i2(), 3) * cwe(e8(), 3)
 
 
 def test_permutation_invariance():
@@ -181,5 +189,6 @@ def test_codes_longer_than_64_take_the_generic_path():
 def test_popcount_kernel_refuses_odd_p_and_genus_0():
     with pytest.raises(ValueError, match="p = 2"):
         cwe_binary_fast(tetracode(), 1)
-    with pytest.raises(ValueError, match="g >= 1"):
-        cwe_binary_fast(e8(), 0)
+    for g in (0, 3):
+        with pytest.raises(ValueError, match="g = 1 or 2"):
+            cwe_binary_fast(e8(), g)
