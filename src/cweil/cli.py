@@ -55,9 +55,9 @@ class CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read database {path!r}: {exc}")
 
 
@@ -192,22 +192,29 @@ def cmd_constants(args) -> int:
         raise CliError(f"--length {N} is not a nonnegative multiple of "
                        f"|Z| = {center_order(tag, p)} for type {tag}")
 
-    def render(x: Fraction) -> str:
-        return scalar_factorial_form(x, N) if args.factorial else str(x)
+    def text(x: Fraction, factorial_form: bool = False) -> str:
+        try:
+            return scalar_factorial_form(x, N) if factorial_form else str(x)
+        except ValueError:  # an int past the interpreter's int-to-str digit limit
+            raise CliError(f"--length {N} gives a scalar of more than "
+                           f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                           f"for printing an integer")
 
-    print(f"type={tag} N={N} genus={g} field={p}")
+    lines = [f"type={tag} N={N} genus={g} field={p}"]
     if tag == "2I":
-        print("c: unproven for this type; conjectural value below")
+        lines.append("c: unproven for this type; conjectural value below")
     else:
         c = const_c(tag, N, g, p)
-        print(f"c = {c}")
-        print(f"c*N! = {render(c * factorial(N))}")
+        lines += [f"c = {text(c)}", f"c*N! = {text(c * factorial(N), args.factorial)}"]
     try:
-        print(f"b = {const_b(tag, N, g, p)}")
+        b = const_b(tag, N, g, p)
     except ValueError:
-        print("b: no mass-formula normalization for this type")
+        lines.append("b: no mass-formula normalization for this type")
+    else:
+        lines.append(f"b = {text(b)}")
     if tag == "2I" and p == 2:
-        print(f"conjecture c*N! = {render(const_conj(N, g))}")
+        lines.append(f"conjecture c*N! = {text(const_conj(N, g), args.factorial)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -217,6 +224,9 @@ def cmd_group(args) -> int:
     try:
         G = group_closure(tag, g, p)
         P = parabolic_closure(tag, g, p)
+        # P's generators, the center among them, lie in G: |G| / |P| is an index
+        if not all(x in G for x in P.gens):
+            raise ClosureError("the parabolic subgroup is not inside the group")
     except ClosureError as exc:  # a failed structure check, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,32 +9,32 @@ The group C_g attached to a self-dual code type is generated by
           (a, b) = (i, i), i <= r: the partial Fourier transform.
 
 Each kind is built one way, as phase cells of `_phase_operator`.  A form's
-diagonal terms are (a x^2 + b x) / den by the per-type table FORM_RULE.  The
-middle factor of the doubling representative tau_r is h_r's Fourier operator
-(`_fourier_cells`) on the 2r kernel pairs (i, g+i) and (g+i, i).
+diagonal terms are (a x^2 + b x) / den by the per-type table FORM_RULE, and
+h_r's Fourier operator (`_fourier_cells`) takes any list of kernel pairs.
 
 An Operator stores its matrix as an int64 array of power-basis numerators
 over a single common denominator, normalised by gcd.  Every product of
 operators, Operator.__matmul__ included, is one integer matmul against the
-right factor with the cyclotomic structure constants folded in (`_fold`,
-`_batch_mul`), Delta(gamma_1, gamma_2) = (gamma_1 x 1)(1 x gamma_2) too.
-With our substitution convention, "act by A, then act by B" is the matrix
-product A*B.  Every int64 product first bounds its partial sums and raises
-Int64OverflowError rather than wrap.
+right factor, or a stack of right factors, with the cyclotomic structure
+constants folded in (`_fold`, `_batch_mul`).  With our substitution
+convention, "act by A, then act by B" is the matrix product A*B.  Every
+int64 product first bounds its partial sums and raises Int64OverflowError
+rather than wrap.
 
-A closure is a union of right cosets H*r of the monomial subgroup
-H = <m_u, d_phi> (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory,
-ch. 5), found breadth first over the cosets of a reduced generating set.
-H is generated by some of the group's own generators, so it lies in the
-group; H itself is closed as a union of cosets of {1}.  The closure is one
-int8 stack of fingerprints (den, numerators), coset by coset; an entry
-outside int8 raises ClosureError, and each batched product widens to
-int64.  The tests compare the result with a plain breadth-first search of
-single products and re-assert that every textbook generator lands inside.
-Predicted orders come from the tabulated group data |Z| * |ker lambda|^2 *
-|G_g|; we keep the six desk-scale values, certify each closure against its
-value with a raised ClosureError, and refuse every other triple.  All six
-fit under CLOSURE_CAP, the bound close_group enforces.
+Closures are built over the monomial subgroup H = <m_u, d_phi>
+(Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory, ch. 5), which is
+generated by some of the group's own generators, so it lies in the group.
+H and the parabolic subgroup are stored whole: close_group finds each as a
+union of right cosets H*r (H itself over {1}), breadth first over the
+cosets, in one int8 stack of fingerprints (den, numerators); an entry
+outside int8 raises ClosureError, and each batched product widens to int64.
+C_g is not stored.  H is the stabiliser of the row x_0, so orbit_closure
+keeps H and one rep t_l per row of the orbit O of x_0, and certifies |C_g| =
+|O| |H| by Schreier's lemma.  Predicted orders come from the tabulated group
+data |Z| * |ker lambda|^2 * |G_g|; we keep the six desk-scale values,
+certify each closure against its value with a raised ClosureError, and
+refuse every other triple.  The tests compare C_g with the full coset
+closure and with a plain breadth-first search of single products.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
@@ -43,7 +43,7 @@ to.  (The bare <m_u, d_phi> monoid contains no nontrivial scalar, so its
 cosets would overcount by |Z| / |Z ∩ <m,d>|; the averaged series itself is
 identical either way, the seed being scalar-invariant.)  The parabolic
 subgroup is laid out over the same H as C_g, so its cosets in C_g are read
-off the H-cosets: P*r is the union of H*s*r over P's coset reps s.
+off the H-cosets: P*t is the union of H*s*t over P's coset reps s.
 
 The Eisenstein average needs no closure, no Operator and no numpy: it is
 a power sum over the orbit of the row x_0 modulo the central phases (see
@@ -390,7 +390,6 @@ class GroupClosure:
 
     def __init__(self, gens: list, sub, arr: np.ndarray, den: np.ndarray, index: dict):
         self.gens, self.sub, self.arr, self.den, self.index = gens, sub, arr, den, index
-        self.h = 1 if sub is None else sub.order
 
     @property
     def order(self) -> int:
@@ -409,29 +408,37 @@ class GroupClosure:
         return op.fingerprint() in self.index
 
 
+@lru_cache(maxsize=None)
+def _table_bound(table: bytes) -> int:
+    """max |T[s,t,u]| of an int64 structure-constant table, taken once per table."""
+    return _absmax(np.frombuffer(table, dtype=np.int64))
+
+
 def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
     """X with the structure constants folded in, as a (d*phi) x (d*phi) matrix.
 
     Xt[(k,s),(j,u)] = sum_t X[k,j,t] T[s,t,u], so that A @ X is the integer
-    matmul A[(i),(k,s)] @ Xt of A's numerators.
+    matmul A[(i),(k,s)] @ Xt of A's numerators.  A stack of X folds to a
+    stack of Xt.
     """
-    d, _, phi = x.shape
-    _check_int64(_absmax(x) * _absmax(T) * phi, "folding an operator")
-    return np.einsum("kjt,stu->ksju", x, T).reshape(d * phi, d * phi)
+    d, _, phi = x.shape[-3:]
+    _check_int64(_absmax(x) * _table_bound(T.tobytes()) * phi, "folding an operator")
+    return np.einsum("...kjt,stu->...ksju", x, T).reshape(x.shape[:-3] + (d * phi, d * phi))
 
 
-def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden: int):
+def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden):
     """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
 
     xt is X folded by _fold; the stack is widened to int64 here, before any
-    bound, and the products are one int64 matmul.  Operator.__matmul__ is
+    bound, and the products are one int64 matmul.  Given a stack of folded
+    X and their dens, the product f takes the f-th.  Operator.__matmul__ is
     the stack of one.
     """
     m, d, _, phi = arrs.shape
     arrs, dens = np.asarray(arrs, np.int64), np.asarray(dens, np.int64)
-    _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, _absmax(dens) * xden),
+    _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, int(dens.max()) * int(np.max(xden))),
                  "a batched operator product")
-    raw = (arrs.reshape(m * d, d * phi) @ xt).reshape(arrs.shape)
+    raw = np.matmul(arrs.reshape(m, d, d * phi), xt).reshape(arrs.shape)
     out = dens * xden
     common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
     raw //= common[:, None, None, None]
@@ -451,6 +458,13 @@ def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
     b8, s = flat.astype(np.int8).tobytes(), flat.shape[1]
     return [b8[i * s:(i + 1) * s] if small[i] else flat[i].tobytes()
             for i in range(dens.size)]
+
+
+def _row_keys(rows: np.ndarray, dens: np.ndarray) -> list:
+    """Keys of the rows rows[f] / dens[f], (d, phi) each: _keys of the
+    gcd-normalised (den, numerators)."""
+    common = np.gcd(np.gcd.reduce(np.abs(rows).reshape(dens.size, -1), axis=1), dens)
+    return _keys(rows // common[:, None, None], dens // common)
 
 
 def close_group(gens: list, sub: GroupClosure | None = None,
@@ -525,12 +539,92 @@ def predicted_orders(tag: str, g: int, p: int) -> tuple[int, int]:
     return PREDICTED_ORDER[tag, g, p], PREDICTED_PARABOLIC[tag, g, p]
 
 
+class OrbitClosure:
+    """A finite matrix group G, the disjoint union of the cosets H*t_l.
+
+    H = sub fixes the row x_0 = (1, 0, .., 0), and t_l = t_arr[l] / t_den[l]
+    maps it to the l-th row of its orbit O; `rows` maps each row's key
+    (`_row_keys`) to l.  Element i is H[i % h] @ t_(i // h), the coset by
+    coset layout of a GroupClosure, but only H and the |O| reps are stored.
+    """
+
+    def __init__(self, gens: list, sub: GroupClosure, rows: dict, t_arr, t_den):
+        self.gens, self.sub, self.rows, self.t_arr, self.t_den = gens, sub, rows, t_arr, t_den
+        self.h = sub.order
+
+    @property
+    def order(self) -> int:
+        return self.h * self.t_den.size
+
+    def rep(self, l: int) -> Operator:
+        """t_l, the first element of the l-th coset (H[0] is the identity)."""
+        x = self.gens[0]
+        return Operator(x.p, x.g, x.n, self.t_arr[l], int(self.t_den[l]))
+
+    def __getitem__(self, i: int) -> Operator:
+        return self.sub[i % self.h] @ self.rep(i // self.h)
+
+    def __contains__(self, op: Operator) -> bool:
+        """op is in H*t_l for the l with x_0 op = x_0 t_l when op t_l* is in H."""
+        l = self.rows.get(_row_keys(op.arr[None, 0], np.array([op.den]))[0])
+        return l is not None and (op @ self.rep(l).conj_t()).fingerprint() in self.sub.index
+
+
+def orbit_closure(gens: list, sub: GroupClosure, expect: int) -> OrbitClosure:
+    """<gens> as the union of the cosets sub*t_l, by orbit-stabiliser.
+
+    sub must be generated by some of gens, and each of its generators must
+    fix the row x_0.  A breadth-first search over the orbit O of x_0, one
+    batched product per generator and level, finds a transversal: x_0 t_l is
+    the l-th row of O.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005, sections 4.1 and 4.4) the
+    stabiliser of x_0 is generated by the t_l s t_(ls)^-1 over l in O and s
+    in gens, and t^-1 = t* for unitary generators.  Each t_l s t_(ls)* is
+    tested for membership in sub, the tree edges t_(ls) = t_l s included:
+    sub is unitary, so those certify t* = t^-1 instead of assuming it.  Then
+    the stabiliser is sub, and |<gens>| = |O| |sub|.  A generator of sub
+    that moves x_0, an orbit past expect / |sub|, a Schreier generator
+    outside sub, and any order but expect each raise ClosureError.
+    """
+    p, g, n, h = gens[0].p, gens[0].g, gens[0].n, sub.order
+    T, one = mul_table(n), Operator.identity(p, g, n)
+    x0 = _row_keys(one.arr[None, 0], np.ones(1, np.int64))[0]
+    moved = _row_keys(np.stack([x.arr[0] for x in sub.gens]), np.array([x.den for x in sub.gens]))
+    if any(key != x0 for key in moved):
+        raise ClosureError("a generator of the subgroup moves x_0")
+    folded = [(_fold(x.arr, T), x.den) for x in gens]
+    rows, t_arr, t_den, frontier, products = {x0: 0}, [one.arr], [1], [0], []
+    while frontier:
+        arrs, dens = np.stack([t_arr[l] for l in frontier]), np.array([t_den[l] for l in frontier])
+        frontier = []
+        for xt, xden in folded:
+            raw, out = _batch_mul(arrs, dens, xt, xden)
+            keys = _row_keys(raw[:, 0], out)
+            for key, y, yden in zip(keys, raw, out):
+                if key not in rows:
+                    if (len(rows) + 1) * h > expect:
+                        raise ClosureError(f"closure order exceeds the predicted {expect}")
+                    frontier.append(len(rows))
+                    rows[key] = len(rows)
+                    t_arr.append(y)
+                    t_den.append(int(yden))
+            products.append((raw, out, [rows[key] for key in keys]))
+    t_arr, t_den = np.stack(t_arr), np.array(t_den, dtype=np.int64)
+    inverses = _fold(np.einsum("ljis,su->liju", t_arr, conj_table(n)), T)  # the t_l*
+    for raw, out, ls in products:
+        schreier = _keys(*_batch_mul(raw, out, inverses[ls], t_den[ls]))
+        if any(key not in sub.index for key in schreier):
+            raise ClosureError("a Schreier generator lies outside the subgroup")
+    if len(rows) * h != expect:
+        raise ClosureError(f"closure has order {len(rows) * h}, predicted {expect}")
+    return OrbitClosure(gens, sub, rows, t_arr, t_den)
+
+
 @lru_cache(maxsize=None)
-def group_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
-    """Full Clifford-Weil group at desk scale."""
+def group_closure(tag: str, g: int, p: int = 2) -> OrbitClosure:
+    """Full Clifford-Weil group at desk scale, as the cosets of H."""
     expect = predicted_orders(tag, g, p)[0]
-    return close_group(generators(tag, g, p, reduced=True),
-                       sub=_monomial_subgroup(tag, g, p), expect=expect)
+    return orbit_closure(generators(tag, g, p), _monomial_subgroup(tag, g, p), expect)
 
 
 @lru_cache(maxsize=None)
@@ -541,32 +635,31 @@ def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
                        sub=_monomial_subgroup(tag, g, p), expect=expect)
 
 
-def coset_labels(G: GroupClosure, P: GroupClosure):
+def coset_labels(G: OrbitClosure, P: GroupClosure):
     """reps plus the map element-index -> coset number, for orbit chasing.
 
-    G and P must be laid out over one subgroup H.  Then P*r is the union of
-    the H-cosets H*s*r over P's coset reps s, so each P-coset is read off
-    |P|/|H| lookups of one batched product.  Cosets are numbered in the order
-    of their first element in G.
+    G and P must be laid out over one subgroup H.  Then P*t is the union of
+    the H-cosets H*s*t over P's coset reps s, and the H-coset of s*t is read
+    off its row x_0 s t, so each P-coset is one batched product.  Cosets are
+    numbered in the order of their first element in G.
     """
     if P.sub is not G.sub:
         raise ValueError("G and P are not laid out over one subgroup")
     if G.order % P.order:
         raise ClosureError(f"|P| = {P.order} does not divide |G| = {G.order}")
     h = G.h
-    s_arr, s_den = P.arr[::h], P.den[::h]
-    if any(key not in G.index for key in _keys(s_arr, s_den)):
+    if not all(s in G for s in P[::h]):
         raise ClosureError("P is not a subgroup of G")
-    T = mul_table(G.gens[0].n)
+    s_arr, s_den, T = P.arr[::h], P.den[::h], mul_table(G.gens[0].n)
     hlabel = [-1] * (G.order // h)
     reps = []
     for j in range(len(hlabel)):
         if hlabel[j] >= 0:
             continue
-        x = G[j * h]
+        x = G.rep(j)
         raw, dens = _batch_mul(s_arr, s_den, _fold(x.arr, T), x.den)
-        for key in _keys(raw, dens):
-            k = G.index[key] // h
+        for key in _row_keys(raw[:, 0], dens):
+            k = G.rows[key]
             if hlabel[k] >= 0:
                 raise ClosureError("P-cosets overlap")
             hlabel[k] = len(reps)
@@ -728,34 +821,3 @@ def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:
             add(mult, one)
     den = D**N * scale
     return Poly(p, g, N, n, {m: CycNum(n, nums, den) for m, nums in acc.items()})
-
-
-# --- the doubling representatives tau_r ---------------------------------
-
-
-def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:
-    """pi(tau_r) on the genus-2g variables; r = 0 is the identity.
-
-    The product d_phi * h' * d_phi: the off-diagonal pairing phase
-    phi(v) = sum_{i<=r} v_i v_{g+i} / p on both ends, and in the middle the
-    Fourier operator with the 2r kernel pairs (i, g+i) and (g+i, i), i <= r:
-    kernel exp(2 pi i sum_{i<=r} (w_i v_{g+i} + w_{g+i} v_i)/p), scale p^(-r).
-    """
-    if not 0 <= r <= g:
-        raise ValueError(f"tau_r needs 0 <= r <= g, got r = {r}, g = {g}")
-    n, gg = run_conductor(p), 2 * g
-    if r == 0:
-        return Operator.identity(p, gg, n)
-    pairing = QuadraticForm(tag, gg, p, [(0, 0)] * gg, {(i, g + i): 1 for i in range(r)})
-    d_pair = _phase_operator(p, gg, *_d_cells(pairing))
-    pairs = [(i, g + i) for i in range(r)] + [(g + i, i) for i in range(r)]
-    return d_pair @ _phase_operator(p, gg, *_fourier_cells(pairs, gg, p)) @ d_pair
-
-
-def delta_embed(g1: Operator, g2: Operator) -> Operator:
-    """Delta(gamma_1, gamma_2) = (gamma_1 x 1) @ (1 x gamma_2) on X_(v1,v2)."""
-    _check_same(g1, (g2.p, g2.g, g2.n))
-    p, g, n = g1.p, g1.g, g1.n
-    eye = np.eye(p**g, dtype=np.int64)[:, :, None]
-    left = Operator(p, 2 * g, n, np.kron(g1.arr, eye), g1.den)
-    return left @ Operator(p, 2 * g, n, np.kron(eye, g2.arr), g2.den)

@@ -18,6 +18,7 @@ import pytest
 import cweil
 import cweil.cli
 from cweil import autgroup, database
+from cweil import cliffordweil as cw
 from cweil.autgroup import aut_order
 from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
@@ -80,6 +81,30 @@ def test_failed_order_certificate_exits_1(capsys, monkeypatch):
     assert err == "error: closure has order 16, predicted 17\n"
 
 
+def test_group_command_stores_no_group_larger_than_the_parabolic(capsys, monkeypatch):
+    # C_g is certified by orbit-stabiliser over H: the only closures that store
+    # their elements are H and P_g, so none is larger than |P_g| = 1536
+    calls = []
+    close = cw.close_group
+
+    def spy(gens, sub=None, expect=None):
+        calls.append(expect)
+        return close(gens, sub, expect)
+
+    caches = (cw._monomial_subgroup, group_closure, cw.parabolic_closure)
+    monkeypatch.setattr(cw, "close_group", spy)
+    for f in caches:
+        f.cache_clear()
+    try:
+        code, out, _ = run(capsys, "group", "--type", "2II", "--genus", "2")
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert code == 0
+    assert "group order: 92160\n" in out and "coset index: 60\n" in out
+    assert calls == [None, 1536]
+
+
 def test_group_q3(capsys):
     code, out, _ = run(capsys, "group", "--type", "Q", "--genus", "1",
                        "--field", "3", "--parabolic")
@@ -103,6 +128,42 @@ def test_coset_average_refusals(argv, err, capsys):
     # in this order: negative N, |Z| not dividing N, no predicted group order
     code, out, got = run(capsys, "eisenstein", "--type", "2II", *argv, "--method", "coset")
     assert (code, out, got) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cwe", "--code", "x", "--genus", "1"],
+    ["certify"],
+    ["verify-doubling", "--type", "2II", "--length", "8", "--genus", "1"],
+], ids=["cwe", "certify", "verify-doubling"])
+def test_db_file_that_is_not_utf8_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "latin.db"
+    path.write_bytes(b"code x\n\xff")
+    code, out, err = run(capsys, *argv, "--db", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read database {str(path)!r}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "2II", "--length", "2400"],
+    ["--type", "2I", "--length", "2000", "--factorial"],
+    ["--type", "2II", "--length", "344"],  # only b is past the limit
+])
+def test_constants_past_the_int_to_str_digit_limit_is_a_usage_error(argv, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    code, out, err = run(capsys, "constants", *argv, "--genus", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --length {argv[3]} gives a scalar of more than "
+                   f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                   f"printing an integer\n")
+
+
+def test_constants_below_the_digit_limit_prints_b(capsys):
+    code, out, _ = run(capsys, "constants", "--type", "2II", "--length", "336",
+                       "--genus", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("b = 1/2699227493560667385")
 
 
 def test_aut_declared(capsys):

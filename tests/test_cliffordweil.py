@@ -29,7 +29,6 @@ from cweil.cliffordweil import (
     center_order,
     close_group,
     coset_labels,
-    delta_embed,
     eisenstein_coset,
     generators,
     gl_generators,
@@ -39,7 +38,6 @@ from cweil.cliffordweil import (
     power_sum,
     seed_orbit,
     seed_poly,
-    tau_operator,
     _batch_mul,
     _d_cells,
     _fold,
@@ -51,6 +49,13 @@ from cweil.cliffordweil import (
 from cweil.cyclo import CycNum, mul_table, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe, run_conductor
+from tests.closures import (
+    delta_embed,
+    factored_keys,
+    full_closure,
+    generic_coset_labels,
+    tau_operator,
+)
 from tests.constructions import e8, tetracode
 
 def gen_m(u, p: int, g: int) -> Operator:
@@ -202,30 +207,54 @@ def test_batched_kernel_matches_matmul(key):
             assert den == lcm(*(c.den for row in expect for c in row))  # gcd-normalised
 
 
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_factored_closure_holds_the_oracle_elements(key):
+    G, oracle = group_closure(*key), full_closure(*key)
+    keys = factored_keys(G)
+    assert len(keys) == G.order == oracle.order
+    assert set(keys) == set(oracle.index)
+    assert [G[i].fingerprint() for i in (0, 1, G.h, G.order - 1)] == \
+        [keys[i] for i in (0, 1, G.h, G.order - 1)]
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_membership_agrees_with_the_oracle(key):
+    tag, g, p = key
+    G, oracle = group_closure(*key), full_closure(*key)
+    n, d = run_conductor(p), p**g
+    one = Operator.identity(p, g, n)
+    big = one.arr.copy()
+    big[d - 1, d - 1, 0] = 128  # x_0 is fixed, and the entry does not fit int8
+    zeta = _phase_operator(p, g, [(i, i, int(i == d - 1)) for i in range(d)])
+    inside = generators(tag, g, p, reduced=False) + [center_generator(tag, p, g)]
+    if g == 2:
+        inside.append(tau_operator(tag, 1, 1, p))
+    outside = [Operator(p, g, n, big, 1), Operator(p, g, n, one.arr * 128, 1),
+               zeta, zeta @ generators(tag, g, p)[-1]]
+    assert [op in oracle for op in inside + outside] == [True] * len(inside) + [False] * 4
+    assert [op in G for op in inside + outside] == [True] * len(inside) + [False] * 4
+
+
 @pytest.mark.parametrize("tag", ["2I", "2II"])
 def test_coset_labels_match_generic_labelling(tag):
     G, P = group_closure(tag, 2, 2), parabolic_closure(tag, 2, 2)
     reps, label = coset_labels(G, P)
     assert Counter(label) == dict.fromkeys(range(len(reps)), P.order)
-    # generic: walk G in order and label all of P*x, one einsum per coset
-    T = mul_table(8)
-    # keys through _keys, the fingerprint of Operator.fingerprint and G.index
-    where = dict(zip(_keys(G.arr, G.den), range(G.order)))
-    expect = [-1] * G.order
-    firsts = []
-    for i in range(G.order):
-        if expect[i] >= 0:
-            continue
-        x = G[i]
-        raw = np.einsum("fiks,kjt,stu->fiju", P.arr, x.arr, T, optimize=True)
-        dens = P.den * x.den
-        common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(len(raw), -1), axis=1), dens)
-        raw //= common[:, None, None, None]
-        for key in _keys(raw, dens // common):
-            expect[where[key]] = len(firsts)
-        firsts.append(x)
-    assert label == expect
-    assert reps == firsts
+    keys = factored_keys(G)
+    # each rep is the first element of its coset in G
+    assert [r.fingerprint() for r in reps] == [keys[label.index(c)] for c in range(len(reps))]
+    # the cosets of the full closure, labelled generically, are the same sets
+    oracle = full_closure(tag, 2, 2)
+    _, expect = generic_coset_labels(oracle, P)
+    oracle_keys = _keys(oracle.arr, oracle.den)
+
+    def cosets(labels, fingerprints) -> set:
+        out: dict = {}
+        for c, key in zip(labels, fingerprints):
+            out.setdefault(c, set()).add(key)
+        return {frozenset(keys) for keys in out.values()}
+
+    assert cosets(label, keys) == cosets(expect, oracle_keys)
 
 
 def test_int64_overflow_raises_instead_of_wrapping():
@@ -292,7 +321,7 @@ def test_closures_store_int8(key):
     tag, g, p = key
     n = run_conductor(p)
     size = (p**g) ** 2 * phi_degree(n)
-    G, P = group_closure(*key), parabolic_closure(*key)
+    G, P = full_closure(*key), parabolic_closure(*key)
     for X in (G, P):
         assert X.arr.dtype == X.den.dtype == np.int8
         assert X.arr.nbytes == X.order * size
@@ -318,6 +347,45 @@ def test_order_certificate_survives_python_O():
     out = _run_python_O(code)
     assert out.returncode == 3, out.stderr
     assert "closure has order 16, predicted 17" in out.stdout
+
+
+def test_orbit_closure_certificates_raise(monkeypatch):
+    # a subgroup generator that moves x_0 (h_1), an orbit past the predicted
+    # order, and a subgroup too small to hold the stabiliser of x_0 ({1}:
+    # the Schreier generator d_phi, which fixes x_0, lies outside it)
+    gens = generators("2II", 1, 2)
+    H = cw._monomial_subgroup("2II", 1, 2)
+    with pytest.raises(ClosureError, match="a generator of the subgroup moves x_0"):
+        cw.orbit_closure(gens, close_group(gens[-1:]), 192)
+    with pytest.raises(ClosureError, match="closure order exceeds the predicted 100"):
+        cw.orbit_closure(gens, H, 100)
+    with pytest.raises(ClosureError, match="a Schreier generator lies outside the subgroup"):
+        cw.orbit_closure(gens, close_group(gens[:1]), 192)
+    monkeypatch.setattr(cw, "_monomial_subgroup", lambda tag, g, p: close_group(gens[:1]))
+    group_closure.cache_clear()
+    try:
+        with pytest.raises(ClosureError, match="a Schreier generator lies outside the subgroup"):
+            group_closure("2II", 1, 2)
+    finally:
+        group_closure.cache_clear()
+
+
+def test_schreier_certificate_survives_python_O():
+    # under -O an assert would accept |O| |{1}| = 48 as the order
+    code = (
+        "import sys\n"
+        "from cweil import cliffordweil as cw\n"
+        "cw._monomial_subgroup = lambda tag, g, p: cw.close_group(cw.generators(tag, g, p)[:1])\n"
+        "cw.PREDICTED_ORDER[('2II', 1, 2)] = 48\n"
+        "try:\n"
+        "    cw.group_closure('2II', 1, 2)\n"
+        "except cw.ClosureError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(3)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 3, out.stderr
+    assert "a Schreier generator lies outside the subgroup" in out.stdout
 
 
 def test_cusp_and_generator_checks_survive_python_O():
@@ -405,7 +473,7 @@ def test_closure_refuses_unknown_or_oversized():
         group_closure("2II", 3, 2)
     with pytest.raises(ValueError):
         group_closure("Q", 1, 5)
-    # group_closure closes only predicted triples, and each fits under the cap
+    # group_closure takes only predicted triples, and each fits under the cap
     assert all(order <= CLOSURE_CAP for order in PREDICTED_ORDER.values())
 
 
@@ -614,12 +682,12 @@ COVER_ORBITS = {"2I": (16, 8), "2II": (36, 24)}
 
 
 def delta_cover(tag: str):
-    """(G, reps, Delta, orbits) at genus 2 over F_2: the closure C_2, its
-    parabolic coset reps, the closure of Delta(C_1 x C_1), and the orbits of
-    Delta's generators on the parabolic cosets seeded from tau_0 and tau_1."""
-    G = group_closure(tag, 2, 2)
-    P = parabolic_closure(tag, 2, 2)
-    reps, label = coset_labels(G, P)
+    """(G, reps, Delta, orbits) at genus 2 over F_2: the full closure C_2 (the
+    oracle), its parabolic coset reps, the closure of Delta(C_1 x C_1), and
+    the orbits of Delta's generators on the parabolic cosets seeded from
+    tau_0 and tau_1."""
+    G = full_closure(tag, 2, 2)
+    reps, label = generic_coset_labels(G, parabolic_closure(tag, 2, 2))
     ident = Operator.identity(2, 1, 8)
     dgens = [delta_embed(a, ident) for a in generators(tag, 1, 2)]
     dgens += [delta_embed(ident, a) for a in generators(tag, 1, 2)]
