@@ -17,13 +17,14 @@ from .autgroup import aut_order
 from .cliffordweil import (
     ClosureError,
     center_order,
+    coset_labels,
     eisenstein_coset,
     generators,
     group_closure,
     parabolic_closure,
     predicted_orders,
 )
-from .codes import TYPES, field_fits, is_prime
+from .codes import TYPES, field_fits, is_prime, mass_range
 from .database import (
     BUNDLED,
     CodeDatabase,
@@ -192,13 +193,15 @@ def cmd_constants(args) -> int:
         raise CliError(f"--length {N} is not a nonnegative multiple of "
                        f"|Z| = {center_order(tag, p)} for type {tag}")
 
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    too_long = CliError(f"--length {N} gives a scalar of more than {limit} digits, "
+                        f"Python's limit for printing an integer")
+
     def text(x: Fraction, factorial_form: bool = False) -> str:
         try:
             return scalar_factorial_form(x, N) if factorial_form else str(x)
         except ValueError:  # an int past the interpreter's int-to-str digit limit
-            raise CliError(f"--length {N} gives a scalar of more than "
-                           f"{sys.get_int_max_str_digits()} digits, Python's limit "
-                           f"for printing an integer")
+            raise too_long
 
     lines = [f"type={tag} N={N} genus={g} field={p}"]
     if tag == "2I":
@@ -207,6 +210,11 @@ def cmd_constants(args) -> int:
         c = const_c(tag, N, g, p)
         lines += [f"c = {text(c)}", f"c*N! = {text(c * factorial(N), args.factorial)}"]
     try:
+        # b's denominator prod (p^2g + p^i) exceeds p^(sum of the i) >= 2^bits;
+        # refuse it once 2^bits > 10^limit, before building its O(N^2) bits
+        bits = sum(mass_range(tag, N)) * (p.bit_length() - 1)
+        if limit and bits >= (10**limit).bit_length():
+            raise too_long
         b = const_b(tag, N, g, p)
     except ValueError:
         lines.append("b: no mass-formula normalization for this type")
@@ -224,9 +232,7 @@ def cmd_group(args) -> int:
     try:
         G = group_closure(tag, g, p)
         P = parabolic_closure(tag, g, p)
-        # P's generators, the center among them, lie in G: |G| / |P| is an index
-        if not all(x in G for x in P.gens):
-            raise ClosureError("the parabolic subgroup is not inside the group")
+        reps = coset_labels(G, P)[0]  # P lies in G, and its cosets tile G
     except ClosureError as exc:  # a failed structure check, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -239,7 +245,7 @@ def cmd_group(args) -> int:
     print(f"center order: {center_order(tag, p)}")
     print(f"predicted order: {order} (match)")
     print(f"parabolic order: {P.order}")
-    print(f"coset index: {G.order // P.order}")
+    print(f"coset index: {len(reps)}")
     print(f"predicted parabolic: {parabolic} (match)")
     return 0
 

@@ -21,29 +21,28 @@ convention, "act by A, then act by B" is the matrix product A*B.  Every
 int64 product first bounds its partial sums and raises Int64OverflowError
 rather than wrap.
 
-Closures are built over the monomial subgroup H = <m_u, d_phi>
+Groups are built over the monomial subgroup H = <m_u, d_phi>
 (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory, ch. 5), which is
 generated by some of the group's own generators, so it lies in the group.
-H and the parabolic subgroup are stored whole: close_group finds each as a
-union of right cosets H*r (H itself over {1}), breadth first over the
-cosets, in one int8 stack of fingerprints (den, numerators); an entry
-outside int8 raises ClosureError, and each batched product widens to int64.
-C_g is not stored.  H is the stabiliser of the row x_0, so orbit_closure
-keeps H and one rep t_l per row of the orbit O of x_0, and certifies |C_g| =
-|O| |H| by Schreier's lemma.  Predicted orders come from the tabulated group
-data |Z| * |ker lambda|^2 * |G_g|; we keep the six desk-scale values,
-certify each closure against its value with a raised ClosureError, and
-refuse every other triple.  The tests compare C_g with the full coset
-closure and with a plain breadth-first search of single products.
+H is the one group stored whole: close_group closes it breadth first, each
+element int64 numerators over a den as in an Operator.  H is the stabiliser
+of the row x_0, so orbit_closure keeps every group above it as H plus one
+rep t_l per row of the orbit O of x_0, and certifies |G| = |O| |H| by
+Schreier's lemma.  C_g and the parabolic subgroup P_g are both built this
+way.  Predicted orders come from the tabulated group data |Z| *
+|ker lambda|^2 * |G_g|; we keep the six desk-scale values, certify each
+group against its value with a raised ClosureError, and refuse every other
+triple.  The tests compare both with closures that store every element.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
 Eisenstein average and the index counts |ker lambda| * prod (p^i + 1) refer
 to.  (The bare <m_u, d_phi> monoid contains no nontrivial scalar, so its
 cosets would overcount by |Z| / |Z ∩ <m,d>|; the averaged series itself is
-identical either way, the seed being scalar-invariant.)  The parabolic
-subgroup is laid out over the same H as C_g, so its cosets in C_g are read
-off the H-cosets: P*t is the union of H*s*t over P's coset reps s.
+identical either way, the seed being scalar-invariant.)  P_g's orbit of x_0
+is mu_z x_0, z = |Z|.  P_g is laid out over the same H as C_g, so its
+cosets in C_g are read off the H-cosets: P*t is the union of H*s*t over
+P's coset reps s.
 
 The Eisenstein average needs no closure, no Operator and no numpy: it is
 a power sum over the orbit of the row x_0 modulo the central phases (see
@@ -378,18 +377,15 @@ def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
 
 
 class GroupClosure:
-    """A finite matrix group, stored coset by coset as one int8 stack.
+    """A finite matrix group with every element stored.
 
-    Element i is arr[i] / den[i]; close_group makes arr and den int8 views of
-    one (order, 1 + d*d*phi) stack whose row i is element i's fingerprint.
-    The elements k*h .. (k+1)*h - 1 form the right coset H*r_k of the
-    subgroup H = sub (h = |H|), and r_k is the first of them; a plain closure
-    is a coset closure over sub = None, H = {1}, h = 1.  index maps each
-    fingerprint to its position.  Indexing builds int64 Operators on demand.
+    Element i is arr[i] / den[i], gcd-normalised as in an Operator;
+    element 0 is the identity.  index maps each fingerprint to its position.
+    Indexing builds int64 Operators on demand.
     """
 
-    def __init__(self, gens: list, sub, arr: np.ndarray, den: np.ndarray, index: dict):
-        self.gens, self.sub, self.arr, self.den, self.index = gens, sub, arr, den, index
+    def __init__(self, gens: list, arr: np.ndarray, den: np.ndarray, index: dict):
+        self.gens, self.arr, self.den, self.index = gens, arr, den, index
 
     @property
     def order(self) -> int:
@@ -449,9 +445,9 @@ def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden):
 def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
     """Fingerprints of normalised elements: the bytes of (den, numerators).
 
-    An element whose entries all fit in int8 is written in int8, as a
-    GroupClosure stores it, any other in int64; the two lengths differ, so
-    equal keys still mean equal elements.  close_group refuses int64 keys.
+    An element whose entries all fit in int8 is written in int8, any other
+    in int64; the two lengths differ, so equal keys still mean equal
+    elements.
     """
     flat = np.concatenate([dens[:, None], arrs.reshape(dens.size, -1)], axis=1)
     small = (flat.min(axis=1) >= -128) & (flat.max(axis=1) < 128)
@@ -467,63 +463,42 @@ def _row_keys(rows: np.ndarray, dens: np.ndarray) -> list:
     return _keys(rows // common[:, None, None], dens // common)
 
 
-def close_group(gens: list, sub: GroupClosure | None = None,
-                expect: int | None = None) -> GroupClosure:
-    """<gens> as a union of right cosets sub*r, breadth first over the cosets.
-
-    sub must be generated by some of gens, so that it lies in the group; None
-    stands for {1}, so a plain closure is this search over {1}.  Each level
-    multiplies its coset reps by every generator, one batched product per
-    generator; a product outside the cosets found so far opens the coset
-    sub*y, one batched product more.  The union is then closed under right
-    multiplication by the generators, so it is the whole group.  With expect,
-    any other order raises ClosureError, and so do growing past CLOSURE_CAP,
-    which is read at each call, and an element with an entry outside int8.
-    """
-    p, g, n, cap = gens[0].p, gens[0].g, gens[0].n, CLOSURE_CAP
-    T, shape, width = mul_table(n), gens[0].arr.shape, 1 + gens[0].arr.size
-    limit = cap if expect is None else min(cap, expect)
-    stack = np.empty((min(limit, 1024) if expect is None else limit, width), dtype=np.int8)
-    index: dict = {}
-
-    def add(keys) -> None:
-        nonlocal stack
-        start, top = len(index), len(index) + len(keys)
-        if top > cap:
-            raise ClosureError(f"closure exceeded the cap {cap}")
-        if expect is not None and top > expect:
-            raise ClosureError(f"closure order exceeds the predicted {expect}")
-        bad = next((np.frombuffer(k, np.int64) for k in keys if len(k) != width), None)
-        if bad is not None:
-            raise ClosureError(f"entries in [{bad.min()}, {bad.max()}] do not fit the int8 store")
-        if top > len(stack):
-            stack = np.concatenate([stack, np.empty((min(limit, 2 * top) - len(stack), width),
-                                                    dtype=np.int8)])
-        index.update(zip(keys, range(start, top)))
-        if len(index) != top:
-            raise ClosureError("cosets overlap: sub is not a group inside <gens>")
-        stack[start:top] = np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, width)
-
-    one = Operator.identity(p, g, n)
-    sub_arr, sub_den = (one.arr[None], np.ones(1)) if sub is None else (sub.arr, sub.den)
-    sub_arr, sub_den = sub_arr.astype(np.int64), sub_den.astype(np.int64)
-    add(_keys(sub_arr, sub_den))
-    folded = [(_fold(x.arr, T), x.den) for x in gens]
-    frontier = [0]
+def _walk(gens: list, key, limit: int, refusal: str):
+    """Breadth first from the identity: each level multiplies the elements
+    kept at the last level by every generator, one batched product each,
+    and keeps those with a new key(arrs, dens); keeping more than limit
+    raises ClosureError(refusal).  Returns key -> position, arr and den."""
+    one = Operator.identity(gens[0].p, gens[0].g, gens[0].n)
+    folded = [(_fold(x.arr, mul_table(one.n)), x.den) for x in gens]
+    index, arrs, dens, frontier = {key(one.arr[None], np.ones(1, np.int64))[0]: 0}, [one.arr], [1], [0]
     while frontier:
-        reps, frontier = stack[frontier], []
+        level = np.stack([arrs[l] for l in frontier]), np.array([dens[l] for l in frontier])
+        frontier = []
         for xt, xden in folded:
-            raw, dens = _batch_mul(reps[:, 1:].reshape((-1,) + shape), reps[:, 0], xt, xden)
-            for key, y, yden in zip(_keys(raw, dens), raw, dens):
-                if key in index:
-                    continue
-                frontier.append(len(index))
-                add(_keys(*_batch_mul(sub_arr, sub_den, _fold(y, T), int(yden))))
+            raw, out = _batch_mul(*level, xt, xden)
+            for k, y, yden in zip(key(raw, out), raw, out):
+                if k not in index:
+                    if len(index) >= limit:
+                        raise ClosureError(refusal)
+                    frontier.append(len(index))
+                    index[k] = len(index)
+                    arrs.append(y)
+                    dens.append(int(yden))
+    arr, den = np.stack(arrs), np.array(dens, dtype=np.int64)
+    arr.setflags(write=False)
+    den.setflags(write=False)
+    return index, arr, den
+
+
+def close_group(gens: list, expect: int | None = None) -> GroupClosure:
+    """<gens> with every element stored: the _walk over whole elements, up to
+    CLOSURE_CAP, which is read at each call.  With expect, any other order
+    raises ClosureError."""
+    cap = CLOSURE_CAP
+    index, arr, den = _walk(gens, _keys, cap, f"closure exceeded the cap {cap}")
     if expect is not None and len(index) != expect:
         raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
-    stack = stack[:len(index)]
-    stack.setflags(write=False)
-    return GroupClosure(gens, sub, stack[:, 1:].reshape((-1,) + shape), stack[:, 0], index)
+    return GroupClosure(gens, arr, den, index)
 
 
 @lru_cache(maxsize=None)
@@ -544,8 +519,8 @@ class OrbitClosure:
 
     H = sub fixes the row x_0 = (1, 0, .., 0), and t_l = t_arr[l] / t_den[l]
     maps it to the l-th row of its orbit O; `rows` maps each row's key
-    (`_row_keys`) to l.  Element i is H[i % h] @ t_(i // h), the coset by
-    coset layout of a GroupClosure, but only H and the |O| reps are stored.
+    (`_row_keys`) to l.  Element i is H[i % h] @ t_(i // h), but only H and
+    the |O| reps are stored.
     """
 
     def __init__(self, gens: list, sub: GroupClosure, rows: dict, t_arr, t_den):
@@ -574,44 +549,31 @@ def orbit_closure(gens: list, sub: GroupClosure, expect: int) -> OrbitClosure:
     """<gens> as the union of the cosets sub*t_l, by orbit-stabiliser.
 
     sub must be generated by some of gens, and each of its generators must
-    fix the row x_0.  A breadth-first search over the orbit O of x_0, one
-    batched product per generator and level, finds a transversal: x_0 t_l is
-    the l-th row of O.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook
+    fix the row x_0.  A breadth-first search over the orbit O of x_0, the
+    _walk keyed by the row x_0 t, finds a transversal: x_0 t_l is the l-th
+    row of O.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook
     of Computational Group Theory, 2005, sections 4.1 and 4.4) the
     stabiliser of x_0 is generated by the t_l s t_(ls)^-1 over l in O and s
     in gens, and t^-1 = t* for unitary generators.  Each t_l s t_(ls)* is
-    tested for membership in sub, the tree edges t_(ls) = t_l s included:
+    tested for membership in sub, two batched products per generator s over
+    all the t_l, the tree edges t_(ls) = t_l s included:
     sub is unitary, so those certify t* = t^-1 instead of assuming it.  Then
     the stabiliser is sub, and |<gens>| = |O| |sub|.  A generator of sub
     that moves x_0, an orbit past expect / |sub|, a Schreier generator
     outside sub, and any order but expect each raise ClosureError.
     """
-    p, g, n, h = gens[0].p, gens[0].g, gens[0].n, sub.order
-    T, one = mul_table(n), Operator.identity(p, g, n)
-    x0 = _row_keys(one.arr[None, 0], np.ones(1, np.int64))[0]
-    moved = _row_keys(np.stack([x.arr[0] for x in sub.gens]), np.array([x.den for x in sub.gens]))
-    if any(key != x0 for key in moved):
-        raise ClosureError("a generator of the subgroup moves x_0")
-    folded = [(_fold(x.arr, T), x.den) for x in gens]
-    rows, t_arr, t_den, frontier, products = {x0: 0}, [one.arr], [1], [0], []
-    while frontier:
-        arrs, dens = np.stack([t_arr[l] for l in frontier]), np.array([t_den[l] for l in frontier])
-        frontier = []
-        for xt, xden in folded:
-            raw, out = _batch_mul(arrs, dens, xt, xden)
-            keys = _row_keys(raw[:, 0], out)
-            for key, y, yden in zip(keys, raw, out):
-                if key not in rows:
-                    if (len(rows) + 1) * h > expect:
-                        raise ClosureError(f"closure order exceeds the predicted {expect}")
-                    frontier.append(len(rows))
-                    rows[key] = len(rows)
-                    t_arr.append(y)
-                    t_den.append(int(yden))
-            products.append((raw, out, [rows[key] for key in keys]))
-    t_arr, t_den = np.stack(t_arr), np.array(t_den, dtype=np.int64)
+    n, h, T = gens[0].n, sub.order, mul_table(gens[0].n)
+
+    def row_keys(arrs, dens) -> list:  # the keys of the rows x_0 x
+        return _row_keys(arrs[:, 0], dens)
+
+    _walk(sub.gens, row_keys, 1, "a generator of the subgroup moves x_0")  # sub fixes x_0
+    rows, t_arr, t_den = _walk(gens, row_keys, expect // h,
+                               f"closure order exceeds the predicted {expect}")
     inverses = _fold(np.einsum("ljis,su->liju", t_arr, conj_table(n)), T)  # the t_l*
-    for raw, out, ls in products:
+    for x in gens:
+        raw, out = _batch_mul(t_arr, t_den, _fold(x.arr, T), x.den)  # every t_l s
+        ls = [rows[key] for key in row_keys(raw, out)]
         schreier = _keys(*_batch_mul(raw, out, inverses[ls], t_den[ls]))
         if any(key not in sub.index for key in schreier):
             raise ClosureError("a Schreier generator lies outside the subgroup")
@@ -628,29 +590,29 @@ def group_closure(tag: str, g: int, p: int = 2) -> OrbitClosure:
 
 
 @lru_cache(maxsize=None)
-def parabolic_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
-    """<m_u, d_phi, center>: the coset denominator of the Eisenstein average."""
+def parabolic_closure(tag: str, g: int, p: int = 2) -> OrbitClosure:
+    """<m_u, d_phi, center>: the coset denominator of the Eisenstein average,
+    as the cosets of H, one per row of mu_z x_0."""
     expect = predicted_orders(tag, g, p)[1]
-    return close_group(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
-                       sub=_monomial_subgroup(tag, g, p), expect=expect)
+    return orbit_closure(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
+                         _monomial_subgroup(tag, g, p), expect)
 
 
-def coset_labels(G: OrbitClosure, P: GroupClosure):
+def coset_labels(G: OrbitClosure, P: OrbitClosure):
     """reps plus the map element-index -> coset number, for orbit chasing.
 
-    G and P must be laid out over one subgroup H.  Then P*t is the union of
-    the H-cosets H*s*t over P's coset reps s, and the H-coset of s*t is read
-    off its row x_0 s t, so each P-coset is one batched product.  Cosets are
-    numbered in the order of their first element in G.
+    G and P must be laid out over one subgroup H, and each of P's coset
+    reps s must lie in G, else P is no subgroup of G.  Then P*t is the union
+    of the H-cosets H*s*t, and the H-coset of s*t is read off its row
+    x_0 s t, so each P-coset is one batched product.  Cosets are numbered in
+    the order of their first element in G.
     """
     if P.sub is not G.sub:
         raise ValueError("G and P are not laid out over one subgroup")
-    if G.order % P.order:
-        raise ClosureError(f"|P| = {P.order} does not divide |G| = {G.order}")
     h = G.h
-    if not all(s in G for s in P[::h]):
+    if not all(P.rep(k) in G for k in range(P.t_den.size)):
         raise ClosureError("P is not a subgroup of G")
-    s_arr, s_den, T = P.arr[::h], P.den[::h], mul_table(G.gens[0].n)
+    s_arr, s_den, T = P.t_arr, P.t_den, mul_table(G.gens[0].n)
     hlabel = [-1] * (G.order // h)
     reps = []
     for j in range(len(hlabel)):

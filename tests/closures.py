@@ -1,11 +1,13 @@
-"""Test-side oracles of the Clifford-Weil groups: the full closure of C_g,
-the doubling representatives tau_r and the embedding Delta.
+"""Test-side oracles of the Clifford-Weil groups: closures that store every
+element, the doubling representatives tau_r and the embedding Delta.
 
-The library certifies |C_g| by orbit-stabiliser over the monomial subgroup
-H and stores only H and one coset rep per H-coset.  `full_closure` stores
-every element, by the breadth-first coset closure over H, as the independent
-oracle of that certificate and of the tests that look elements up by
-fingerprint.  Nothing in the cweil package imports this module.
+The library certifies |C_g| and |P_g| by orbit-stabiliser over the monomial
+subgroup H and stores only H and one coset rep per H-coset.  `full_closure`
+stores every element of C_g, by a breadth-first coset closure over H with
+no orbit and no Schreier step, and `stored_parabolic` every element of P_g,
+by the plain closure of its generators: the independent oracles of those
+certificates and of the tests that look elements up by fingerprint.
+Nothing in the cweil package imports this module.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from cweil.cliffordweil import (
     PREDICTED_ORDER,
+    PREDICTED_PARABOLIC,
     GroupClosure,
     Operator,
     OrbitClosure,
@@ -28,6 +31,7 @@ from cweil.cliffordweil import (
     _keys,
     _monomial_subgroup,
     _phase_operator,
+    center_generator,
     close_group,
     generators,
 )
@@ -37,10 +41,38 @@ from cweil.weightenum import run_conductor
 
 @lru_cache(maxsize=None)
 def full_closure(tag: str, g: int, p: int = 2) -> GroupClosure:
-    """Every element of C_g, closed coset by coset over H and certified
-    against its predicted order."""
-    return close_group(generators(tag, g, p), sub=_monomial_subgroup(tag, g, p),
-                       expect=PREDICTED_ORDER[tag, g, p])
+    """Every element of C_g as a union of right cosets H*y, breadth first:
+    a product of a coset rep by a generator outside the cosets found so far
+    opens its coset, one batched product.  Certified against the predicted
+    order, with no two cosets overlapping.  Every element fits in int8, so
+    it is stored as its fingerprint, the int8 bytes of (den, numerators)."""
+    gens, H = generators(tag, g, p), _monomial_subgroup(tag, g, p)
+    T = mul_table(gens[0].n)
+    folded = [(_fold(x.arr, T), x.den) for x in gens]
+    index, reps, cosets = dict(H.index), [(H.arr[0], H.den[0])], 1
+    while reps:
+        rep_arr, rep_den = np.stack([a for a, _ in reps]), np.array([d for _, d in reps])
+        reps = []
+        for xt, xden in folded:
+            raw, out = _batch_mul(rep_arr, rep_den, xt, xden)
+            for key, y, yden in zip(_keys(raw, out), raw, out):
+                if key not in index:
+                    keys = _keys(*_batch_mul(H.arr, H.den, _fold(y, T), int(yden)))
+                    index.update(zip(keys, range(len(index), len(index) + len(keys))))
+                    reps.append((y, yden))
+                    cosets += 1
+    width = 1 + H.arr[0].size
+    assert len(index) == cosets * H.order == PREDICTED_ORDER[tag, g, p]
+    assert {len(key) for key in index} == {width}
+    flat = np.frombuffer(b"".join(index), dtype=np.int8).reshape(-1, width)
+    return GroupClosure(gens, flat[:, 1:].reshape((-1,) + H.arr.shape[1:]), flat[:, 0], index)
+
+
+@lru_cache(maxsize=None)
+def stored_parabolic(tag: str, g: int, p: int = 2) -> GroupClosure:
+    """Every element of P_g: the plain closure of its generators."""
+    gens = generators(tag, g, p)[:-g] + [center_generator(tag, p, g)]
+    return close_group(gens, expect=PREDICTED_PARABOLIC[tag, g, p])
 
 
 def factored_keys(G: OrbitClosure) -> list:

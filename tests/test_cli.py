@@ -81,15 +81,15 @@ def test_failed_order_certificate_exits_1(capsys, monkeypatch):
     assert err == "error: closure has order 16, predicted 17\n"
 
 
-def test_group_command_stores_no_group_larger_than_the_parabolic(capsys, monkeypatch):
-    # C_g is certified by orbit-stabiliser over H: the only closures that store
-    # their elements are H and P_g, so none is larger than |P_g| = 1536
+def test_group_command_stores_no_group_but_h(capsys, monkeypatch):
+    # C_g and P_g are certified by orbit-stabiliser over H: the only closure
+    # that stores its elements is H, of order 192
     calls = []
     close = cw.close_group
 
-    def spy(gens, sub=None, expect=None):
+    def spy(gens, expect=None):
         calls.append(expect)
-        return close(gens, sub, expect)
+        return close(gens, expect)
 
     caches = (cw._monomial_subgroup, group_closure, cw.parabolic_closure)
     monkeypatch.setattr(cw, "close_group", spy)
@@ -97,12 +97,27 @@ def test_group_command_stores_no_group_larger_than_the_parabolic(capsys, monkeyp
         f.cache_clear()
     try:
         code, out, _ = run(capsys, "group", "--type", "2II", "--genus", "2")
+        assert cw._monomial_subgroup("2II", 2, 2).order == 192
     finally:
         for f in caches:
             f.cache_clear()
     assert code == 0
     assert "group order: 92160\n" in out and "coset index: 60\n" in out
-    assert calls == [None, 1536]
+    assert calls == [None]
+
+
+def test_group_exits_1_when_a_parabolic_rep_lies_outside_the_group(capsys, monkeypatch):
+    # the diagonal phase (1, zeta_8) is not in C_1 (it moves no x_v and is
+    # not a d_phi); as a coset rep of P it makes P no subgroup of G
+    P = cw.parabolic_closure("2II", 1, 2)
+    zeta = cw._phase_operator(2, 1, [(0, 0, 0), (1, 1, 1)])
+    assert zeta not in group_closure("2II", 1, 2)
+    t_arr, t_den = P.t_arr.copy(), P.t_den.copy()
+    t_arr[1], t_den[1] = zeta.arr, zeta.den
+    fake = cw.OrbitClosure(P.gens, P.sub, P.rows, t_arr, t_den)
+    monkeypatch.setattr(cweil.cli, "parabolic_closure", lambda tag, g, p: fake)
+    code, out, err = run(capsys, "group", "--type", "2II", "--genus", "1")
+    assert (code, out, err) == (1, "", "error: P is not a subgroup of G\n")
 
 
 def test_group_q3(capsys):
@@ -157,6 +172,19 @@ def test_constants_past_the_int_to_str_digit_limit_is_a_usage_error(argv, capsys
     assert err == (f"error: --length {argv[3]} gives a scalar of more than "
                    f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                    f"printing an integer\n")
+
+
+def test_constants_refuses_a_long_b_before_computing_it():
+    # b's denominator at 2I, length 20000 has over 7 * 10^6 digits: it is
+    # refused from its bound, not built and then refused at printing
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    out = _python("-m", "cweil.cli", "constants", "--type", "2I", "--length", "20000",
+                  "--genus", "1", timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: --length 20000 gives a scalar of more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                          f"printing an integer\n")
 
 
 def test_constants_below_the_digit_limit_prints_b(capsys):
@@ -450,13 +478,13 @@ def test_group_parabolic_flag_changes_nothing(argv, capsys):
     assert run(capsys, *argv) == run(capsys, *argv, "--parabolic")
 
 
-def _python(*args, **kwargs):
+def _python(*args, timeout=120, **kwargs):
     """Run a fresh interpreter on this checkout's cweil."""
     src = os.path.dirname(os.path.dirname(cweil.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120, **kwargs)
+                          text=True, timeout=timeout, **kwargs)
 
 
 def _limit_address_space():

@@ -20,7 +20,6 @@ from cweil.cliffordweil import (
     CLOSURE_CAP,
     PREDICTED_ORDER,
     ClosureError,
-    GroupClosure,
     Int64OverflowError,
     Operator,
     QuadraticForm,
@@ -54,6 +53,7 @@ from tests.closures import (
     factored_keys,
     full_closure,
     generic_coset_labels,
+    stored_parabolic,
     tau_operator,
 )
 from tests.constructions import e8, tetracode
@@ -224,7 +224,7 @@ def test_membership_agrees_with_the_oracle(key):
     n, d = run_conductor(p), p**g
     one = Operator.identity(p, g, n)
     big = one.arr.copy()
-    big[d - 1, d - 1, 0] = 128  # x_0 is fixed, and the entry does not fit int8
+    big[d - 1, d - 1, 0] = 128  # x_0 is fixed, and the entry has an int64 fingerprint
     zeta = _phase_operator(p, g, [(i, i, int(i == d - 1)) for i in range(d)])
     inside = generators(tag, g, p, reduced=False) + [center_generator(tag, p, g)]
     if g == 2:
@@ -233,6 +233,18 @@ def test_membership_agrees_with_the_oracle(key):
                zeta, zeta @ generators(tag, g, p)[-1]]
     assert [op in oracle for op in inside + outside] == [True] * len(inside) + [False] * 4
     assert [op in G for op in inside + outside] == [True] * len(inside) + [False] * 4
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_parabolic_by_orbit_holds_the_plain_closure(key):
+    # P_g's orbit of x_0 is mu_z x_0, and its cosets of H hold exactly the
+    # elements of the plain closure of P_g's generators
+    tag, g, p = key
+    P, oracle = parabolic_closure(*key), stored_parabolic(*key)
+    assert P.t_den.size == center_order(tag, p)
+    keys = factored_keys(P)
+    assert len(keys) == P.order == oracle.order
+    assert set(keys) == set(oracle.index)
 
 
 @pytest.mark.parametrize("tag", ["2I", "2II"])
@@ -245,7 +257,7 @@ def test_coset_labels_match_generic_labelling(tag):
     assert [r.fingerprint() for r in reps] == [keys[label.index(c)] for c in range(len(reps))]
     # the cosets of the full closure, labelled generically, are the same sets
     oracle = full_closure(tag, 2, 2)
-    _, expect = generic_coset_labels(oracle, P)
+    _, expect = generic_coset_labels(oracle, stored_parabolic(tag, 2, 2))
     oracle_keys = _keys(oracle.arr, oracle.den)
 
     def cosets(labels, fingerprints) -> set:
@@ -279,56 +291,49 @@ def test_closure_certificates_raise(monkeypatch):
         close_group(gens, expect=191)
     with pytest.raises(ClosureError, match="predicted"):
         close_group(gens, expect=193)
-    # {1, d} with d of order 4 is no group: the coset {1, d} * d^3 meets it
-    d = gen_d(QuadraticForm("2II", 1, 2, (1,)))
-    group = close_group([d])
-    fake = GroupClosure([d], None, group.arr[:2], group.den[:2],
-                        dict(list(group.index.items())[:2]))
-    with pytest.raises(ClosureError, match="overlap"):
-        close_group([d @ d @ d], sub=fake)
     # the cap is read at call time
     monkeypatch.setattr(cw, "CLOSURE_CAP", 100)
     with pytest.raises(ClosureError, match="cap"):
         close_group(gens)
 
 
-def test_closure_refuses_an_entry_outside_int8():
-    # the powers of 2 * identity: 1 .. 64 fit in int8, the eighth element
-    # 128 * identity does not, and raises long before the cap
+def test_closure_refuses_an_int64_overflow():
+    # the powers of 2 * identity never close: the closure raises once a
+    # product could pass int64, long before the cap, and no power wraps
     one = Operator.identity(2, 1, 8)
-    with pytest.raises(ClosureError, match=r"entries in \[0, 128\] do not fit the int8 store"):
+    with pytest.raises(Int64OverflowError, match="a batched operator product could overflow"):
         close_group([Operator(2, 1, 8, one.arr * 2, 1)])
 
 
-def test_int8_refusal_survives_python_O():
+def test_int64_refusal_survives_python_O():
     code = (
         "import sys\n"
         "from cweil import cliffordweil as cw\n"
         "one = cw.Operator.identity(2, 1, 8)\n"
         "try:\n"
         "    cw.close_group([cw.Operator(2, 1, 8, one.arr * 2, 1)])\n"
-        "except cw.ClosureError as exc:\n"
+        "except cw.Int64OverflowError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(3)\n"
     )
     out = _run_python_O(code)
     assert out.returncode == 3, out.stderr
-    assert "entries in [0, 128] do not fit the int8 store" in out.stdout
+    assert "a batched operator product could overflow int64" in out.stdout
 
 
 @pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
 def test_closures_store_int8(key):
+    # every element of the groups has entries in int8, so its fingerprint
+    # is the int8 bytes of (den, numerators); the stored H keeps them int64
     tag, g, p = key
     n = run_conductor(p)
     size = (p**g) ** 2 * phi_degree(n)
-    G, P = full_closure(*key), parabolic_closure(*key)
-    for X in (G, P):
-        assert X.arr.dtype == X.den.dtype == np.int8
-        assert X.arr.nbytes == X.order * size
-    assert G[G.order - 1].arr.dtype == np.int64
+    G, H = full_closure(*key), cw._monomial_subgroup(*key)
+    assert {len(k) for k in G.index} == {len(k) for k in H.index} == {1 + size}
+    assert H.arr.dtype == H.den.dtype == np.int64
     # an operator outside int8 still has a fingerprint, and is not in G
     big = Operator(p, g, n, Operator.identity(p, g, n).arr * 128, 1)
-    assert big not in G
+    assert big not in G and big not in group_closure(*key)
     assert len(big.fingerprint()) == 8 * (1 + size)
 
 
@@ -687,7 +692,7 @@ def delta_cover(tag: str):
     the orbits of Delta's generators on the parabolic cosets seeded from
     tau_0 and tau_1."""
     G = full_closure(tag, 2, 2)
-    reps, label = generic_coset_labels(G, parabolic_closure(tag, 2, 2))
+    reps, label = generic_coset_labels(G, stored_parabolic(tag, 2, 2))
     ident = Operator.identity(2, 1, 8)
     dgens = [delta_embed(a, ident) for a in generators(tag, 1, 2)]
     dgens += [delta_embed(ident, a) for a in generators(tag, 1, 2)]

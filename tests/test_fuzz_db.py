@@ -4,7 +4,9 @@ Two properties of the exit-code contract.  parse_db either returns a
 CodeDatabase or raises DbParseError, whatever the text.  Each subcommand
 that reads a database, run with --db on a mutated file, exits 0, 1 or 2
 and never ends in a traceback.  The mutations are line deletions,
-duplications and swaps, token swaps and byte edits.
+duplications and swaps, token swaps and character edits; a third property
+edits the file's bytes, with arbitrary bytes and truncated multi-byte UTF-8
+sequences, and writes them in binary.
 
 Every example runs in one worker process under a 1 GB address-space limit,
 so that a regression that allocates without bound fails the test instead
@@ -32,13 +34,17 @@ from cweil.database import DbParseError, CodeDatabase, parse_db
 
 path = sys.argv[1]
 for line in sys.stdin:
-    argv, text = json.loads(line)
+    argv, text, binary = json.loads(line)
     try:
         if argv is None:
             res = "db" if isinstance(parse_db(text), CodeDatabase) else "other"
         else:
-            with open(path, "w") as fh:
-                fh.write(text)
+            if binary:
+                with open(path, "wb") as fh:
+                    fh.write(bytes.fromhex(text))
+            else:
+                with open(path, "w") as fh:
+                    fh.write(text)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
@@ -78,7 +84,8 @@ def _commands(name: str, tag: str, n: int, p: int) -> list[list[str]]:
 
 @pytest.fixture(scope="module")
 def worker(tmp_path_factory):
-    """Send (argv, text) to the worker; argv None means parse_db(text)."""
+    """Send (argv, text) to the worker; argv None means parse_db(text), and
+    bytes for text are written to the file as they are."""
     path = tmp_path_factory.mktemp("fuzz") / "db.txt"
     src = os.path.dirname(os.path.dirname(cweil.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -88,7 +95,8 @@ def worker(tmp_path_factory):
                           preexec_fn=_limit_address_space) as proc:
 
         def ask(argv, text):
-            proc.stdin.write(json.dumps([argv, text]) + "\n")
+            binary = isinstance(text, bytes)
+            proc.stdin.write(json.dumps([argv, text.hex() if binary else text, binary]) + "\n")
             proc.stdin.flush()
             reply = proc.stdout.readline()
             assert reply, f"the worker died on {argv} with\n{text}"
@@ -132,6 +140,25 @@ def mutated(draw, files):
     return fname, "\n".join(lines) + "\n"
 
 
+@st.composite
+def byte_mutated(draw, files):
+    """A bundled file's bytes after one to three byte edits, and its name: an
+    arbitrary byte string, or the first bytes of a character's UTF-8
+    encoding, inserted or overwriting at any point, the end included."""
+    fname = draw(st.sampled_from(sorted(files)))
+    data = _bundled_text(fname).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            chunk = draw(st.binary(min_size=1, max_size=4))
+        else:
+            full = draw(st.characters(min_codepoint=0x80)).encode("utf-8", "surrogatepass")
+            chunk = full[:draw(st.integers(1, len(full) - 1))]
+        cut = draw(st.integers(0, len(chunk)))
+        data = data[:pos] + chunk + data[pos + cut:]
+    return fname, data
+
+
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -149,3 +176,11 @@ def test_cli_on_a_mutated_db_keeps_the_exit_code_contract(worker, case, which, n
     fname, text = case
     argv = _commands(name, *CLI_FILES[fname])[which]
     assert worker(argv, text) in (0, 1, 2), (argv, text)
+
+
+@settings(FUZZ, max_examples=30)
+@given(case=byte_mutated(CLI_FILES), which=st.integers(0, 5), name=st.sampled_from(CODE_NAMES))
+def test_cli_on_a_byte_mutated_db_keeps_the_exit_code_contract(worker, case, which, name):
+    fname, data = case
+    argv = _commands(name, *CLI_FILES[fname])[which]
+    assert worker(argv, data) in (0, 1, 2), (argv, data)
