@@ -36,6 +36,7 @@ from .database import (
 )
 from .doubling import (
     basis_expansion,
+    c_valuation,
     const_b,
     const_c,
     const_conj,
@@ -197,6 +198,11 @@ def cmd_constants(args) -> int:
     too_long = CliError(f"--length {N} gives a scalar of more than {limit} digits, "
                         f"Python's limit for printing an integer")
 
+    def refuse_past_limit(exponent: int) -> None:
+        # p^|exponent| or more in a numerator or denominator is 2^bits > 10^limit
+        if limit and abs(exponent) * (p.bit_length() - 1) >= (10**limit).bit_length():
+            raise too_long
+
     def text(x: Fraction, factorial_form: bool = False) -> str:
         try:
             return scalar_factorial_form(x, N) if factorial_form else str(x)
@@ -207,14 +213,11 @@ def cmd_constants(args) -> int:
     if tag == "2I":
         lines.append("c: unproven for this type; conjectural value below")
     else:
+        refuse_past_limit(c_valuation(tag, N, g))
         c = const_c(tag, N, g, p)
         lines += [f"c = {text(c)}", f"c*N! = {text(c * factorial(N), args.factorial)}"]
     try:
-        # b's denominator prod (p^2g + p^i) exceeds p^(sum of the i) >= 2^bits;
-        # refuse it once 2^bits > 10^limit, before building its O(N^2) bits
-        bits = sum(mass_range(tag, N)) * (p.bit_length() - 1)
-        if limit and bits >= (10**limit).bit_length():
-            raise too_long
+        refuse_past_limit(sum(mass_range(tag, N)))  # b's denominator exceeds p^(sum of the i)
         b = const_b(tag, N, g, p)
     except ValueError:
         lines.append("b: no mass-formula normalization for this type")

@@ -91,6 +91,11 @@ def const_b(tag: str, N: int, g: int, p: int = 2) -> Fraction:
     return _sw_norm(tag, N, 2 * g, p)
 
 
+def c_valuation(tag: str, N: int, g: int) -> int:
+    """The exponent of p in const_c: c's p-adic valuation, as its other factors are prime to p."""
+    return g * g + (0 if tag == "Q" else 2 * g) - N * g // 2
+
+
 def const_c(tag: str, N: int, g: int, p: int = 2) -> Fraction:
     """The closed-form scalar c with <D(E_2g), f>_g = c * N! * f-bar.
 
@@ -100,16 +105,11 @@ def const_c(tag: str, N: int, g: int, p: int = 2) -> Fraction:
     """
     if tag == "2I":
         raise ValueError("type 2I has no proven constant; use const_conj")
-    if tag == "2II":
-        if p != 2:
-            raise ValueError(f"type 2II needs field 2, got {p}")
-        c = Fraction(2) ** (g * g + 2 * g - N * g // 2)
-    elif tag == "Q":
-        c = Fraction(p) ** (g * g - N * g // 2)
-    elif tag == "Q1":
-        c = Fraction(p) ** (g * g + 2 * g - N * g // 2)
-    else:
+    if tag not in ("2II", "Q", "Q1"):
         raise ValueError(tag)
+    if tag == "2II" and p != 2:
+        raise ValueError(f"type 2II needs field 2, got {p}")
+    c = Fraction(p) ** c_valuation(tag, N, g)
     for i in range(1, g + 1):
         c *= Fraction(p**i - 1, p ** (g + i) + 1)
     return c

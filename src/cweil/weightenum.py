@@ -7,27 +7,26 @@ coefficients summing to |C|^g.
 
 Binary codes with N <= 64 go to a popcount kernel at genus 1 and 2: at
 genus 1 the exponents are (N - wt c, wt c), and at genus 2 every count
-follows from wt c_1, wt c_2 and |c_1 AND c_2|, so that kernel is one numpy
-histogram over those triples.  Everything else, genus 0 and genus >= 3
-included, runs the definition, which is also the kernels' oracle.  Genus 0
-is the degenerate case: one empty tuple, cwe_0 = x^N in the single
-variable.  Both paths refuse more than DEFAULT_BUDGET tuples.
+follows from wt c_1, wt c_2 and |c_1 AND c_2|.  The genus-2 kernel counts
+one pair in eight with two exact symmetries of C x C: swapping c_1 and c_2
+swaps x_01 and x_10, and when C holds the all-ones word, as every self-dual
+binary code does, adding it to c_1 or c_2 permutes the variables.
+Everything else, genus 0 and genus >= 3 included, runs the definition,
+which is also the kernels' oracle.  Genus 0 is the degenerate case: one
+empty tuple, cwe_0 = x^N in the single variable.  Both paths refuse more
+than DEFAULT_BUDGET tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from ._lazy import lazy_import
 from .codes import LinearCode
 from .poly import Poly, var_index
 
-np = lazy_import("numpy")
-
 DEFAULT_BUDGET = 1 << 32
-# pairs per block of the genus-2 kernel: 256 KB per int64 temporary
-PAIR_CHUNK = 1 << 15
 
 
 def run_conductor(p: int) -> int:
@@ -68,46 +67,49 @@ def cwe_binary_fast(C: LinearCode, g: int) -> Poly:
     if len(C.words) ** g > DEFAULT_BUDGET:
         raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     n = C.n
-    counts: dict[tuple, int] = {}
     if g == 1:
-        for w in C.words:
-            k = w.bit_count()
-            key = (n - k, k)
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter((n - w.bit_count(), w.bit_count()) for w in C.words)
     else:
         counts = _genus2_counts(C.words, n)
     return Poly(2, g, n, run_conductor(2), counts)
 
 
 def _genus2_counts(words, n: int) -> dict:
-    """The genus-2 exponent tuples and their counts, from one histogram.
+    """The genus-2 exponent tuples and their counts, from one pair in eight.
 
-    Each ordered pair (c1, c2) falls into the bin (wt c1, wt c2, n11) of
-    (n+1)^3, where n11 = |c1 AND c2|; a bin gives the exponents
-    (n - wt c1 - wt c2 + n11, wt c2 - n11, wt c1 - n11, n11).  Popcounts go
-    through a byte table (numpy's bitwise_count needs numpy 2), and the bins
-    are filled by bincount a block of rows at a time, so that the
-    temporaries stay near PAIR_CHUNK entries at any |C|.
+    The pair (c1, c2) has the exponents (n - w1 - w2 + n11, w2 - n11,
+    w1 - n11, n11), where w = wt c and n11 = |c1 AND c2|.  The swap
+    (c1, c2) -> (c2, c1) is a bijection of C x C that swaps the middle two,
+    so each unordered pair of distinct words adds both orders, and the
+    diagonal adds (n - w, 0, 0, w).  If C holds the all-ones word 1, then
+    C + 1 = C and one word of each {c, c + 1} has bit n-1 clear: C x C is
+    the disjoint union of the translates of R x R by (e1 1, e2 1), R the
+    words with bit n-1 clear, and the translate by e maps x_v to x_(v+e).
+    Each c1 reads its n11 counts with bytes.count off one byte row per
+    weight class at or after it, so memory stays O(|C|).
     """
-    pop8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-    w = np.array(words, dtype=np.min_scalar_type((1 << n) - 1))
-
-    def popcount(a):  # uint8 holds any count up to 64
-        return pop8[a.view(np.uint8)].reshape(a.shape + (-1,)).sum(-1, dtype=np.uint8)
-
-    wt = popcount(w).astype(np.int64)
-    m, b = len(words), n + 1
-    left, right = wt * (b * b), wt * b
-    hist = np.zeros(b**3, dtype=np.int64)
-    step = max(1, PAIR_CHUNK // m)
-    for i in range(0, m, step):
-        bins = left[i:i + step, None] + right
-        bins += popcount(w[i:i + step, None] & w)
-        hist += np.bincount(bins.ravel(), minlength=b**3)
-    counts = {}
-    nonzero = np.flatnonzero(hist)
-    for k, count in zip(nonzero.tolist(), hist[nonzero].tolist()):
-        w1, rest = divmod(k, b * b)
-        w2, n11 = divmod(rest, b)
-        counts[(n - w1 - w2 + n11, w2 - n11, w1 - n11, n11)] = count
+    top = 1 << (n - 1)
+    klein = 2 * top - 1 in words
+    classes: dict[int, list] = {}
+    for w in words:
+        if not (klein and w & top):
+            classes.setdefault(w.bit_count(), []).append(w)
+    order = sorted(classes.items())
+    bins: Counter = Counter()
+    for i, (w1, cls1) in enumerate(order):
+        bins[n - w1, 0, 0, w1] = len(cls1)
+        for j, c1 in enumerate(cls1):
+            for w2, cls2 in order[i:]:
+                row = bytes(map(int.bit_count, map(c1.__and__, cls2[j + 1:] if w2 == w1 else cls2)))
+                for n11 in range(max(0, w1 + w2 - n), w1 + 1):
+                    if k := row.count(n11):
+                        a = n - w1 - w2 + n11
+                        for key in ((a, w2 - n11, w1 - n11, n11), (a, w1 - n11, w2 - n11, n11)):
+                            bins[key] += k
+    if not klein:
+        return bins
+    counts: Counter = Counter()
+    for (a, b, c, d), k in bins.items():
+        for key in ((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)):
+            counts[key] += k
     return counts

@@ -187,6 +187,20 @@ def test_constants_refuses_a_long_b_before_computing_it():
                           f"printing an integer\n")
 
 
+@pytest.mark.parametrize("tag, length", [("Q", 100_000_000), ("Q1", 120_000_000)])
+def test_constants_refuses_a_long_c_before_computing_it(tag, length):
+    # c = 3^e times factors prime to 3, with e = -5 * 10^7 for Q and e = 3 - 6 * 10^7
+    # for Q1: refused from e, not built (past 40 s) and then refused at printing
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
+                  "--genus", "1", "--field", "3", timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: --length {length} gives a scalar of more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                          f"printing an integer\n")
+
+
 def test_constants_below_the_digit_limit_prints_b(capsys):
     code, out, _ = run(capsys, "constants", "--type", "2II", "--length", "336",
                        "--genus", "1")
@@ -536,6 +550,9 @@ NUMPY_FREE = [
     "eisenstein --type 2II --length 8 --genus 2 --method coset",
     "eisenstein --type 2II --length 24 --genus 1 --method coset",
     "eisenstein --type Q1 --length 12 --genus 1 --field 3 --method coset",
+    "verify-doubling --type 2I --length 16 --genus 2 --factorial",
+    "cusp --type 2I --length 16 --genus 2 --polys",
+    "cwe --code e8 --genus 2",
 ]
 
 

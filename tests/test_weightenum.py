@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cweil import weightenum
-from cweil.codes import code_from_rows
+from cweil.codes import LinearCode, code_from_rows
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.poly import tuple_profile
 from cweil.siegelphi import phi_op
 from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
-from tests.constructions import direct_sum, e8, golay24, i2, permute_code, table2_codes, tetracode
+from tests.constructions import (direct_sum, e7, e8, golay24, i2, permute_code, table2_codes,
+                                 tetracode)
 
 # genus-2 tuple coefficients of the seven length-16 classes, columns
 # (12,2,2) (10,4,2) (8,6,2) (8,4,4) (6,6,4) (8,4,2,2) (10,2,2,2)
@@ -147,6 +147,13 @@ def test_genus2_kernel_matches_generic_on_bundled_2i16(rec):
     assert cwe_binary_fast(rec.code, 2) == cwe_generic(rec.code, 2)
 
 
+@pytest.mark.parametrize("rec", [rec for name in ("codes_2ii_n8", "codes_2ii_n16")
+                                 for rec in load_bundled(name).records],
+                         ids=lambda rec: rec.name)
+def test_genus2_kernel_matches_generic_on_bundled_2ii(rec):
+    assert cwe_binary_fast(rec.code, 2) == cwe_generic(rec.code, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.one_of(st.just(64), st.integers(min_value=1, max_value=64)),
        data=st.data())
@@ -157,19 +164,41 @@ def test_genus2_kernel_matches_generic_on_random_codes(n, data):
     else:
         words = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
         words = [w | (1 << (n - 1)) for w in words]  # every row uses bit n-1
+        if data.draw(st.booleans()):  # 1 in C: the Klein branch
+            words.append((1 << n) - 1)
     C = code_from_rows(2, n, [_bits(w, n) for w in words])
     assert cwe_binary_fast(C, 2) == cwe_generic(C, 2)
     assert cwe_binary_fast(C, 1) == cwe_generic(C, 1)
 
 
-def test_genus2_kernel_is_chunk_independent(monkeypatch):
-    C = table2_codes()["F16"]  # 256 words: 86 blocks of 3 rows, the last short
-    assert weightenum.PAIR_CHUNK // 256 < 256  # the default splits it too
-    whole = cwe_binary_fast(C, 2)
-    monkeypatch.setattr(weightenum, "PAIR_CHUNK", 3 * 256)
-    assert cwe_binary_fast(C, 2) == whole
-    monkeypatch.setattr(weightenum, "PAIR_CHUNK", 1)
-    assert cwe_binary_fast(C, 2) == whole
+def _f16_without_ones() -> LinearCode:
+    # the words of F16 with bit 15 clear: a subcode of index 2 missing 1
+    return LinearCode(2, 16, [_bits(w, 16) for w in table2_codes()["F16"].words if not w >> 15])
+
+
+_ONES64 = (1 << 64) - 1
+
+
+def _code64(*words: int) -> LinearCode:
+    return code_from_rows(2, 64, [_bits(w, 64) for w in words])
+
+
+@pytest.mark.parametrize("make, has_ones", [
+    (lambda: table2_codes()["F16"], True),
+    (_f16_without_ones, False),
+    (lambda: LinearCode(2, 16, []), False),
+    (lambda: code_from_rows(2, 16, ["1" * 16]), True),
+    (lambda: code_from_rows(2, 7, [r[:7] for r in e8().rows]), True),  # [7,4] Hamming
+    (e7, False),
+    (lambda: _code64(_ONES64, 0xFFFF, 1 << 63 | 0b1011), True),
+    (lambda: _code64(0xFFFF, 1 << 63 | 0b1011), False),
+], ids=["F16", "F16-without-1", "zero", "zero-and-1", "hamming7", "e7", "n64-with-1", "n64"])
+def test_genus2_kernel_matches_generic_on_both_branches(make, has_ones):
+    # with 1 in C the kernel counts a quarter of C x C and expands it under
+    # the Klein four-group; without it, it counts all of C x C
+    C = make()
+    assert ((1 << C.n) - 1 in C.words) == has_ones
+    assert cwe_binary_fast(C, 2) == cwe_generic(C, 2)
 
 
 def test_codes_longer_than_64_take_the_generic_path():
