@@ -105,7 +105,7 @@ def test_generic_equals_fast():
 
 
 def test_genus_3_definition_against_the_kernels_and_direct_sums():
-    # genus 3 runs the definition only: Phi ties it to the genus-2 histogram
+    # genus 3 runs the definition only: Phi ties it to the genus-2 popcount
     # kernel, and the enumerator of a direct sum is the product of the parts'
     assert phi_op(cwe(e8(), 3)) == cwe(e8(), 2)
     assert cwe(direct_sum(i2(), e8()), 3) == cwe(i2(), 3) * cwe(e8(), 3)
