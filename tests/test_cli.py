@@ -190,7 +190,7 @@ def test_constants_refuses_a_long_b_before_computing_it():
 @pytest.mark.parametrize("tag, length", [("Q", 100_000_000), ("Q1", 120_000_000)])
 def test_constants_refuses_a_long_c_before_computing_it(tag, length):
     # c = 3^e times factors prime to 3, with e = -5 * 10^7 for Q and e = 3 - 6 * 10^7
-    # for Q1: refused from e, not built (past 40 s) and then refused at printing
+    # for Q1: refused from e, not built over tens of seconds and then refused at printing
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this interpreter prints integers of any length")
     out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
