@@ -213,11 +213,15 @@ def cmd_constants(args) -> int:
     if tag == "2I":
         lines.append("c: unproven for this type; conjectural value below")
     else:
-        refuse_past_limit(c_valuation(tag, N, g))
+        # c = p^v A/B, A < B prime to p, B/A > p^(g*g): num >= p^v, den > p^(g*g - v)
+        v = c_valuation(tag, N, g)
+        refuse_past_limit(v)
+        refuse_past_limit(g * g - min(v, 0))
         c = const_c(tag, N, g, p)
         lines += [f"c = {text(c)}", f"c*N! = {text(c * factorial(N), args.factorial)}"]
     try:
-        refuse_past_limit(sum(mass_range(tag, N)))  # b's denominator exceeds p^(sum of the i)
+        r = mass_range(tag, N)  # b's denominator prod (p^2g + p^i) exceeds each p^max(2g, i)
+        refuse_past_limit(max(sum(r), 2 * g * len(r)))
         b = const_b(tag, N, g, p)
     except ValueError:
         lines.append("b: no mass-formula normalization for this type")

@@ -21,34 +21,31 @@ convention, "act by A, then act by B" is the matrix product A*B.  Every
 int64 product first bounds its partial sums and raises Int64OverflowError
 rather than wrap.
 
-Groups are built over the monomial subgroup H = <m_u, d_phi>
-(Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory, ch. 5), which is
-generated by some of the group's own generators, so it lies in the group.
-H is the one group stored whole: close_group closes it breadth first, each
-element int64 numerators over a den as in an Operator.  H is the stabiliser
-of the row x_0, so orbit_closure keeps every group above it as H plus one
-rep t_l per row of the orbit O of x_0, and certifies |G| = |O| |H| by
-Schreier's lemma.  C_g and the parabolic subgroup P_g are both built this
-way.  Predicted orders come from the tabulated group data |Z| *
-|ker lambda|^2 * |G_g|; we keep the six desk-scale values, certify each
-group against its value with a raised ClosureError, and refuse every other
-triple.  The tests compare both with closures that store every element.
+The orders and the coset index need no Operator and no numpy.  C_g acts on
+Omega, the lines of the rows reached from the x_v under the generators,
+each taken modulo the central phases mu_z, z = |Z|, in Python ints
+(`_Rows`: per phase cell, one product with a power of zeta in the one
+cyclotomic multiply `cyclo.mul_nums`).  Omega holds every x_v, so only the
+identity fixes its vectors, and C_g is this permutation group.
+`_LineAction` stores the monomial subgroup H = <m_u, d_phi>
+(Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory, ch. 5), which
+fixes x_0, and certifies by orbit-stabiliser that the stabiliser of the
+line [x_0] is P_g = H x mu_z, so [C_g : P_g] is the orbit's size.
+Predicted orders come from the tabulated group data |Z| * |ker lambda|^2 *
+|G_g|; we keep the six desk-scale values, certify each group against its
+value with a raised ClosureError, and refuse every other triple.  The tests
+compare all of it with matrix closures.
 
 The parabolic subgroup here is the saturation <m_u, d_phi, zeta*id> by the
 center: with scalars included, parabolic cosets are exactly what the
 Eisenstein average and the index counts |ker lambda| * prod (p^i + 1) refer
 to.  (The bare <m_u, d_phi> monoid contains no nontrivial scalar, so its
 cosets would overcount by |Z| / |Z ∩ <m,d>|; the averaged series itself is
-identical either way, the seed being scalar-invariant.)  P_g's orbit of x_0
-is mu_z x_0, z = |Z|.  P_g is laid out over the same H as C_g, so its
-cosets in C_g are read off the H-cosets: P*t is the union of H*s*t over
-P's coset reps s.
+identical either way, the seed being scalar-invariant.)
 
-The Eisenstein average needs no closure, no Operator and no numpy: it is
-a power sum over the orbit of the row x_0 modulo the central phases (see
-the comment above `seed_orbit`).  The orbit search runs in Python ints on
-the phase cells of `generator_cells`, each cell one product with a power of
-zeta in the one cyclotomic multiply `cyclo.mul_nums`.
+The Eisenstein average needs no closure either: it is a power sum over the
+orbit of the row x_0 modulo the central phases (see the comment above
+`seed_orbit`), found by the same row product.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, gcd, lcm
+from operator import itemgetter
 
 from ._lazy import lazy_import
 from .codes import rref
@@ -73,8 +71,6 @@ from .poly import Poly, apply_operator, index_vector, var_index
 from .weightenum import run_conductor
 
 np = lazy_import("numpy")
-
-CLOSURE_CAP = 200_000
 
 # |Z|, and the predicted closure orders |Z| * |ker lambda|^2 * |G_g| at desk
 # scale; everything larger goes through the mass-formula route instead.
@@ -323,12 +319,9 @@ def _h_cells(r: int, g: int, p: int):
 
 def gl_matrices(p: int, g: int):
     """All of GL_g(F_p) (g <= 2 scale)."""
-    out = []
-    for flat in iproduct(range(p), repeat=g * g):
-        u = [list(flat[i * g : (i + 1) * g]) for i in range(g)]
-        if len(rref(p, u)) == g:
-            out.append(u)
-    return out
+    flats = iproduct(range(p), repeat=g * g)
+    us = ([list(flat[i * g : (i + 1) * g]) for i in range(g)] for flat in flats)
+    return [u for u in us if len(rref(p, u)) == g]
 
 
 def gl_generators(p: int, g: int):
@@ -346,20 +339,16 @@ def gl_generators(p: int, g: int):
 
 def _primitive_root(p: int) -> int:
     for a in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * a % p
-            seen.add(x)
-        if len(seen) == p - 1:
+        if len({pow(a, k, p) for k in range(1, p)}) == p - 1:
             return a
     raise ValueError(p)
 
 
-def center_generator(tag: str, p: int, g: int) -> Operator:
-    """zeta_|Z| times the identity (|Z| divides the conductor of every type)."""
+def _center_cells(tag: str, p: int, g: int):
+    """(cells, scale) of zeta_|Z| times the identity (|Z| divides the
+    conductor of every type)."""
     k = run_conductor(p) // center_order(tag, p)
-    return _phase_operator(p, g, [(i, i, k) for i in range(p**g)])
+    return [(i, i, k) for i in range(p**g)], None
 
 
 def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
@@ -375,33 +364,6 @@ def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
     """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
     return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)]
 
-
-class GroupClosure:
-    """A finite matrix group with every element stored.
-
-    Element i is arr[i] / den[i], gcd-normalised as in an Operator;
-    element 0 is the identity.  index maps each fingerprint to its position.
-    Indexing builds int64 Operators on demand.
-    """
-
-    def __init__(self, gens: list, arr: np.ndarray, den: np.ndarray, index: dict):
-        self.gens, self.arr, self.den, self.index = gens, arr, den, index
-
-    @property
-    def order(self) -> int:
-        return self.den.size
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self.order))]
-        x = self.gens[0]
-        return Operator(x.p, x.g, x.n, self.arr[i], int(self.den[i]))
-
-    def __contains__(self, op: Operator) -> bool:
-        return op.fingerprint() in self.index
 
 
 @lru_cache(maxsize=None)
@@ -456,56 +418,6 @@ def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
             for i in range(dens.size)]
 
 
-def _row_keys(rows: np.ndarray, dens: np.ndarray) -> list:
-    """Keys of the rows rows[f] / dens[f], (d, phi) each: _keys of the
-    gcd-normalised (den, numerators)."""
-    common = np.gcd(np.gcd.reduce(np.abs(rows).reshape(dens.size, -1), axis=1), dens)
-    return _keys(rows // common[:, None, None], dens // common)
-
-
-def _walk(gens: list, key, limit: int, refusal: str):
-    """Breadth first from the identity: each level multiplies the elements
-    kept at the last level by every generator, one batched product each,
-    and keeps those with a new key(arrs, dens); keeping more than limit
-    raises ClosureError(refusal).  Returns key -> position, arr and den."""
-    one = Operator.identity(gens[0].p, gens[0].g, gens[0].n)
-    folded = [(_fold(x.arr, mul_table(one.n)), x.den) for x in gens]
-    index, arrs, dens, frontier = {key(one.arr[None], np.ones(1, np.int64))[0]: 0}, [one.arr], [1], [0]
-    while frontier:
-        level = np.stack([arrs[l] for l in frontier]), np.array([dens[l] for l in frontier])
-        frontier = []
-        for xt, xden in folded:
-            raw, out = _batch_mul(*level, xt, xden)
-            for k, y, yden in zip(key(raw, out), raw, out):
-                if k not in index:
-                    if len(index) >= limit:
-                        raise ClosureError(refusal)
-                    frontier.append(len(index))
-                    index[k] = len(index)
-                    arrs.append(y)
-                    dens.append(int(yden))
-    arr, den = np.stack(arrs), np.array(dens, dtype=np.int64)
-    arr.setflags(write=False)
-    den.setflags(write=False)
-    return index, arr, den
-
-
-def close_group(gens: list, expect: int | None = None) -> GroupClosure:
-    """<gens> with every element stored: the _walk over whole elements, up to
-    CLOSURE_CAP, which is read at each call.  With expect, any other order
-    raises ClosureError."""
-    cap = CLOSURE_CAP
-    index, arr, den = _walk(gens, _keys, cap, f"closure exceeded the cap {cap}")
-    if expect is not None and len(index) != expect:
-        raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
-    return GroupClosure(gens, arr, den, index)
-
-
-@lru_cache(maxsize=None)
-def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
-    """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
-    return close_group(generators(tag, g, p)[:-g])
-
 
 def predicted_orders(tag: str, g: int, p: int) -> tuple[int, int]:
     """(|C_g|, |P_g|) as tabulated; refuses every triple without a predicted order."""
@@ -514,121 +426,241 @@ def predicted_orders(tag: str, g: int, p: int) -> tuple[int, int]:
     return PREDICTED_ORDER[tag, g, p], PREDICTED_PARABOLIC[tag, g, p]
 
 
-class OrbitClosure:
-    """A finite matrix group G, the disjoint union of the cosets H*t_l.
+# --- C_g acting on the lines of the x_v orbit ----------------------------
 
-    H = sub fixes the row x_0 = (1, 0, .., 0), and t_l = t_arr[l] / t_den[l]
-    maps it to the l-th row of its orbit O; `rows` maps each row's key
-    (`_row_keys`) to l.  Element i is H[i % h] @ t_(i // h), but only H and
-    the |O| reps are stored.
+
+class _Rows:
+    """The one row product of the orbit searches, in Python ints.
+
+    A row (den, numerators) is the form sum_w (numerators[w] / den) x_w.
+    `canon` gives one as (a, least): the row is zeta_z^a * least, least the
+    gcd-normalised least of its multiples by mu_z (None for the zero row).
+    Distinct phases move the first nonzero entry apart, so it alone picks
+    the least multiple.  `image` is a row times the (cells, scale) of a
+    generator (`generator_cells`), the same way.
     """
 
-    def __init__(self, gens: list, sub: GroupClosure, rows: dict, t_arr, t_den):
-        self.gens, self.sub, self.rows, self.t_arr, self.t_den = gens, sub, rows, t_arr, t_den
-        self.h = sub.order
+    def __init__(self, p: int, g: int, z: int):
+        self.n, self.d, self.z = run_conductor(p), p**g, z
+        self.table, self.zero = _power_table(self.n), (0,) * phi_degree(self.n)
+        self.phases = [self.table[k] for k in range(0, self.n, self.n // z)]
+        self.least: dict = {}  # a first nonzero entry -> the j making zeta_z^j * it least
 
-    @property
-    def order(self) -> int:
-        return self.h * self.t_den.size
+    def canon(self, den: int, nums: list):
+        lead = next((tuple(a) for a in nums if any(a)), None)
+        if lead is None:
+            return None
+        n, phases = self.n, self.phases
+        j = self.least.get(lead)
+        if j is None:
+            j = self.least[lead] = min(range(self.z), key=lambda j: mul_nums(n, lead, phases[j]))
+        common = gcd(den, *(x for a in nums for x in a))
+        if j:
+            nums = [mul_nums(n, a, phases[j]) for a in nums]
+        return -j % self.z, (den // common, tuple(tuple(x // common for x in a) for a in nums))
 
-    def rep(self, l: int) -> Operator:
-        """t_l, the first element of the l-th coset (H[0] is the identity)."""
-        x = self.gens[0]
-        return Operator(x.p, x.g, x.n, self.t_arr[l], int(self.t_den[l]))
+    def unit(self, v: int) -> tuple:
+        return self.canon(1, [self.table[0] if w == v else self.zero for w in range(self.d)])
 
-    def __getitem__(self, i: int) -> Operator:
-        return self.sub[i % self.h] @ self.rep(i // self.h)
+    def image(self, row: tuple, cells, scale: CycNum | None) -> tuple:
+        (den, nums), n, zero = row, self.n, self.zero
+        out = [zero] * self.d
+        for i, w, k in cells:
+            if any(nums[i]):
+                b = mul_nums(n, nums[i], self.table[k]) if k else nums[i]
+                out[w] = b if out[w] is zero else [x + y for x, y in zip(out[w], b)]
+        if scale is None:
+            return self.canon(den, out)
+        return self.canon(den * scale.den, [mul_nums(n, a, scale.nums) for a in out])
+
+
+def _row_walk(rows: list, kernel: _Rows, gens: list, limit: int):
+    """Extend rows breadth first by the generators (cells, scale) until no new
+    row turns up or rows pass limit.  Returns where, row -> position c, and
+    edges, edges[c][s] = (c', a) when rows[c] s = zeta_z^a rows[c']."""
+    where = {row: c for c, row in enumerate(rows)}
+    edges = []
+    for row in rows:  # rows grows as it is walked: breadth first
+        if len(rows) > limit:
+            break
+        edges.append([])
+        for cells, scale in gens:
+            a, image = kernel.image(row, cells, scale)
+            c = where.setdefault(image, len(rows))
+            if c == len(rows):
+                rows.append(image)
+            edges[-1].append((c, a))
+    return where, edges
+
+
+def _tree(one: tuple, gens: list, key, limit: int, refusal: str):
+    """Breadth first from one, some points' images under the identity: keep
+    each product x*s with a new key and its parent (position of x, s), raising
+    ClosureError(refusal) past limit.  Returns key -> position, images, parents."""
+    index, elems, parents = {key(one): 0}, [one], [None]
+    for i, x in enumerate(elems):  # elems grows as it is walked
+        for s, y in enumerate(gens):
+            xy = itemgetter(*x)(y)  # x, then y
+            k = key(xy)
+            if k not in index:
+                if len(elems) >= limit:
+                    raise ClosureError(refusal)
+                index[k] = len(elems)
+                elems.append(xy)
+                parents.append((i, s))
+    return index, elems, parents
+
+
+class _LineAction:
+    """C_g as permutations of the vectors of the x_v orbit, certified
+    against |C_g| = order, |P_g| = parabolic and |Z| = z.
+
+    rows holds Omega, x_v's line first at position v; point c z + a is
+    zeta_z^a rows[c], units[v] is x_v's, and an element is the tuple of its
+    point images, fixed by those of the units.  H, keyed by them, and a
+    transversal t of the orbit of [x_0] (t[c] maps x_0 to its c-th line) are
+    stored with their breadth-first parents, so their words in the
+    generators.  The checks, each raising ClosureError (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.1 and 4.4):
+    1. the center generator is zeta_z on every point;
+    2. every generator of H fixes the point x_0;
+    3. H, closed breadth first, has order |P_g| / z;
+    4. the orbit of [x_0] stops once |orbit| |P_g| passes the order;
+    5. each Schreier generator u = t_c s t_(cs)^-1, which fixes [x_0] with
+       a phase zeta_z^k_u, has u zeta_z^-k_u in H;
+    6. gcd(z, all k_u) = 1.  By Schreier's lemma the u generate
+       Stab([x_0]), so Stab([x_0]) lies in H x mu_z and maps onto mu_z: it
+       holds zeta_z, and Stab([x_0]) = H x mu_z = P_g, a subgroup of C_g;
+    7. |C_g| = |orbit| |P_g| is the order.
+    """
+
+    def __init__(self, tag: str, g: int, p: int, order: int, parabolic: int, z: int):
+        self.p, self.g, self.n, self.z, self.parabolic = p, g, run_conductor(p), z, parabolic
+        self.cells, d = generator_cells(tag, g, p), p**g
+        self.kernel = _Rows(p, g, z)
+        units = [self.kernel.unit(v) for v in range(d)]
+        self.rows = [row for _, row in units]
+        self.units = tuple(v * z + a for v, (a, _) in enumerate(units))
+        limit = d * order // z  # d orbits of at most |C_g| / z lines each
+        self.where, edges = _row_walk(self.rows, self.kernel,
+                                      self.cells + [_center_cells(tag, p, g)], limit)
+        if len(self.rows) > limit:
+            raise ClosureError(f"the orbits of the x_v pass {limit} lines, "
+                               f"too many for the predicted {order}")
+        self.shift = [tuple(c * z + (a + k) % z for c in range(len(self.rows)) for a in range(z))
+                      for k in range(z)]  # zeta_z^k
+        *gens, center = [tuple(c * z + (a + k) % z for out in edges for c, k in [out[s]]
+                               for a in range(z)) for s in range(len(self.cells) + 1)]
+        if center != self.shift[1]:
+            raise ClosureError("the center generator is not the scalar zeta_z")
+        if any(x[0] for x in gens[:-g]):
+            raise ClosureError("a generator of the subgroup moves x_0")
+        # no zeta_z^k but 1 fixes x_0, so <H, zeta_z> = H x mu_z
+        self.H, self.hs, self.hparent = _tree(self.units, gens[:-g], lambda x: x, parabolic // z,
+                                              f"closure order exceeds the predicted {parabolic}")
+        if len(self.hs) * z != parabolic:
+            raise ClosureError(f"closure has order {len(self.hs) * z}, predicted {parabolic}")
+        self.pos, self.t, self.tparent = _tree(self.shift[0], gens, lambda x: x[0] // z,
+                                               order // parabolic,
+                                               f"closure order exceeds the predicted {order}")
+        self.tinv = [tuple(sorted(range(len(x)), key=x.__getitem__)) for x in self.t]
+        found = [self._sift(itemgetter(*itemgetter(*self.units)(x))(y))
+                 for x in self.t for y in gens]  # the x_v images of t_c s
+        if None in found:
+            raise ClosureError("a Schreier generator lies outside the subgroup")
+        if gcd(z, *(k for _, k in found)) != 1:
+            raise ClosureError("P is not a subgroup of G")
+        if len(self.t) * parabolic != order:
+            raise ClosureError(f"closure has order {len(self.t) * parabolic}, predicted {order}")
+
+    def _sift(self, images: tuple):
+        """(c, k) when the x_v go to the points images under h zeta_z^k t_c,
+        h in H, else None."""
+        z, c = self.z, self.pos.get(images[0] // self.z)
+        if c is None:
+            return None
+        u = itemgetter(*images)(self.tinv[c])
+        k = (u[0] - self.units[0]) % z  # x_0 u = zeta_z^k x_0
+        return (c, k) if itemgetter(*u)(self.shift[-k % z]) in self.H else None
+
+    def locate(self, op: Operator):
+        """The c with op in P_g t_c, or None when op is not in C_g."""
+        _check_same(op, (self.p, self.g, self.n))
+        lines = [self.kernel.canon(op.den, row) for row in op.arr.tolist()]
+        if any(line is None or line[1] not in self.where for line in lines):
+            return None
+        found = self._sift(tuple(self.where[row] * self.z + a for a, row in lines))
+        return found and found[0]
+
+    @lru_cache(maxsize=None)
+    def _word(self, tree: str, j: int) -> Operator:
+        """Element j of H ("hparent") or of t ("tparent"), multiplied out."""
+        parent = getattr(self, tree)[j]
+        if parent is None:
+            return Operator.identity(self.p, self.g, self.n)
+        i, s = parent
+        return self._word(tree, i) @ _phase_operator(self.p, self.g, *self.cells[s])
+
+    def operator(self, i: int) -> Operator:
+        """Element i = H[i % |H|] zeta_z^k t[i // |P_g|], k = i // |H| % z."""
+        h, d = len(self.hs), self.p**self.g
+        zeta = _phase_operator(self.p, self.g, [(v, v, i // h % self.z * self.n // self.z)
+                                                for v in range(d)])
+        return self._word("hparent", i % h) @ zeta @ self._word("tparent", i // self.parabolic)
+
+
+# cached on every datum it checks, so a changed prediction is certified afresh
+_line_action = lru_cache(maxsize=None)(_LineAction)
+
+
+class _OnDemand:
+    """f(0), .., f(size - 1), each computed when it is read."""
+
+    def __init__(self, size: int, f):
+        self.size, self.f = size, f
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int):
+        return self.f(range(self.size)[i])
+
+
+class CertifiedGroup(_OnDemand):
+    """C_g, the cosets P_g t_c over the orbit of [x_0], or P_g alone: element
+    i lies in P_g t_(i // |P_g|).  Indexing builds it as an Operator, and
+    membership reads an Operator's action on the lines."""
+
+    def __init__(self, tag: str, g: int, p: int, whole: bool):
+        action = _line_action(tag, g, p, *predicted_orders(tag, g, p), center_order(tag, p))
+        self.action, self.cosets = action, len(action.t) if whole else 1
+        super().__init__(action.parabolic * self.cosets, action.operator)
+        self.order = self.size
 
     def __contains__(self, op: Operator) -> bool:
-        """op is in H*t_l for the l with x_0 op = x_0 t_l when op t_l* is in H."""
-        l = self.rows.get(_row_keys(op.arr[None, 0], np.array([op.den]))[0])
-        return l is not None and (op @ self.rep(l).conj_t()).fingerprint() in self.sub.index
-
-
-def orbit_closure(gens: list, sub: GroupClosure, expect: int) -> OrbitClosure:
-    """<gens> as the union of the cosets sub*t_l, by orbit-stabiliser.
-
-    sub must be generated by some of gens, and each of its generators must
-    fix the row x_0.  A breadth-first search over the orbit O of x_0, the
-    _walk keyed by the row x_0 t, finds a transversal: x_0 t_l is the l-th
-    row of O.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook
-    of Computational Group Theory, 2005, sections 4.1 and 4.4) the
-    stabiliser of x_0 is generated by the t_l s t_(ls)^-1 over l in O and s
-    in gens, and t^-1 = t* for unitary generators.  Each t_l s t_(ls)* is
-    tested for membership in sub, two batched products per generator s over
-    all the t_l, the tree edges t_(ls) = t_l s included:
-    sub is unitary, so those certify t* = t^-1 instead of assuming it.  Then
-    the stabiliser is sub, and |<gens>| = |O| |sub|.  A generator of sub
-    that moves x_0, an orbit past expect / |sub|, a Schreier generator
-    outside sub, and any order but expect each raise ClosureError.
-    """
-    n, h, T = gens[0].n, sub.order, mul_table(gens[0].n)
-
-    def row_keys(arrs, dens) -> list:  # the keys of the rows x_0 x
-        return _row_keys(arrs[:, 0], dens)
-
-    _walk(sub.gens, row_keys, 1, "a generator of the subgroup moves x_0")  # sub fixes x_0
-    rows, t_arr, t_den = _walk(gens, row_keys, expect // h,
-                               f"closure order exceeds the predicted {expect}")
-    inverses = _fold(np.einsum("ljis,su->liju", t_arr, conj_table(n)), T)  # the t_l*
-    for x in gens:
-        raw, out = _batch_mul(t_arr, t_den, _fold(x.arr, T), x.den)  # every t_l s
-        ls = [rows[key] for key in row_keys(raw, out)]
-        schreier = _keys(*_batch_mul(raw, out, inverses[ls], t_den[ls]))
-        if any(key not in sub.index for key in schreier):
-            raise ClosureError("a Schreier generator lies outside the subgroup")
-    if len(rows) * h != expect:
-        raise ClosureError(f"closure has order {len(rows) * h}, predicted {expect}")
-    return OrbitClosure(gens, sub, rows, t_arr, t_den)
+        c = self.action.locate(op)
+        return c is not None and c < self.cosets
 
 
 @lru_cache(maxsize=None)
-def group_closure(tag: str, g: int, p: int = 2) -> OrbitClosure:
-    """Full Clifford-Weil group at desk scale, as the cosets of H."""
-    expect = predicted_orders(tag, g, p)[0]
-    return orbit_closure(generators(tag, g, p), _monomial_subgroup(tag, g, p), expect)
+def group_closure(tag: str, g: int, p: int = 2) -> CertifiedGroup:
+    """C_g at desk scale, one coset of P_g per line in the orbit of x_0."""
+    return CertifiedGroup(tag, g, p, whole=True)
 
 
 @lru_cache(maxsize=None)
-def parabolic_closure(tag: str, g: int, p: int = 2) -> OrbitClosure:
-    """<m_u, d_phi, center>: the coset denominator of the Eisenstein average,
-    as the cosets of H, one per row of mu_z x_0."""
-    expect = predicted_orders(tag, g, p)[1]
-    return orbit_closure(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
-                         _monomial_subgroup(tag, g, p), expect)
+def parabolic_closure(tag: str, g: int, p: int = 2) -> CertifiedGroup:
+    """<m_u, d_phi, center> = H x mu_z: the coset denominator of the
+    Eisenstein average."""
+    return CertifiedGroup(tag, g, p, whole=False)
 
 
-def coset_labels(G: OrbitClosure, P: OrbitClosure):
-    """reps plus the map element-index -> coset number, for orbit chasing.
-
-    G and P must be laid out over one subgroup H, and each of P's coset
-    reps s must lie in G, else P is no subgroup of G.  Then P*t is the union
-    of the H-cosets H*s*t, and the H-coset of s*t is read off its row
-    x_0 s t, so each P-coset is one batched product.  Cosets are numbered in
-    the order of their first element in G.
-    """
-    if P.sub is not G.sub:
+def coset_labels(G: CertifiedGroup, P: CertifiedGroup):
+    """(reps, label): the coset reps t_c of P in G, and the coset i // |P| of
+    element i, each computed when read.  P lies in G by the certificate."""
+    if P.action is not G.action or P.cosets != 1:
         raise ValueError("G and P are not laid out over one subgroup")
-    h = G.h
-    if not all(P.rep(k) in G for k in range(P.t_den.size)):
-        raise ClosureError("P is not a subgroup of G")
-    s_arr, s_den, T = P.t_arr, P.t_den, mul_table(G.gens[0].n)
-    hlabel = [-1] * (G.order // h)
-    reps = []
-    for j in range(len(hlabel)):
-        if hlabel[j] >= 0:
-            continue
-        x = G.rep(j)
-        raw, dens = _batch_mul(s_arr, s_den, _fold(x.arr, T), x.den)
-        for key in _row_keys(raw[:, 0], dens):
-            k = G.rows[key]
-            if hlabel[k] >= 0:
-                raise ClosureError("P-cosets overlap")
-            hlabel[k] = len(reps)
-        reps.append(x)
-    if len(reps) * P.order != G.order:
-        raise ClosureError(f"{len(reps)} cosets of |P| = {P.order} do not make |G| = {G.order}")
-    return reps, np.repeat(hlabel, h).tolist()
+    return _OnDemand(G.cosets, lambda c: G[c * P.order]), _OnDemand(G.order, lambda i: i // P.order)
 
 
 # --- Eisenstein series by orbit averaging --------------------------------
@@ -640,10 +672,8 @@ def coset_labels(G: OrbitClosure, P: OrbitClosure):
 # x_0, then x -> x_v x maps C_g onto O with fibres of size |C_g| / |O|, so
 # E_g = |C_g|^-1 sum_x f^x = (|S| / |O|) sum_{l in O} l^N.  P's generators
 # are monomial with phases in mu_z and fix x_0, so |O| divides [C_g : P_g].
-# A breadth-first orbit search (Holt, Eick and O'Brien, Handbook of
-# Computational Group Theory, 2005, section 4.1) finds O without closing any
-# group; 2II at g = 2 has 60 rows.  The tests check the result against
-# substituting the seed into the coset reps of the closures.
+# The breadth-first `_row_walk` finds O without closing any group (60 rows
+# for 2II at g = 2); the tests check it against the coset reps' rows.
 
 
 def seed_vars(tag: str, g: int, p: int) -> range:
@@ -662,54 +692,19 @@ def seed_orbit(tag: str, g: int, p: int = 2) -> tuple:
     """The orbit O of x_0 modulo mu_z under C_g, as rows; rows[0] is x_0.
 
     A row (den, numerators) is the form sum_w (numerators[w] / den) x_w, the
-    least of its phase multiples by mu_z.  Refuses the triples without a
-    predicted order, and raises ClosureError unless |O| divides the predicted
-    index |C_g| / |P_g| and every x_v of the seed lies in O.
+    least of its phase multiples by mu_z (`_Rows`).  Refuses the triples
+    without a predicted order, and raises ClosureError unless |O| divides
+    the predicted index |C_g| / |P_g| and every x_v of the seed lies in O.
     """
     order, parabolic = predicted_orders(tag, g, p)
-    n, z, d = run_conductor(p), center_order(tag, p), p**g
-    table, zero = _power_table(n), (0,) * phi_degree(n)
-    phases = [table[k] for k in range(0, n, n // z)]
-    gens = generator_cells(tag, g, p)
-    least: dict = {}  # a first nonzero entry -> the phase that makes it least
-
-    def canon(den: int, nums: list) -> tuple:
-        """nums / den as the least of its multiples by mu_z.  Distinct phases
-        move the first nonzero entry apart, so it alone picks the least one."""
-        common = gcd(den, *(x for a in nums for x in a))
-        lead = next(tuple(a) for a in nums if any(a))
-        c = least.get(lead)
-        if c is None:
-            c = least[lead] = min(phases, key=lambda c: mul_nums(n, lead, c))
-        if c is not phases[0]:
-            nums = [mul_nums(n, a, c) for a in nums]
-        return den // common, tuple(tuple(x // common for x in a) for a in nums)
-
-    def unit(v: int) -> tuple:
-        return canon(1, [table[0] if w == v else zero for w in range(d)])
-
-    rows = [unit(0)]
-    seen = set(rows)
-    for den, nums in rows:  # rows grows as it is walked: breadth first
-        if len(rows) > order // parabolic:  # a larger orbit divides nothing
-            break
-        for cells, scale in gens:
-            out = [zero] * d
-            for i, w, k in cells:
-                if any(nums[i]):
-                    b = mul_nums(n, nums[i], table[k]) if k else nums[i]
-                    out[w] = b if out[w] is zero else [x + y for x, y in zip(out[w], b)]
-            if scale is None:
-                row = canon(den, out)
-            else:
-                row = canon(den * scale.den, [mul_nums(n, a, scale.nums) for a in out])
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+    kernel = _Rows(p, g, center_order(tag, p))
+    rows = [kernel.unit(0)[1]]
+    # a larger orbit divides nothing
+    seen, _ = _row_walk(rows, kernel, generator_cells(tag, g, p), order // parabolic)
     if order % parabolic or (order // parabolic) % len(rows):
         raise ClosureError(f"orbit of {len(rows)} rows does not divide the index "
                            f"{order}/{parabolic}")
-    missing = next((v for v in seed_vars(tag, g, p) if unit(v) not in seen), None)
+    missing = next((v for v in seed_vars(tag, g, p) if kernel.unit(v)[1] not in seen), None)
     if missing is not None:
         raise ClosureError(f"x_{missing} of the seed is not in the orbit of x_0")
     return tuple(rows)
@@ -783,3 +778,4 @@ def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:
             add(mult, one)
     den = D**N * scale
     return Poly(p, g, N, n, {m: CycNum(n, nums, den) for m, nums in acc.items()})
+

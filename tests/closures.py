@@ -1,13 +1,16 @@
-"""Test-side oracles of the Clifford-Weil groups: closures that store every
-element, the doubling representatives tau_r and the embedding Delta.
+"""Test-side oracles of the Clifford-Weil groups: matrix closures, the
+doubling representatives tau_r and the embedding Delta.
 
-The library certifies |C_g| and |P_g| by orbit-stabiliser over the monomial
-subgroup H and stores only H and one coset rep per H-coset.  `full_closure`
-stores every element of C_g, by a breadth-first coset closure over H with
-no orbit and no Schreier step, and `stored_parabolic` every element of P_g,
-by the plain closure of its generators: the independent oracles of those
-certificates and of the tests that look elements up by fingerprint.
-Nothing in the cweil package imports this module.
+The library certifies |C_g|, |P_g| and the coset index from the permutation
+action of C_g on the lines of the x_v orbit, in Python ints.  This module
+keeps the matrix route that it replaced, as the independent oracle of that
+certificate: `close_group` closes a group of int64 operators breadth first,
+and `orbit_closure` certifies a group as the monomial subgroup H plus one
+coset rep per vector in the orbit of x_0, by Schreier's lemma over batched
+operator products.  `full_closure` stores every element of C_g, by a
+breadth-first coset closure over H with no orbit and no Schreier step, and
+`stored_parabolic` every element of P_g, by the plain closure of its
+generators.  Nothing in the cweil package imports this module.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 from cweil.cliffordweil import (
     PREDICTED_ORDER,
     PREDICTED_PARABOLIC,
-    GroupClosure,
+    ClosureError,
     Operator,
-    OrbitClosure,
     QuadraticForm,
     _batch_mul,
     _check_same,
@@ -29,14 +31,216 @@ from cweil.cliffordweil import (
     _fold,
     _fourier_cells,
     _keys,
-    _monomial_subgroup,
+    _center_cells,
     _phase_operator,
-    center_generator,
-    close_group,
     generators,
+    predicted_orders,
 )
-from cweil.cyclo import mul_table
+from cweil.cyclo import conj_table, mul_table
 from cweil.weightenum import run_conductor
+
+CLOSURE_CAP = 200_000
+
+
+def center_generator(tag: str, p: int, g: int) -> Operator:
+    """zeta_|Z| times the identity."""
+    return _phase_operator(p, g, *_center_cells(tag, p, g))
+
+
+class GroupClosure:
+    """A finite matrix group with every element stored.
+
+    Element i is arr[i] / den[i], gcd-normalised as in an Operator;
+    element 0 is the identity.  index maps each fingerprint to its position.
+    Indexing builds int64 Operators on demand.
+    """
+
+    def __init__(self, gens: list, arr: np.ndarray, den: np.ndarray, index: dict):
+        self.gens, self.arr, self.den, self.index = gens, arr, den, index
+
+    @property
+    def order(self) -> int:
+        return self.den.size
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.order))]
+        x = self.gens[0]
+        return Operator(x.p, x.g, x.n, self.arr[i], int(self.den[i]))
+
+    def __contains__(self, op: Operator) -> bool:
+        return op.fingerprint() in self.index
+
+
+def _row_keys(rows: np.ndarray, dens: np.ndarray) -> list:
+    """Keys of the rows rows[f] / dens[f], (d, phi) each: _keys of the
+    gcd-normalised (den, numerators)."""
+    common = np.gcd(np.gcd.reduce(np.abs(rows).reshape(dens.size, -1), axis=1), dens)
+    return _keys(rows // common[:, None, None], dens // common)
+
+
+def _walk(gens: list, key, limit: int, refusal: str):
+    """Breadth first from the identity: each level multiplies the elements
+    kept at the last level by every generator, one batched product each,
+    and keeps those with a new key(arrs, dens); keeping more than limit
+    raises ClosureError(refusal).  Returns key -> position, arr and den."""
+    one = Operator.identity(gens[0].p, gens[0].g, gens[0].n)
+    folded = [(_fold(x.arr, mul_table(one.n)), x.den) for x in gens]
+    index, arrs, dens, frontier = {key(one.arr[None], np.ones(1, np.int64))[0]: 0}, [one.arr], [1], [0]
+    while frontier:
+        level = np.stack([arrs[l] for l in frontier]), np.array([dens[l] for l in frontier])
+        frontier = []
+        for xt, xden in folded:
+            raw, out = _batch_mul(*level, xt, xden)
+            for k, y, yden in zip(key(raw, out), raw, out):
+                if k not in index:
+                    if len(index) >= limit:
+                        raise ClosureError(refusal)
+                    frontier.append(len(index))
+                    index[k] = len(index)
+                    arrs.append(y)
+                    dens.append(int(yden))
+    arr, den = np.stack(arrs), np.array(dens, dtype=np.int64)
+    arr.setflags(write=False)
+    den.setflags(write=False)
+    return index, arr, den
+
+
+def close_group(gens: list, expect: int | None = None) -> GroupClosure:
+    """<gens> with every element stored: the _walk over whole elements, up to
+    CLOSURE_CAP, which is read at each call.  With expect, any other order
+    raises ClosureError."""
+    cap = CLOSURE_CAP
+    index, arr, den = _walk(gens, _keys, cap, f"closure exceeded the cap {cap}")
+    if expect is not None and len(index) != expect:
+        raise ClosureError(f"closure has order {len(index)}, predicted {expect}")
+    return GroupClosure(gens, arr, den, index)
+
+
+@lru_cache(maxsize=None)
+def _monomial_subgroup(tag: str, g: int, p: int) -> GroupClosure:
+    """H = <m_u, d_phi>, closed plainly: the cosets of C_g and P_g are H-cosets."""
+    return close_group(generators(tag, g, p)[:-g])
+
+
+class OrbitClosure:
+    """A finite matrix group G, the disjoint union of the cosets H*t_l.
+
+    H = sub fixes the row x_0 = (1, 0, .., 0), and t_l = t_arr[l] / t_den[l]
+    maps it to the l-th row of its orbit O; `rows` maps each row's key
+    (`_row_keys`) to l.  Element i is H[i % h] @ t_(i // h), but only H and
+    the |O| reps are stored.
+    """
+
+    def __init__(self, gens: list, sub: GroupClosure, rows: dict, t_arr, t_den):
+        self.gens, self.sub, self.rows, self.t_arr, self.t_den = gens, sub, rows, t_arr, t_den
+        self.h = sub.order
+
+    @property
+    def order(self) -> int:
+        return self.h * self.t_den.size
+
+    def rep(self, l: int) -> Operator:
+        """t_l, the first element of the l-th coset (H[0] is the identity)."""
+        x = self.gens[0]
+        return Operator(x.p, x.g, x.n, self.t_arr[l], int(self.t_den[l]))
+
+    def __getitem__(self, i: int) -> Operator:
+        return self.sub[i % self.h] @ self.rep(i // self.h)
+
+    def __contains__(self, op: Operator) -> bool:
+        """op is in H*t_l for the l with x_0 op = x_0 t_l when op t_l* is in H."""
+        l = self.rows.get(_row_keys(op.arr[None, 0], np.array([op.den]))[0])
+        return l is not None and (op @ self.rep(l).conj_t()).fingerprint() in self.sub.index
+
+
+def orbit_closure(gens: list, sub: GroupClosure, expect: int) -> OrbitClosure:
+    """<gens> as the union of the cosets sub*t_l, by orbit-stabiliser.
+
+    sub must be generated by some of gens, and each of its generators must
+    fix the row x_0.  A breadth-first search over the orbit O of x_0, the
+    _walk keyed by the row x_0 t, finds a transversal: x_0 t_l is the l-th
+    row of O.  By Schreier's lemma (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005, sections 4.1 and 4.4) the
+    stabiliser of x_0 is generated by the t_l s t_(ls)^-1 over l in O and s
+    in gens, and t^-1 = t* for unitary generators.  Each t_l s t_(ls)* is
+    tested for membership in sub, two batched products per generator s over
+    all the t_l, the tree edges t_(ls) = t_l s included:
+    sub is unitary, so those certify t* = t^-1 instead of assuming it.  Then
+    the stabiliser is sub, and |<gens>| = |O| |sub|.  A generator of sub
+    that moves x_0, an orbit past expect / |sub|, a Schreier generator
+    outside sub, and any order but expect each raise ClosureError.
+    """
+    n, h, T = gens[0].n, sub.order, mul_table(gens[0].n)
+
+    def row_keys(arrs, dens) -> list:  # the keys of the rows x_0 x
+        return _row_keys(arrs[:, 0], dens)
+
+    _walk(sub.gens, row_keys, 1, "a generator of the subgroup moves x_0")  # sub fixes x_0
+    rows, t_arr, t_den = _walk(gens, row_keys, expect // h,
+                               f"closure order exceeds the predicted {expect}")
+    inverses = _fold(np.einsum("ljis,su->liju", t_arr, conj_table(n)), T)  # the t_l*
+    for x in gens:
+        raw, out = _batch_mul(t_arr, t_den, _fold(x.arr, T), x.den)  # every t_l s
+        ls = [rows[key] for key in row_keys(raw, out)]
+        schreier = _keys(*_batch_mul(raw, out, inverses[ls], t_den[ls]))
+        if any(key not in sub.index for key in schreier):
+            raise ClosureError("a Schreier generator lies outside the subgroup")
+    if len(rows) * h != expect:
+        raise ClosureError(f"closure has order {len(rows) * h}, predicted {expect}")
+    return OrbitClosure(gens, sub, rows, t_arr, t_den)
+
+
+@lru_cache(maxsize=None)
+def orbit_group(tag: str, g: int, p: int = 2) -> OrbitClosure:
+    """C_g at desk scale, as the cosets of H."""
+    expect = predicted_orders(tag, g, p)[0]
+    return orbit_closure(generators(tag, g, p), _monomial_subgroup(tag, g, p), expect)
+
+
+@lru_cache(maxsize=None)
+def orbit_parabolic(tag: str, g: int, p: int = 2) -> OrbitClosure:
+    """<m_u, d_phi, center>: the coset denominator of the Eisenstein average,
+    as the cosets of H, one per row of mu_z x_0."""
+    expect = predicted_orders(tag, g, p)[1]
+    return orbit_closure(generators(tag, g, p)[:-g] + [center_generator(tag, p, g)],
+                         _monomial_subgroup(tag, g, p), expect)
+
+
+def matrix_coset_labels(G: OrbitClosure, P: OrbitClosure):
+    """reps plus the map element-index -> coset number, for orbit chasing.
+
+    G and P must be laid out over one subgroup H, and each of P's coset
+    reps s must lie in G, else P is no subgroup of G.  Then P*t is the union
+    of the H-cosets H*s*t, and the H-coset of s*t is read off its row
+    x_0 s t, so each P-coset is one batched product.  Cosets are numbered in
+    the order of their first element in G.
+    """
+    if P.sub is not G.sub:
+        raise ValueError("G and P are not laid out over one subgroup")
+    h = G.h
+    if not all(P.rep(k) in G for k in range(P.t_den.size)):
+        raise ClosureError("P is not a subgroup of G")
+    s_arr, s_den, T = P.t_arr, P.t_den, mul_table(G.gens[0].n)
+    hlabel = [-1] * (G.order // h)
+    reps = []
+    for j in range(len(hlabel)):
+        if hlabel[j] >= 0:
+            continue
+        x = G.rep(j)
+        raw, dens = _batch_mul(s_arr, s_den, _fold(x.arr, T), x.den)
+        for key in _row_keys(raw[:, 0], dens):
+            k = G.rows[key]
+            if hlabel[k] >= 0:
+                raise ClosureError("P-cosets overlap")
+            hlabel[k] = len(reps)
+        reps.append(x)
+    if len(reps) * P.order != G.order:
+        raise ClosureError(f"{len(reps)} cosets of |P| = {P.order} do not make |G| = {G.order}")
+    return reps, np.repeat(hlabel, h).tolist()
 
 
 @lru_cache(maxsize=None)

@@ -81,42 +81,39 @@ def test_failed_order_certificate_exits_1(capsys, monkeypatch):
     assert err == "error: closure has order 16, predicted 17\n"
 
 
-def test_group_command_stores_no_group_but_h(capsys, monkeypatch):
-    # C_g and P_g are certified by orbit-stabiliser over H: the only closure
-    # that stores its elements is H, of order 192
-    calls = []
-    close = cw.close_group
-
-    def spy(gens, expect=None):
-        calls.append(expect)
-        return close(gens, expect)
-
-    caches = (cw._monomial_subgroup, group_closure, cw.parabolic_closure)
-    monkeypatch.setattr(cw, "close_group", spy)
+def test_group_command_stores_no_group_but_h(capsys):
+    # C_g and P_g are certified by their action on the lines of the x_v
+    # orbit: the one group stored whole is H, 192 permutations, beside one
+    # coset rep per line in the orbit of x_0 (NUMPY_FREE pins that the
+    # command runs no numpy)
+    caches = (cw._line_action, group_closure, cw.parabolic_closure)
     for f in caches:
         f.cache_clear()
     try:
         code, out, _ = run(capsys, "group", "--type", "2II", "--genus", "2")
-        assert cw._monomial_subgroup("2II", 2, 2).order == 192
+        action = group_closure("2II", 2, 2).action
+        built = cw._line_action.cache_info().currsize
     finally:
         for f in caches:
             f.cache_clear()
     assert code == 0
     assert "group order: 92160\n" in out and "coset index: 60\n" in out
-    assert calls == [None]
+    assert (built, len(action.hs), len(action.t), len(action.rows)) == (1, 192, 60, 60)
 
 
 def test_group_exits_1_when_a_parabolic_rep_lies_outside_the_group(capsys, monkeypatch):
-    # the diagonal phase (1, zeta_8) is not in C_1 (it moves no x_v and is
-    # not a d_phi); as a coset rep of P it makes P no subgroup of G
-    P = cw.parabolic_closure("2II", 1, 2)
-    zeta = cw._phase_operator(2, 1, [(0, 0, 0), (1, 1, 1)])
-    assert zeta not in group_closure("2II", 1, 2)
-    t_arr, t_den = P.t_arr.copy(), P.t_den.copy()
-    t_arr[1], t_den[1] = zeta.arr, zeta.den
-    fake = cw.OrbitClosure(P.gens, P.sub, P.rows, t_arr, t_den)
-    monkeypatch.setattr(cweil.cli, "parabolic_closure", lambda tag, g, p: fake)
-    code, out, err = run(capsys, "group", "--type", "2II", "--genus", "1")
+    # i = zeta_4 is not in the real group C_1 of type 2I (order 16).  With |Z|
+    # taken as 4 (and the orders 32 and 8 it predicts), i is a coset rep of
+    # P = <H, i> in H x mu_4, and it makes P no subgroup of G
+    assert cw._phase_operator(2, 1, [(0, 0, 2), (1, 1, 2)]) not in group_closure("2I", 1, 2)
+    monkeypatch.setitem(cw.CENTER_ORDER, "2I", 4)
+    monkeypatch.setitem(PREDICTED_ORDER, ("2I", 1, 2), 32)
+    monkeypatch.setitem(cw.PREDICTED_PARABOLIC, ("2I", 1, 2), 8)
+    group_closure.cache_clear()
+    try:
+        code, out, err = run(capsys, "group", "--type", "2I", "--genus", "1")
+    finally:
+        group_closure.cache_clear()
     assert (code, out, err) == (1, "", "error: P is not a subgroup of G\n")
 
 
@@ -195,6 +192,21 @@ def test_constants_refuses_a_long_c_before_computing_it(tag, length):
         pytest.skip("this interpreter prints integers of any length")
     out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
                   "--genus", "1", "--field", "3", timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: --length {length} gives a scalar of more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                          f"printing an integer\n")
+
+
+@pytest.mark.parametrize("length, genus", [(200_008, 100_002), (2008, 1002)])
+def test_constants_refuses_a_long_genus_before_computing_it(length, genus):
+    # c's p-adic valuation is 0 at these 2II (length, genus), but its
+    # denominator exceeds 2^(genus^2): refused from that bound, not built
+    # over seconds (or past memory) and then refused at printing
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    out = _python("-m", "cweil.cli", "constants", "--type", "2II", "--length", str(length),
+                  "--genus", str(genus), timeout=10)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (f"error: --length {length} gives a scalar of more than "
                           f"{sys.get_int_max_str_digits()} digits, Python's limit for "
@@ -541,6 +553,9 @@ def test_record_at_max_length_fits_a_memory_limit(tmp_path, argv):
 
 NUMPY_FREE = [
     "constants --type 2II --length 24 --genus 1 --factorial",
+    "group --type 2II --genus 2",
+    "group --type Q1 --genus 1 --field 3 --parabolic",
+    "group --type Q --genus 1 --field 3",
     "cwe --code golay24 --genus 1 --tuples",
     "aut --code golay24",
     "eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",

@@ -17,16 +17,13 @@ from hypothesis import strategies as st
 import cweil
 import cweil.cliffordweil as cw
 from cweil.cliffordweil import (
-    CLOSURE_CAP,
     PREDICTED_ORDER,
     ClosureError,
     Int64OverflowError,
     Operator,
     QuadraticForm,
     all_quadforms,
-    center_generator,
     center_order,
-    close_group,
     coset_labels,
     eisenstein_coset,
     generators,
@@ -48,11 +45,18 @@ from cweil.cliffordweil import (
 from cweil.cyclo import CycNum, mul_table, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe, run_conductor
+from tests import closures
 from tests.closures import (
+    CLOSURE_CAP,
+    center_generator,
+    close_group,
     delta_embed,
     factored_keys,
     full_closure,
     generic_coset_labels,
+    matrix_coset_labels,
+    orbit_group,
+    orbit_parabolic,
     stored_parabolic,
     tau_operator,
 )
@@ -209,7 +213,7 @@ def test_batched_kernel_matches_matmul(key):
 
 @pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
 def test_factored_closure_holds_the_oracle_elements(key):
-    G, oracle = group_closure(*key), full_closure(*key)
+    G, oracle = orbit_group(*key), full_closure(*key)
     keys = factored_keys(G)
     assert len(keys) == G.order == oracle.order
     assert set(keys) == set(oracle.index)
@@ -240,17 +244,20 @@ def test_parabolic_by_orbit_holds_the_plain_closure(key):
     # P_g's orbit of x_0 is mu_z x_0, and its cosets of H hold exactly the
     # elements of the plain closure of P_g's generators
     tag, g, p = key
-    P, oracle = parabolic_closure(*key), stored_parabolic(*key)
+    P, oracle = orbit_parabolic(*key), stored_parabolic(*key)
     assert P.t_den.size == center_order(tag, p)
     keys = factored_keys(P)
     assert len(keys) == P.order == oracle.order
     assert set(keys) == set(oracle.index)
+    # the certified P_g = H x mu_z builds the same elements from its words
+    certified = parabolic_closure(*key)
+    assert {op.fingerprint() for op in certified} == set(oracle.index)
 
 
 @pytest.mark.parametrize("tag", ["2I", "2II"])
 def test_coset_labels_match_generic_labelling(tag):
-    G, P = group_closure(tag, 2, 2), parabolic_closure(tag, 2, 2)
-    reps, label = coset_labels(G, P)
+    G, P = orbit_group(tag, 2, 2), orbit_parabolic(tag, 2, 2)
+    reps, label = matrix_coset_labels(G, P)
     assert Counter(label) == dict.fromkeys(range(len(reps)), P.order)
     keys = factored_keys(G)
     # each rep is the first element of its coset in G
@@ -267,6 +274,18 @@ def test_coset_labels_match_generic_labelling(tag):
         return {frozenset(keys) for keys in out.values()}
 
     assert cosets(label, keys) == cosets(expect, oracle_keys)
+    # the certified reps lie one in each coset of the oracle, and element i
+    # of the certified group lies in the coset of rep i // |P|
+    G, P = group_closure(tag, 2, 2), parabolic_closure(tag, 2, 2)
+    reps, label = coset_labels(G, P)
+
+    def oracle_coset(op) -> int:
+        return expect[oracle.index[op.fingerprint()]]
+
+    assert sorted(map(oracle_coset, reps)) == list(range(len(reps)))
+    for i in random.Random(5).sample(range(G.order), 40):
+        assert label[i] == i // P.order
+        assert oracle_coset(G[i]) == oracle_coset(reps[label[i]])
 
 
 def test_int64_overflow_raises_instead_of_wrapping():
@@ -285,6 +304,105 @@ def test_int64_overflow_raises_instead_of_wrapping():
         delta_embed(big, big)
 
 
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_certified_orders_match_the_matrix_oracle(key):
+    G, P = group_closure(*key), parabolic_closure(*key)
+    oracle_G, oracle_P = orbit_group(*key), orbit_parabolic(*key)
+    assert (G.order, P.order, len(coset_labels(G, P)[0])) == GROUP_TABLE[key]
+    assert (oracle_G.order, oracle_P.order,
+            len(matrix_coset_labels(oracle_G, oracle_P)[0])) == GROUP_TABLE[key]
+
+
+def _sub_from_its_first_generator(tree):
+    # close H from its first generator alone, and leave the transversal
+    # (keyed by the line of x_0, 0 for the identity)
+    def patched(one, gens, key, limit, refusal):
+        return tree(one, gens if key(one) == 0 else gens[:1], key, limit, refusal)
+    return patched
+
+
+def _h1_first(cells):
+    # h_1 put in front of the generators, so that H = <h_1, m_u, d_phi>
+    return lambda tag, g, p: cells(tag, g, p)[-g:][:1] + cells(tag, g, p)
+
+
+def _unscaled(cells):
+    # without h_1's scalar 2^(-1/2) the lines reached from the x_v never end
+    return lambda *a: [(c, None) for c, _ in cells(*a)]
+
+
+# one fault per check of the line-action certificate: (tag, g, p), the
+# patch, and the ClosureError it raises
+CERTIFICATE_FAULTS = [
+    (("2II", 1, 2), lambda mp: mp.setattr(cw, "_center_cells", lambda tag, p, g: (
+        [(i, i, 0) for i in range(p**g)], None)),
+     "the center generator is not the scalar zeta_z"),
+    (("2II", 1, 2), lambda mp: mp.setattr(cw, "generator_cells", _h1_first(cw.generator_cells)),
+     "a generator of the subgroup moves x_0"),
+    (("2II", 1, 2), lambda mp: mp.setitem(cw.PREDICTED_PARABOLIC, ("2II", 1, 2), 64),
+     "closure has order 32, predicted 64"),
+    (("2II", 1, 2), lambda mp: mp.setitem(cw.PREDICTED_ORDER, ("2II", 1, 2), 100),
+     "closure order exceeds the predicted 100"),
+    (("2II", 1, 2), lambda mp: mp.setattr(cw, "generator_cells", _unscaled(cw.generator_cells)),
+     "the orbits of the x_v pass 48 lines, too many for the predicted 192"),
+    # H = {1} with |P| = 8 and |G| = 48: the Schreier generator d_phi is outside
+    (("2II", 1, 2), lambda mp: (mp.setattr(cw, "_tree", _sub_from_its_first_generator(cw._tree)),
+                                mp.setitem(cw.PREDICTED_PARABOLIC, ("2II", 1, 2), 8),
+                                mp.setitem(cw.PREDICTED_ORDER, ("2II", 1, 2), 48)),
+     "a Schreier generator lies outside the subgroup"),
+    # i = zeta_4 is no scalar of the real group C_1 of type 2I: with |Z|
+    # taken as 4, every Schreier phase is +-1 and <H, i> is not in C_1
+    (("2I", 1, 2), lambda mp: (mp.setitem(cw.CENTER_ORDER, "2I", 4),
+                               mp.setitem(cw.PREDICTED_PARABOLIC, ("2I", 1, 2), 8),
+                               mp.setitem(cw.PREDICTED_ORDER, ("2I", 1, 2), 32)),
+     "P is not a subgroup of G"),
+    (("2I", 1, 2), lambda mp: mp.setitem(cw.PREDICTED_ORDER, ("2I", 1, 2), 17),
+     "closure has order 16, predicted 17"),
+]
+
+
+def _clear_closures():
+    for f in (cw._line_action, group_closure, parabolic_closure):
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("key,patch,message", CERTIFICATE_FAULTS,
+                         ids=["center", "subgroup-moves-x0", "parabolic-order", "orbit-past-order",
+                              "lines-past-order", "schreier", "p-not-subgroup", "group-order"])
+def test_line_action_certificate_raises(monkeypatch, key, patch, message):
+    _clear_closures()
+    patch(monkeypatch)
+    try:
+        for closure in (group_closure, parabolic_closure):
+            with pytest.raises(ClosureError) as err:
+                closure(*key)
+            assert str(err.value) == message
+    finally:
+        monkeypatch.undo()
+        _clear_closures()
+
+
+def test_line_action_certificate_survives_python_O():
+    # under -O an assert would let each fault through
+    code = (
+        "import pytest\n"
+        "from cweil import cliffordweil as cw\n"
+        "from tests.test_cliffordweil import CERTIFICATE_FAULTS\n"
+        "for key, patch, message in CERTIFICATE_FAULTS:\n"
+        "    with pytest.MonkeyPatch.context() as mp:\n"
+        "        patch(mp)\n"
+        "        cw._line_action.cache_clear()\n"
+        "        try:\n"
+        "            cw.group_closure(*key)\n"
+        "            print('accepted')\n"
+        "        except cw.ClosureError as exc:\n"
+        "            print(exc)\n"
+    )
+    out = _run_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [message for _, _, message in CERTIFICATE_FAULTS]
+
+
 def test_closure_certificates_raise(monkeypatch):
     gens = generators("2II", 1, 2)
     with pytest.raises(ClosureError, match="predicted"):
@@ -292,7 +410,7 @@ def test_closure_certificates_raise(monkeypatch):
     with pytest.raises(ClosureError, match="predicted"):
         close_group(gens, expect=193)
     # the cap is read at call time
-    monkeypatch.setattr(cw, "CLOSURE_CAP", 100)
+    monkeypatch.setattr(closures, "CLOSURE_CAP", 100)
     with pytest.raises(ClosureError, match="cap"):
         close_group(gens)
 
@@ -309,9 +427,10 @@ def test_int64_refusal_survives_python_O():
     code = (
         "import sys\n"
         "from cweil import cliffordweil as cw\n"
+        "from tests.closures import close_group\n"
         "one = cw.Operator.identity(2, 1, 8)\n"
         "try:\n"
-        "    cw.close_group([cw.Operator(2, 1, 8, one.arr * 2, 1)])\n"
+        "    close_group([cw.Operator(2, 1, 8, one.arr * 2, 1)])\n"
         "except cw.Int64OverflowError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(3)\n"
@@ -328,7 +447,7 @@ def test_closures_store_int8(key):
     tag, g, p = key
     n = run_conductor(p)
     size = (p**g) ** 2 * phi_degree(n)
-    G, H = full_closure(*key), cw._monomial_subgroup(*key)
+    G, H = full_closure(*key), closures._monomial_subgroup(*key)
     assert {len(k) for k in G.index} == {len(k) for k in H.index} == {1 + size}
     assert H.arr.dtype == H.den.dtype == np.int64
     # an operator outside int8 still has a fingerprint, and is not in G
@@ -359,20 +478,20 @@ def test_orbit_closure_certificates_raise(monkeypatch):
     # order, and a subgroup too small to hold the stabiliser of x_0 ({1}:
     # the Schreier generator d_phi, which fixes x_0, lies outside it)
     gens = generators("2II", 1, 2)
-    H = cw._monomial_subgroup("2II", 1, 2)
+    H = closures._monomial_subgroup("2II", 1, 2)
     with pytest.raises(ClosureError, match="a generator of the subgroup moves x_0"):
-        cw.orbit_closure(gens, close_group(gens[-1:]), 192)
+        closures.orbit_closure(gens, close_group(gens[-1:]), 192)
     with pytest.raises(ClosureError, match="closure order exceeds the predicted 100"):
-        cw.orbit_closure(gens, H, 100)
+        closures.orbit_closure(gens, H, 100)
     with pytest.raises(ClosureError, match="a Schreier generator lies outside the subgroup"):
-        cw.orbit_closure(gens, close_group(gens[:1]), 192)
-    monkeypatch.setattr(cw, "_monomial_subgroup", lambda tag, g, p: close_group(gens[:1]))
-    group_closure.cache_clear()
+        closures.orbit_closure(gens, close_group(gens[:1]), 192)
+    monkeypatch.setattr(closures, "_monomial_subgroup", lambda tag, g, p: close_group(gens[:1]))
+    orbit_group.cache_clear()
     try:
         with pytest.raises(ClosureError, match="a Schreier generator lies outside the subgroup"):
-            group_closure("2II", 1, 2)
+            orbit_group("2II", 1, 2)
     finally:
-        group_closure.cache_clear()
+        orbit_group.cache_clear()
 
 
 def test_schreier_certificate_survives_python_O():
@@ -380,10 +499,11 @@ def test_schreier_certificate_survives_python_O():
     code = (
         "import sys\n"
         "from cweil import cliffordweil as cw\n"
-        "cw._monomial_subgroup = lambda tag, g, p: cw.close_group(cw.generators(tag, g, p)[:1])\n"
+        "from tests import closures\n"
+        "closures._monomial_subgroup = lambda tag, g, p: closures.close_group(cw.generators(tag, g, p)[:1])\n"
         "cw.PREDICTED_ORDER[('2II', 1, 2)] = 48\n"
         "try:\n"
-        "    cw.group_closure('2II', 1, 2)\n"
+        "    closures.orbit_group('2II', 1, 2)\n"
         "except cw.ClosureError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(3)\n"
@@ -549,13 +669,16 @@ def test_orbit_rows_are_the_coset_rep_rows_mod_center(tag, g, N, p, orbit):
     used = range(d) if tag in ("2I", "2II") else range(1)
     assert len(set(rows)) == len(rows)
     assert set(rows) == {cls([rep.entry(v, w) for w in range(d)]) for rep in reps for v in used}
+    # the certificate's orbit of [x_0] is seed_orbit's, row for row
+    action = group_closure(tag, g, p).action
+    assert {action.rows[c] for c in action.pos} == set(seed_orbit(tag, g, p))
 
 
 def test_orbit_average_closes_no_group(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the orbit average closed a group")
 
-    for name in ("group_closure", "parabolic_closure", "close_group"):
+    for name in ("group_closure", "parabolic_closure", "_line_action"):
         monkeypatch.setattr(cw, name, refuse)
     seed_orbit.cache_clear()
     E = eisenstein_coset("2II", 2, 8)
@@ -591,7 +714,7 @@ def test_unpredicted_triples_are_refused_before_any_closure(monkeypatch, key):
     def refuse(*args, **kwargs):
         raise AssertionError("a closure was attempted")
 
-    monkeypatch.setattr(cw, "close_group", refuse)
+    monkeypatch.setattr(cw, "_line_action", refuse)
     for f in (group_closure, parabolic_closure, seed_orbit):
         with pytest.raises(ValueError, match=r"no feasible closure for \("):
             f(*key)
