@@ -319,9 +319,12 @@ def _h_cells(r: int, g: int, p: int):
 
 def gl_matrices(p: int, g: int):
     """All of GL_g(F_p) (g <= 2 scale)."""
-    flats = iproduct(range(p), repeat=g * g)
-    us = ([list(flat[i * g : (i + 1) * g]) for i in range(g)] for flat in flats)
-    return [u for u in us if len(rref(p, u)) == g]
+    out = []
+    for flat in iproduct(range(p), repeat=g * g):
+        u = [list(flat[i * g : (i + 1) * g]) for i in range(g)]
+        if len(rref(p, u)) == g:
+            out.append(u)
+    return out
 
 
 def gl_generators(p: int, g: int):
@@ -342,13 +345,6 @@ def _primitive_root(p: int) -> int:
         if len({pow(a, k, p) for k in range(1, p)}) == p - 1:
             return a
     raise ValueError(p)
-
-
-def _center_cells(tag: str, p: int, g: int):
-    """(cells, scale) of zeta_|Z| times the identity (|Z| divides the
-    conductor of every type)."""
-    k = run_conductor(p) // center_order(tag, p)
-    return [(i, i, k) for i in range(p**g)], None
 
 
 def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
@@ -542,8 +538,8 @@ class _LineAction:
         self.rows = [row for _, row in units]
         self.units = tuple(v * z + a for v, (a, _) in enumerate(units))
         limit = d * order // z  # d orbits of at most |C_g| / z lines each
-        self.where, edges = _row_walk(self.rows, self.kernel,
-                                      self.cells + [_center_cells(tag, p, g)], limit)
+        zeta = [(v, v, self.n // z) for v in range(d)], None  # the center generator
+        self.where, edges = _row_walk(self.rows, self.kernel, self.cells + [zeta], limit)
         if len(self.rows) > limit:
             raise ClosureError(f"the orbits of the x_v pass {limit} lines, "
                                f"too many for the predicted {order}")

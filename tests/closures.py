@@ -31,8 +31,8 @@ from cweil.cliffordweil import (
     _fold,
     _fourier_cells,
     _keys,
-    _center_cells,
     _phase_operator,
+    center_order,
     generators,
     predicted_orders,
 )
@@ -43,8 +43,9 @@ CLOSURE_CAP = 200_000
 
 
 def center_generator(tag: str, p: int, g: int) -> Operator:
-    """zeta_|Z| times the identity."""
-    return _phase_operator(p, g, *_center_cells(tag, p, g))
+    """zeta_|Z| times the identity (|Z| divides the conductor of every type)."""
+    k = run_conductor(p) // center_order(tag, p)
+    return _phase_operator(p, g, [(i, i, k) for i in range(p**g)])
 
 
 class GroupClosure:

@@ -321,6 +321,12 @@ def _sub_from_its_first_generator(tree):
     return patched
 
 
+def _phaseless(canon):
+    def patched(self, den, nums):
+        return 0, canon(self, den, nums)[1]
+    return patched
+
+
 def _h1_first(cells):
     # h_1 put in front of the generators, so that H = <h_1, m_u, d_phi>
     return lambda tag, g, p: cells(tag, g, p)[-g:][:1] + cells(tag, g, p)
@@ -334,8 +340,8 @@ def _unscaled(cells):
 # one fault per check of the line-action certificate: (tag, g, p), the
 # patch, and the ClosureError it raises
 CERTIFICATE_FAULTS = [
-    (("2II", 1, 2), lambda mp: mp.setattr(cw, "_center_cells", lambda tag, p, g: (
-        [(i, i, 0) for i in range(p**g)], None)),
+    # every line's phase read as 1, so zeta_z * I acts as the identity
+    (("2II", 1, 2), lambda mp: mp.setattr(cw._Rows, "canon", _phaseless(cw._Rows.canon)),
      "the center generator is not the scalar zeta_z"),
     (("2II", 1, 2), lambda mp: mp.setattr(cw, "generator_cells", _h1_first(cw.generator_cells)),
      "a generator of the subgroup moves x_0"),
