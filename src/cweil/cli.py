@@ -228,6 +228,10 @@ def cmd_constants(args) -> int:
     else:
         lines.append(f"b = {text(b)}")
     if tag == "2I" and p == 2:
+        # 2^e N! (2^g - 1) / prod (2^i + 1) has 2-adic valuation e + v_2(N!); --factorial
+        # prints the part past N! as num*N!/(factored den), so only its num >= 2^e counts
+        e = g * g + g - N * g // 2
+        refuse_past_limit(max(e, 0) if args.factorial else e + N - bin(N).count("1"))
         lines.append(f"conjecture c*N! = {text(const_conj(N, g), args.factorial)}")
     print("\n".join(lines))
     return 0

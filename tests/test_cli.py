@@ -198,14 +198,16 @@ def test_constants_refuses_a_long_c_before_computing_it(tag, length):
                           f"printing an integer\n")
 
 
-@pytest.mark.parametrize("length, genus", [(200_008, 100_002), (2008, 1002)])
-def test_constants_refuses_a_long_genus_before_computing_it(length, genus):
+@pytest.mark.parametrize("tag, length, genus", [("2II", 200_008, 100_002), ("2II", 2008, 1002),
+                                                ("2I", 2, 3000)])
+def test_constants_refuses_a_long_genus_before_computing_it(tag, length, genus):
     # c's p-adic valuation is 0 at these 2II (length, genus), but its
-    # denominator exceeds 2^(genus^2): refused from that bound, not built
-    # over seconds (or past memory) and then refused at printing
+    # denominator exceeds 2^(genus^2); 2I at length 2 has an empty b, and its
+    # conjecture has 2-adic valuation genus^2 + 1.  Each is refused from its
+    # bound, not built over seconds (or past memory) and then refused at printing
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this interpreter prints integers of any length")
-    out = _python("-m", "cweil.cli", "constants", "--type", "2II", "--length", str(length),
+    out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
                   "--genus", str(genus), timeout=10)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (f"error: --length {length} gives a scalar of more than "
