@@ -35,11 +35,13 @@ from .database import (
     parse_db,
 )
 from .doubling import (
+    FactoringBudgetError,
     basis_expansion,
     c_valuation,
     const_b,
     const_c,
     const_conj,
+    den_factors,
     dmap,
     eisenstein_sw,
     product_bipartite,
@@ -145,9 +147,10 @@ def cmd_verify_doubling(args) -> int:
     db = _db_for(args, args.type, args.length)
     try:
         rep = verify_doubling(args.type, args.length, args.genus, db)
+        text = rep.to_text(factorial_form=args.factorial)
     except ValueError as exc:
         raise CliError(str(exc))
-    print(rep.to_text(factorial_form=args.factorial))
+    print(text)
     return 0 if rep.match else 1
 
 
@@ -195,8 +198,8 @@ def cmd_constants(args) -> int:
                        f"|Z| = {center_order(tag, p)} for type {tag}")
 
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    too_long = CliError(f"--length {N} gives a scalar of more than {limit} digits, "
-                        f"Python's limit for printing an integer")
+    too_long = CliError(f"--length {N} and --genus {g} give a scalar of more than {limit} "
+                        f"digits, Python's limit for printing an integer")
 
     def refuse_past_limit(exponent: int) -> None:
         # p^|exponent| or more in a numerator or denominator is 2^bits > 10^limit
@@ -205,7 +208,9 @@ def cmd_constants(args) -> int:
 
     def text(x: Fraction, factorial_form: bool = False) -> str:
         try:
-            return scalar_factorial_form(x, N) if factorial_form else str(x)
+            return scalar_factorial_form(x, N, den_factors(tag, g, p)) if factorial_form else str(x)
+        except FactoringBudgetError as exc:
+            raise CliError(f"--genus {g} gives a denominator with {exc}; drop --factorial")
         except ValueError:  # an int past the interpreter's int-to-str digit limit
             raise too_long
 

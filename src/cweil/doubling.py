@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .codes import mass_range
 from .database import CodeDatabase
@@ -115,6 +115,14 @@ def const_c(tag: str, N: int, g: int, p: int = 2) -> Fraction:
     return c
 
 
+def den_factors(tag: str, g: int, p: int = 2) -> list:
+    """Numbers of which the denominator of c (of const_conj / N! for 2I)
+    divides a product: p and the p^(g+i) + 1, i = 1..g (2 and the 2^i + 1,
+    i = g..2g-1, for 2I)."""
+    ms = range(g, 2 * g) if tag == "2I" else range(g + 1, 2 * g + 1)
+    return [p] + [p**m + 1 for m in ms]
+
+
 def const_conj(N: int, g: int) -> Fraction:
     """The conjectural full scalar c*N! for type 2I (N! included)."""
     c = Fraction(2) ** (2 * g - N * g // 2) * 2 ** (g * g - g) * (2**g - 1)
@@ -163,30 +171,94 @@ def doubling_pairing_sw(tag: str, N: int, g: int, db: CodeDatabase, f: Poly) -> 
 # --- verification reports ----------------------------------------------
 
 
-def _factored(n: int) -> str:
-    parts = []
+# Past trial division below TRIAL_LIMIT, a cofactor is cut by its gcds with
+# the known factors and split by Pollard's rho, in RHO_STEPS steps in all.  Miller-Rabin on MR_BASES proves a part prime below MR_EXACT (Sorenson
+# and Webster, Math. Comp. 86, 2017), and a "composite" is always a proof.
+TRIAL_LIMIT = 2**16
+RHO_STEPS = 2**18
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+class FactoringBudgetError(ValueError):
+    """A factor that the factoring budget leaves unsplit and unproved."""
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin on MR_BASES, for odd n > 41: False means composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, steps: int) -> tuple:
+    """(a proper factor of the composite n or None, the steps left) by
+    Pollard's rho, in at most steps steps."""
+    c = 1
+    while steps > 0:
+        x = y = 2
+        f = 1
+        while f == 1 and steps > 0:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            f, steps = gcd(x - y, n), steps - 1
+        if 1 < f < n:
+            return f, steps
+        c += 1
+    return None, 0
+
+
+def _factored(n: int, known=()) -> str:
+    """n's prime factorisation, as 2^6*3: trial division below TRIAL_LIMIT,
+    then the cofactor cut by gcds with the known factors and split by rho.
+    Raises FactoringBudgetError on a part that this leaves unresolved."""
+    primes: dict = {}
     d = 2
-    while d * d <= n:
-        k = 0
+    while d * d <= n and d < TRIAL_LIMIT:
         while n % d == 0:
             n //= d
-            k += 1
-        if k:
-            parts.append(f"{d}^{k}" if k > 1 else str(d))
+            primes[d] = primes.get(d, 0) + 1
         d += 1
-    if n > 1:
-        parts.append(str(n))
-    return "*".join(parts) or "1"
+    parts, steps = [n] if n > 1 else [], RHO_STEPS
+    for h in known:
+        parts = [y for x in parts for f in [gcd(x, h)] for y in (f, x // f) if y > 1]
+    while parts:
+        x, f = parts.pop(), None
+        maybe = x < d * d or _probable_prime(x)  # no prime below d divides x
+        if maybe and x < MR_EXACT:
+            primes[x] = primes.get(x, 0) + 1
+            continue
+        if not maybe:
+            f, steps = _rho(x, steps)
+        if f:
+            parts += [f, x // f]
+        else:
+            raise FactoringBudgetError(f"a factor of {x.bit_length()} bits that is not "
+                                       f"split within the factoring budget")
+    return "*".join(f"{q}^{k}" if k > 1 else str(q) for q, k in sorted(primes.items())) or "1"
 
 
-def scalar_factorial_form(mu: Fraction, N: int) -> str:
-    """Render mu as a multiple of N! with factored cofactor, e.g. 16!/(2^6*3)."""
+def scalar_factorial_form(mu: Fraction, N: int, known=()) -> str:
+    """Render mu as a multiple of N! with factored cofactor, e.g. 16!/(2^6*3);
+    known as for _factored."""
     q = mu / factorial(N)
     num, den = q.numerator, q.denominator
     head = f"{N}!" if num == 1 else f"{num}*{N}!"
     if den == 1:
         return head
-    return f"{head}/({_factored(den)})"
+    return f"{head}/({_factored(den, known)})"
 
 
 @dataclass(frozen=True)

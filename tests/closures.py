@@ -10,12 +10,16 @@ coset rep per vector in the orbit of x_0, by Schreier's lemma over batched
 operator products.  `full_closure` stores every element of C_g, by a
 breadth-first coset closure over H with no orbit and no Schreier step, and
 `stored_parabolic` every element of P_g, by the plain closure of its
-generators.  Nothing in the cweil package imports this module.
+generators.  `power_sum` is the full multinomial expansion of a power sum
+of linear forms, over every monomial: the oracle of the coset average,
+which expands only the monomials that every d_phi fixes.  Nothing in the
+cweil package imports this module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, lcm
 
 import numpy as np
 
@@ -36,7 +40,8 @@ from cweil.cliffordweil import (
     generators,
     predicted_orders,
 )
-from cweil.cyclo import conj_table, mul_table
+from cweil.cyclo import CycNum, conj_table, mul_nums, mul_table, phi_degree
+from cweil.poly import Poly
 from cweil.weightenum import run_conductor
 
 CLOSURE_CAP = 200_000
@@ -308,6 +313,63 @@ def generic_coset_labels(G: GroupClosure, P: GroupClosure):
             label[G.index[key]] = len(reps)
         reps.append(x)
     return reps, label
+
+
+def power_sum(p: int, g: int, N: int, forms, scale: int) -> Poly:
+    """(1/scale) * sum of mult * l^N over forms (den, numerator rows, mult).
+
+    A form is l = sum_w (row[w] / den) x_w, row[w] being the power-basis
+    numerators of a coefficient in Q(zeta_n), n = run_conductor(p).  Each
+    l^N is expanded once by the multinomial theorem over the support of l,
+    from the powers row[w]^e, e = 0..N, with every form over the lcm D of
+    the denominators; the CycNum coefficients are built at the end over
+    D^N * scale.
+    """
+    forms, n = list(forms), run_conductor(p)
+    D = lcm(*(den for den, _, _ in forms))
+    phi = phi_degree(n)
+    one = [1] + [0] * (phi - 1)
+    d = p**g
+    acc: dict = {}
+    exps = [0] * d
+
+    def add(coef: int, num: list) -> None:
+        got = acc.get(tuple(exps))
+        if got is None:
+            acc[tuple(exps)] = [coef * x for x in num]
+        else:
+            for u in range(phi):
+                got[u] += coef * num[u]
+
+    def walk(i: int, left: int, coef: int, num: list) -> None:
+        # coef * num = mult * N! / prod m_w! * prod a_w^m_w over w < support[i]
+        w = support[i]
+        if i == len(support) - 1:  # the last variable takes what is left
+            exps[w] = left
+            add(coef, mul_nums(n, num, powers[i][left]))
+        else:
+            for e in range(left + 1):
+                exps[w] = e
+                walk(i + 1, left - e, coef * comb(left, e),
+                     mul_nums(n, num, powers[i][e]))
+        exps[w] = 0
+
+    for den, row, mult in forms:
+        lift = D // den
+        support = [w for w in range(d) if any(row[w])]
+        powers = []
+        for w in support:
+            a = [x * lift for x in row[w]]
+            pw = [one]
+            for _ in range(N):
+                pw.append(mul_nums(n, pw[-1], a))
+            powers.append(pw)
+        if support:
+            walk(0, N, mult, one)
+        elif N == 0:  # 0^0 = 1, as in apply_operator
+            add(mult, one)
+    den = D**N * scale
+    return Poly(p, g, N, n, {m: CycNum(n, nums, den) for m, nums in acc.items()})
 
 
 def tau_operator(tag: str, g: int, r: int, p: int = 2) -> Operator:

@@ -12,8 +12,10 @@ import sys
 import time
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+import sympy
 
 import cweil
 import cweil.cli
@@ -24,7 +26,7 @@ from cweil.cli import main
 from cweil.cliffordweil import PREDICTED_ORDER, group_closure
 from cweil.codes import code_from_rows
 from cweil.database import CodeDatabase, load_bundled
-from cweil.doubling import verify_doubling
+from cweil.doubling import const_c, const_conj, verify_doubling
 from cweil.poly import Poly, parse_poly
 from cweil.weightenum import cwe
 from tests.constructions import e8
@@ -166,7 +168,7 @@ def test_constants_past_the_int_to_str_digit_limit_is_a_usage_error(argv, capsys
         pytest.skip("this interpreter prints integers of any length")
     code, out, err = run(capsys, "constants", *argv, "--genus", "1")
     assert (code, out) == (2, "")
-    assert err == (f"error: --length {argv[3]} gives a scalar of more than "
+    assert err == (f"error: --length {argv[3]} and --genus 1 give a scalar of more than "
                    f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                    f"printing an integer\n")
 
@@ -179,7 +181,7 @@ def test_constants_refuses_a_long_b_before_computing_it():
     out = _python("-m", "cweil.cli", "constants", "--type", "2I", "--length", "20000",
                   "--genus", "1", timeout=10)
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == (f"error: --length 20000 gives a scalar of more than "
+    assert out.stderr == (f"error: --length 20000 and --genus 1 give a scalar of more than "
                           f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                           f"printing an integer\n")
 
@@ -193,7 +195,7 @@ def test_constants_refuses_a_long_c_before_computing_it(tag, length):
     out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
                   "--genus", "1", "--field", "3", timeout=10)
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == (f"error: --length {length} gives a scalar of more than "
+    assert out.stderr == (f"error: --length {length} and --genus 1 give a scalar of more than "
                           f"{sys.get_int_max_str_digits()} digits, Python's limit for "
                           f"printing an integer\n")
 
@@ -210,9 +212,31 @@ def test_constants_refuses_a_long_genus_before_computing_it(tag, length, genus):
     out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
                   "--genus", str(genus), timeout=10)
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == (f"error: --length {length} gives a scalar of more than "
-                          f"{sys.get_int_max_str_digits()} digits, Python's limit for "
-                          f"printing an integer\n")
+    assert out.stderr == (f"error: --length {length} and --genus {genus} give a scalar of "
+                          f"more than {sys.get_int_max_str_digits()} digits, Python's limit "
+                          f"for printing an integer\n")
+
+
+@pytest.mark.parametrize("tag, length, genus", [("2II", 8, 30), ("2I", 16, 24)])
+def test_constants_factorial_ends_in_bounded_time(tag, length, genus):
+    # trial division to 10^6 leaves 647- and 346-bit cofactors of these
+    # denominators; split along the known factors 2^m + 1, each ends within
+    # the budget: printed as primes whose product is the denominator, or refused
+    out = _python("-m", "cweil.cli", "constants", "--type", tag, "--length", str(length),
+                  "--genus", str(genus), "--factorial", timeout=10)
+    assert out.returncode in (0, 2) and "Traceback" not in out.stderr
+    if out.returncode == 2:
+        assert out.stdout == ""
+        assert out.stderr.startswith(f"error: --genus {genus} gives a denominator with ")
+        return
+    scalar = const_conj(length, genus) if tag == "2I" else \
+        const_c(tag, length, genus) * factorial(length)
+    q = scalar / factorial(length)
+    line = [x for x in out.stdout.splitlines() if "c*N! = " in x][-1]
+    assert line.split(" = ")[1].startswith(f"{q.numerator}*{length}!/(")
+    factors = [x.partition("^") for x in line.split("/(")[1].rstrip(")").split("*")]
+    assert all(sympy.isprime(int(b)) for b, _, _ in factors)
+    assert prod(int(b) ** int(e or 1) for b, _, e in factors) == q.denominator
 
 
 def test_constants_below_the_digit_limit_prints_b(capsys):
@@ -425,13 +449,17 @@ COSET_DIGESTS = [
     ("2I", "16", "2", "1a9feb15928ff792091774f053256588837eac9ceeb05a125025ad06604e64a0"),
     ("2II", "8", "2", "a2f8991d5d44918db24227a5f8acbefc7cb5fedfa0732e77fe3bcfddddbe9c31"),
     ("2II", "24", "1", "b6f17c105d8d6a0cf41660343caa52f5c6cbde43799a77475819ffb1749737ef"),
+    ("2II", "24", "2", "2f6ebc0dd941dfbb3097b698042769f971226cc1b9cbbf8692f641a88f7b95a6"),
+    ("2I", "24", "2", "beac23649207094b0d89600a42aae22b62e5f65340a7a3cf6c9a8643fa71b624"),
+    ("Q1", "12", "1", "beb398bf3d9f71c8f1d06835c9a3902fddf8ddd37b5c582eb093beca2a452b95"),
 ]
 
 
 @pytest.mark.parametrize("tag,length,genus,digest", COSET_DIGESTS)
 def test_eisenstein_coset_golden_output(tag, length, genus, digest, capsys):
+    field = "2" if tag in ("2I", "2II") else "3"
     code, out, _ = run(capsys, "eisenstein", "--type", tag, "--length", length,
-                       "--genus", genus, "--method", "coset")
+                       "--genus", genus, "--field", field, "--method", "coset")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -31,7 +31,6 @@ from cweil.cliffordweil import (
     gl_matrices,
     group_closure,
     parabolic_closure,
-    power_sum,
     seed_orbit,
     seed_poly,
     _batch_mul,
@@ -57,6 +56,7 @@ from tests.closures import (
     matrix_coset_labels,
     orbit_group,
     orbit_parabolic,
+    power_sum,
     stored_parabolic,
     tau_operator,
 )
@@ -635,6 +635,10 @@ def test_power_sum_kernel_matches_generic_substitution(tag, g, N, p):
     for rep in reps:
         total = total + rep.apply(seed)
     assert eisenstein_coset(tag, g, N, p) == total / len(reps)
+    # and so does the full expansion of the power sum over the orbit rows
+    rows, size = seed_orbit(tag, g, p), len(cw.seed_vars(tag, g, p))
+    assert power_sum(p, g, N, [(den, nums, size) for den, nums in rows], len(rows)) == \
+        total / len(reps)
 
 
 # one weight per desk-scale (tag, g, p), and |O| / |S| for each: E_g is the
@@ -657,6 +661,20 @@ def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
     expect = power_sum(p, g, N, forms.values(), len(reps))
     assert eisenstein_coset(tag, g, N, p) == expect
     assert len(seed_orbit(tag, g, p)) == orbit * len(used) == len(reps)
+
+
+@pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)
+@pytest.mark.parametrize("times", [1, 2])
+def test_invariant_monomials_are_the_support_of_the_full_expansion(tag, g, N, p, orbit, times):
+    # the monomials that no d_phi moves are exactly those the full power sum
+    # over the orbit keeps, and the average is the full expansion
+    N *= times
+    rows, size = seed_orbit(tag, g, p), len(cw.seed_vars(tag, g, p))
+    full = power_sum(p, g, N, [(den, nums, size) for den, nums in rows], len(rows))
+    monomials = cw.invariant_monomials(tag, g, N, p)
+    assert len(set(monomials)) == len(monomials)
+    assert set(monomials) == set(full.terms)
+    assert eisenstein_coset(tag, g, N, p) == full
 
 
 @pytest.mark.parametrize("tag,g,N,p,orbit", ORBIT_CASES)

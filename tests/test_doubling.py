@@ -4,11 +4,17 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cweil.cliffordweil import eisenstein_coset
 from cweil.cyclo import CycNum
 from cweil.database import CodeDatabase, CodeRecord, load_bundled
 from cweil.doubling import (
+    MR_EXACT,
+    FactoringBudgetError,
+    _factored,
     basis_expansion,
     const_b,
     const_c,
@@ -286,6 +292,27 @@ def test_scalar_factorial_rendering():
     assert scalar_factorial_form(Fraction(242362656927046656000), 24) == "24!/(2^9*5)"
     assert scalar_factorial_form(Fraction(factorial(8)), 8) == "8!"
     assert scalar_factorial_form(Fraction(3 * factorial(4)), 4) == "3*4!"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**15))
+def test_factored_is_the_prime_factorisation(n):
+    assert _factored(n) == ("*".join(f"{q}^{k}" if k > 1 else str(q)
+                                     for q, k in sorted(sympy.factorint(n).items())) or "1")
+
+
+def test_factored_splits_past_trial_division_and_refuses_past_its_budget():
+    # primes past 2^16 are split apart by rho, or by a known factor, and each
+    # part below MR_EXACT is proved prime by Miller-Rabin
+    p, q = sympy.nextprime(2**30), sympy.nextprime(2**31)
+    assert _factored(3 * p * q * q) == f"3*{p}*{q}^2"
+    r, s = sympy.nextprime(2**75), sympy.nextprime(2**76)
+    assert _factored(r * s, known=[2**8 + 1, s]) == f"{r}*{s}"
+    with pytest.raises(FactoringBudgetError, match="a factor of 152 bits"):
+        _factored(r * s)  # two 76-bit primes take about 2^38 rho steps
+    with pytest.raises(FactoringBudgetError, match="a factor of 91 bits"):
+        _factored(sympy.nextprime(2**90))  # a prime past MR_EXACT is not proved
+    assert MR_EXACT.bit_length() == 82
 
 
 def test_predicted_scalar_is_taken_at_the_records_field():
