@@ -172,8 +172,9 @@ def doubling_pairing_sw(tag: str, N: int, g: int, db: CodeDatabase, f: Poly) -> 
 
 
 # Past trial division below TRIAL_LIMIT, a cofactor is cut by its gcds with
-# the known factors and split by Pollard's rho, in RHO_STEPS steps in all.  Miller-Rabin on MR_BASES proves a part prime below MR_EXACT (Sorenson
-# and Webster, Math. Comp. 86, 2017), and a "composite" is always a proof.
+# the known factors and split by Pollard's rho, in RHO_STEPS steps in all.
+# Miller-Rabin on MR_BASES proves a part prime below MR_EXACT (Sorenson and
+# Webster, Math. Comp. 86, 2017), and a "composite" is always a proof.
 TRIAL_LIMIT = 2**16
 RHO_STEPS = 2**18
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
