@@ -349,13 +349,15 @@ def _primitive_root(p: int) -> int:
     raise ValueError(p)
 
 
-def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> list:
+@lru_cache(maxsize=None)
+def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> tuple:
     """C_g's generators as (cells, scale) for _phase_operator: the m_u, the d_phi
-    (reduced generating sets, or every one of them), then h_1 .. h_g."""
+    (reduced generating sets, or every one of them), then h_1 .. h_g; memoised, as tuples."""
     ms = gl_generators(p, g) if reduced else gl_matrices(p, g)
     forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
-    return ([_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
-            + [_h_cells(r, g, p) for r in range(1, g + 1)])
+    return tuple((tuple(cells), scale) for cells, scale in
+                 [_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
+                 + [_h_cells(r, g, p) for r in range(1, g + 1)])
 
 
 def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
@@ -541,7 +543,7 @@ class _LineAction:
         self.units = tuple(v * z + a for v, (a, _) in enumerate(units))
         limit = d * order // z  # d orbits of at most |C_g| / z lines each
         zeta = [(v, v, self.n // z) for v in range(d)], None  # the center generator
-        self.where, edges = _row_walk(self.rows, self.kernel, self.cells + [zeta], limit)
+        self.where, edges = _row_walk(self.rows, self.kernel, [*self.cells, zeta], limit)
         if len(self.rows) > limit:
             raise ClosureError(f"the orbits of the x_v pass {limit} lines, "
                                f"too many for the predicted {order}")

@@ -174,7 +174,9 @@ def check_type(C: LinearCode, tag: str | None = None) -> bool:
     if not field_fits(tag, C.p) or dual_code(C).rows != C.rows:
         return False
     if tag == "2II":
-        return all(w.bit_count() % 4 == 0 for w in C.words)
+        # C is self-orthogonal here, so |a AND b| is even and wt(a + b) =
+        # wt(a) + wt(b) - 2|a AND b| = wt(a) + wt(b) mod 4: the rows decide
+        return all(sum(row) % 4 == 0 for row in C.rows)
     if tag == "Q1":
         return C.contains((1,) * C.n)
     return True

@@ -142,6 +142,12 @@ def mul_nums(n: int, a, b) -> list[int]:
     return out
 
 
+def conj_nums(n: int, a) -> list[int]:
+    """Power-basis numerators of conj(a), zeta |-> zeta^(n-1), for numerators a."""
+    terms = [(x, _power_table(n)[(n - k) % n]) for k, x in enumerate(a) if x]
+    return [sum(x * row[u] for x, row in terms) for u in range(len(a))]
+
+
 def _gcd_all(den: int, nums: tuple[int, ...]) -> int:
     g = den
     for a in nums:
@@ -259,15 +265,7 @@ class CycNum:
 
     def conj(self) -> "CycNum":
         """Complex conjugation zeta |-> zeta^(n-1)."""
-        n, rows = self.n, _power_table(self.n)
-        phi = len(self.nums)
-        out = [0] * phi
-        for k, a in enumerate(self.nums):
-            if a:
-                row = rows[(n - k) % n]
-                for u in range(phi):
-                    out[u] += a * row[u]
-        return CycNum(self.n, out, self.den)
+        return CycNum(self.n, conj_nums(self.n, self.nums), self.den)
 
     # --- predicates and views -----------------------------------------
 

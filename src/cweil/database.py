@@ -45,10 +45,10 @@ then parses, with the checks above, just that one file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 # The interpreter's builtin sha256, as `random` takes `_sha512`: `hashlib`
 # would load OpenSSL, about 3.6 MB of resident memory per process.
@@ -70,8 +70,7 @@ AUT_CHECK_MAX_LENGTH = 16
 MAX_LENGTH = 2 * (WORD_BUDGET.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class CodeRecord:
+class CodeRecord(NamedTuple):
     name: str
     code: LinearCode
     aut: int | None = None
@@ -90,10 +89,13 @@ class CodeRecord:
         return self.code.tag
 
 
-@dataclass
 class CodeDatabase:
-    records: list[CodeRecord] = field(default_factory=list)
-    complete: dict[tuple[str, int], int] = field(default_factory=dict)
+    """Records, and the class count of each declared-complete (type, length)."""
+
+    def __init__(self, records: list[CodeRecord] | None = None,
+                 complete: dict[tuple[str, int], int] | None = None):
+        self.records = [] if records is None else records
+        self.complete = {} if complete is None else complete
 
     def __getitem__(self, name: str) -> CodeRecord:
         for rec in self.records:

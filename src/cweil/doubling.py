@@ -19,13 +19,13 @@ Clifford-Weil group order is tabulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .codes import mass_range
 from .database import CodeDatabase
-from .poly import Poly, conj_poly, inner_product, mono_factorial
+from .poly import Poly, combine, conj_poly, inner_product, mono_factorial
 from .siegelphi import CuspBasis, cusp_basis, phi_op
 from .weightenum import cwe
 
@@ -64,15 +64,7 @@ def product_bipartite(a: Poly, b: Poly) -> dict:
 
 def pair_y(P: dict, f: Poly) -> Poly:
     """Inner product in the y variables of a dmap image; conjugate-linear in f."""
-    shape = (f.p, f.g, f.N, f.conductor)
-    if any((px.p, px.g, px.N, px.conductor) != shape for px in P.values()):
-        raise ValueError("pair_y shape mismatch")
-    out = Poly.zero(*shape)
-    for my, px in P.items():
-        fc = f.terms.get(my)
-        if fc is not None:
-            out = out + (fc.conj() * mono_factorial(my)) * px
-    return out
+    return combine([(f.coeff(my).conj() * mono_factorial(my), px) for my, px in P.items()], f)
 
 
 # --- Siegel-Weil normalizations and the closed-form constants -----------
@@ -145,12 +137,8 @@ def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase, p: int = 2) -> Pol
     """E_g as b_g * sum over classes of (N!/|Aut|) * cwe_g."""
     recs = db.complete_records(tag, N)
     b = _sw_norm(tag, N, g, p)
-    total = None
-    for rec in recs:
-        coef = b * Fraction(factorial(N), rec.aut)
-        term = coef * cwe(rec.code, g)
-        total = term if total is None else total + term
-    return total
+    pairs = [(b * Fraction(factorial(N), rec.aut), cwe(rec.code, g)) for rec in recs]
+    return combine(pairs, pairs[0][1])
 
 
 def doubling_pairing_sw(tag: str, N: int, g: int, db: CodeDatabase, f: Poly) -> Poly:
@@ -159,13 +147,13 @@ def doubling_pairing_sw(tag: str, N: int, g: int, db: CodeDatabase, f: Poly) -> 
         raise ValueError("f has the wrong length or genus")
     recs = db.complete_records(tag, N)
     b2 = const_b(tag, N, g, f.p)
-    total = Poly.zero(f.p, g, N, f.conductor)
+    pairs = []
     for rec in recs:
         w = cwe(rec.code, g)
         pairing = inner_product(w, f)
         if pairing:
-            total = total + (factorial(N) * b2 * Fraction(1, rec.aut) * pairing) * w
-    return total
+            pairs.append((factorial(N) * b2 * Fraction(1, rec.aut) * pairing, w))
+    return combine(pairs, f)
 
 
 # --- verification reports ----------------------------------------------
@@ -262,8 +250,7 @@ def scalar_factorial_form(mu: Fraction, N: int, known=()) -> str:
     return f"{head}/({_factored(den, known)})"
 
 
-@dataclass(frozen=True)
-class FormResult:
+class FormResult(NamedTuple):
     scalar: Fraction
     residual_zero: bool
     theoretical: Fraction
@@ -273,8 +260,7 @@ class FormResult:
         return self.residual_zero and self.scalar == self.theoretical
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tag: str
     N: int
     g: int
@@ -325,7 +311,7 @@ def _fit_scalar(pairing: Poly, target: Poly):
     m = next(iter(sorted(target.terms)))
     num = pairing.terms.get(m)
     mu = num.as_rational() / target.terms[m].as_rational() if num else Fraction(0)
-    return mu, not (pairing - mu * target)
+    return mu, not combine([(1, pairing), (-mu, target)], target)
 
 
 def verify_doubling(tag: str, N: int, g: int, db: CodeDatabase) -> VerificationReport:
@@ -351,16 +337,14 @@ def basis_expansion(f: Poly, tag: str, N: int, g: int, db: CodeDatabase):
     recs = db.complete_records(tag, N)
     b = const_b(tag, N, g, f.p)
     cfull = predicted_scalar(tag, N, g, recs)[0]
-    out = []
-    rebuilt = Poly.zero(f.p, g, N, f.conductor)
+    out, pairs = [], []
     for rec in recs:
         w = cwe(rec.code, g)
         coef = (b / cfull) * Fraction(factorial(N), rec.aut) * inner_product(
             f, w
         ).as_rational()
         out.append((rec.name, coef))
-        if coef:
-            rebuilt = rebuilt + coef * w
-    if rebuilt != f:
+        pairs.append((coef, w))
+    if combine(pairs, f) != f:
         raise ValueError("basis expansion failed to reconstruct the input")
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .cyclo import CycNum
+from .cyclo import CycNum, conj_nums, mul_nums, phi_degree
 
 Coeff = CycNum | Fraction | int
 
@@ -141,17 +141,51 @@ def mono_factorial(m) -> int:
 
 
 def inner_product(a: Poly, b: Poly) -> CycNum:
-    """(a, b) = sum_m a_m * conj(b_m) * prod_v (n_v!); hermitian, exact."""
+    """(a, b) = sum_m a_m * conj(b_m) * prod_v (n_v!), in numerators over one denominator."""
     a._like(b, degree=True)
+    n = a.conductor
     small = a.terms if len(a.terms) <= len(b.terms) else b.terms
-    total = CycNum.zero(a.conductor)
+    den, total = 1, [0] * phi_degree(n)
     for m in small:
         ca = a.terms.get(m)
         cb = b.terms.get(m)
         if ca is None or cb is None:
             continue
-        total = total + ca * cb.conj() * mono_factorial(m)
-    return total
+        d = ca.den * cb.den
+        top = lcm(den, d)
+        if top != den:
+            total = [x * (top // den) for x in total]
+            den = top
+        k = top // d * mono_factorial(m)
+        for u, x in enumerate(mul_nums(n, ca.nums, conj_nums(n, cb.nums))):
+            total[u] += k * x
+    return CycNum(n, total, den)
+
+
+def combine(pairs, like: Poly) -> Poly:
+    """sum_i c_i * a_i over the (c_i, a_i) in pairs, each a_i shaped like `like`.
+
+    The c_i are CycNums or exact rationals.  Each monomial's sum is kept in
+    integer numerators over one denominator, and becomes one CycNum at the end.
+    """
+    n, shape = like.conductor, (like.p, like.g, like.N, like.conductor)
+    acc: dict = {}
+    for c, a in pairs:
+        c = _as_cyc(c, n)
+        if (a.p, a.g, a.N, a.conductor, c.n) != shape + (n,):
+            raise ValueError(f"{c!r} * {a!r} of conductor {a.conductor} does not match "
+                             f"{like!r} of conductor {n}")
+        scalar = c.nums[0] if c.is_rational() else None
+        for m, t in a.terms.items():
+            nums = mul_nums(n, c.nums, t.nums) if scalar is None else [scalar * x for x in t.nums]
+            den = c.den * t.den
+            old = acc.get(m)
+            if old is not None:
+                top = lcm(old[0], den)
+                nums = [x * (top // old[0]) + y * (top // den) for x, y in zip(old[1], nums)]
+                den = top
+            acc[m] = den, nums
+    return Poly(*shape, {m: CycNum(n, nums, den) for m, (den, nums) in acc.items()})
 
 
 def apply_operator(a: Poly, mat) -> Poly:
@@ -180,16 +214,17 @@ def apply_operator(a: Poly, mat) -> Poly:
             pow_cache[v][e] = got
         return got
 
-    out = Poly.zero(a.p, a.g, a.N, a.conductor)
-    for m, c in a.terms.items():
+    def image(m) -> Poly:
         piece = None
         for v, e in enumerate(m):
             if e:
                 piece = img_pow(v, e) if piece is None else piece * img_pow(v, e)
         if piece is None:  # constant monomial (N = 0)
             piece = Poly.monomial(a.p, a.g, a.conductor, (0,) * d)
-        out = out + c * piece
-    return out
+        return piece
+
+    pieces = ((c, image(m)) for m, c in a.terms.items())
+    return combine(pieces, Poly.zero(a.p, a.g, a.N, a.conductor))
 
 
 def _as_cyc(x, conductor: int) -> CycNum:

@@ -20,11 +20,11 @@ depend on how the span was echeloned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
-from .poly import Poly, serialize_poly, var_index
+from .poly import Poly, combine, serialize_poly, var_index
 from .weightenum import cwe
 
 
@@ -82,27 +82,36 @@ def lift_op_w(a: Poly, j: int, w) -> Poly:
 # --- exact rational linear algebra --------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]):
-    """In-place reduced row echelon form; returns the pivot column list."""
+def _rref(rows: list[list]) -> list[int]:
+    """In-place reduced row echelon form of rational rows; returns the pivot column list.
+
+    Fraction-free Gauss-Jordan on rows cleared to integers, each divided by
+    its gcd after every update; the pivot rows become Fractions at the end.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     r = 0
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        m[r], m[piv] = m[piv], m[r]
+        top, a = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                new = [a * x - f * y for x, y in zip(row, top)]
+                d = gcd(*new)
+                m[i] = [x // d for x in new] if d > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(m):
             break
-    del rows[r:]
+    rows[:] = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     return pivots
 
 
@@ -142,8 +151,7 @@ def _primitive(vec) -> tuple[Fraction, ...]:
 # --- cusp spaces --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspBasis:
+class CuspBasis(NamedTuple):
     tag: str
     N: int
     g: int
@@ -171,15 +179,16 @@ class CuspBasis:
         return "\n".join(lines)
 
 
-def _coeff_rows(polys: list[Poly], monomials) -> list[list[Fraction]]:
-    """Matrix with one row per monomial, one column per polynomial."""
+def _coeff_rows(polys: list[Poly], monomials) -> list[list[int]]:
+    """Matrix with one row per monomial, one column per polynomial, each row
+    scaled to integers by the lcm of its denominators."""
     rows = []
     for m in monomials:
-        row = []
-        for poly in polys:
-            c = poly.terms.get(m)
-            row.append(c.as_rational() if c is not None else Fraction(0))
-        rows.append(row)
+        cs = [poly.terms.get(m) for poly in polys]
+        if any(c is not None and not c.is_rational() for c in cs):
+            raise ValueError(f"a coefficient of the monomial {m} is not rational")
+        den = lcm(*(c.den for c in cs if c is not None))
+        rows.append([c.nums[0] * (den // c.den) if c is not None else 0 for c in cs])
     return rows
 
 
@@ -213,10 +222,7 @@ def cusp_basis(codes, g: int) -> CuspBasis:
 
     polys = []
     for combo in combos:
-        f = Poly.zero(codes[0].p, g, N, enums[0].conductor)
-        for c, e in zip(combo, enums):
-            if c:
-                f = f + c * e
+        f = combine(zip(combo, enums), enums[0])
         if not f or phi_op(f, 1):
             raise ValueError(f"combo {combo} is not a nonzero cusp form")
         polys.append(f)

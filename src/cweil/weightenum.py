@@ -68,7 +68,7 @@ def cwe_binary_fast(C: LinearCode, g: int) -> Poly:
         raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     n = C.n
     if g == 1:
-        counts = Counter((n - w.bit_count(), w.bit_count()) for w in C.words)
+        counts = {(n - w, w): k for w, k in Counter(map(int.bit_count, C.words)).items()}
     else:
         counts = _genus2_counts(C.words, n)
     return Poly(2, g, n, run_conductor(2), counts)

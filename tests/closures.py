@@ -12,13 +12,18 @@ breadth-first coset closure over H with no orbit and no Schreier step, and
 `stored_parabolic` every element of P_g, by the plain closure of its
 generators.  `power_sum` is the full multinomial expansion of a power sum
 of linear forms, over every monomial: the oracle of the coset average,
-which expands only the monomials that every d_phi fixes.  Nothing in the
-cweil package imports this module.
+which expands only the monomials that every d_phi fixes.  The last three
+are the term-by-term forms of the exact linear algebra, the oracles of the
+integer-numerator kernels that replaced them: `fraction_rref` of the
+fraction-free `siegelphi._rref`, `cycnum_inner_product` of
+`poly.inner_product`, and `fold_combine` of `poly.combine`.  Nothing in
+the cweil package imports this module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from fractions import Fraction
 from math import comb, lcm
 
 import numpy as np
@@ -41,7 +46,7 @@ from cweil.cliffordweil import (
     predicted_orders,
 )
 from cweil.cyclo import CycNum, conj_table, mul_nums, mul_table, phi_degree
-from cweil.poly import Poly
+from cweil.poly import Poly, mono_factorial
 from cweil.weightenum import run_conductor
 
 CLOSURE_CAP = 200_000
@@ -398,3 +403,52 @@ def delta_embed(g1: Operator, g2: Operator) -> Operator:
     eye = np.eye(p**g, dtype=np.int64)[:, :, None]
     left = Operator(p, 2 * g, n, np.kron(g1.arr, eye), g1.den)
     return left @ Operator(p, 2 * g, n, np.kron(eye, g2.arr), g2.den)
+
+
+# --- the exact linear algebra, one Fraction or CycNum per step ------------
+
+
+def fraction_rref(rows: list[list[Fraction]]):
+    """In-place reduced row echelon form; returns the pivot column list."""
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    del rows[r:]
+    return pivots
+
+
+def cycnum_inner_product(a: Poly, b: Poly) -> CycNum:
+    """(a, b) = sum_m a_m * conj(b_m) * prod_v (n_v!), one CycNum per term."""
+    a._like(b, degree=True)
+    small = a.terms if len(a.terms) <= len(b.terms) else b.terms
+    total = CycNum.zero(a.conductor)
+    for m in small:
+        ca = a.terms.get(m)
+        cb = b.terms.get(m)
+        if ca is None or cb is None:
+            continue
+        total = total + ca * cb.conj() * mono_factorial(m)
+    return total
+
+
+def fold_combine(pairs, like: Poly) -> Poly:
+    """sum_i c_i * a_i as a fold of Poly `+`, from the zero Poly shaped like `like`."""
+    total = Poly.zero(like.p, like.g, like.N, like.conductor)
+    for c, a in pairs:
+        total = total + c * a
+    return total

@@ -1,7 +1,6 @@
 """Command-line driver: outputs, exit codes, failure paths."""
 
 import ast
-import dataclasses
 import hashlib
 import importlib
 import os
@@ -313,7 +312,7 @@ def test_verify_doubling_detects_corrupt_data(tmp_path, capsys):
 def _db_with_wrong_golay_order() -> CodeDatabase:
     db = load_bundled("codes_2ii_n24")
     return CodeDatabase(
-        [dataclasses.replace(r, aut=244823042) if r.name == "golay24" else r
+        [r._replace(aut=244823042) if r.name == "golay24" else r
          for r in db.records],
         dict(db.complete),
     )
@@ -621,6 +620,43 @@ def test_commands_without_array_work_never_run_numpy():
     assert "import []" in out.stdout
     lines = out.stderr.splitlines()
     assert lines == [f"ran {argv} 0 []" for argv in NUMPY_FREE]
+
+
+# the gated benchmark jobs (perfbench/workloads.py)
+GATED = [
+    "verify-doubling --type 2I --length 16 --genus 1 --factorial",
+    "verify-doubling --type 2I --length 16 --genus 2 --factorial",
+    "verify-doubling --type 2II --length 24 --genus 1 --factorial",
+    "cusp --type 2I --length 16 --genus 2 --polys",
+    "cwe --code golay24 --genus 1 --tuples",
+    "aut --code golay24",
+    "eisenstein --type 2II --length 24 --genus 1 --method siegel-weil",
+    "constants --type 2II --length 24 --genus 1 --factorial",
+    "group --type 2II --genus 2",
+    "eisenstein --type 2I --length 16 --genus 2 --method coset",
+    "eisenstein --type 2II --length 8 --genus 2 --method coset",
+    "eisenstein --type 2II --length 24 --genus 1 --method coset",
+    "group --type Q1 --genus 1 --field 3 --parabolic",
+]
+
+
+def test_gated_commands_never_import_dataclasses_or_inspect():
+    # the two cost about 15 ms of every start; the records are namedtuples
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+        "import cweil.cli\n"
+        "print('import', loaded())\n"
+        f"for argv in {GATED!r}:\n"
+        "    rc = cweil.cli.main(argv.split())\n"
+        "    print('ran', argv, rc, loaded(), file=sys.stderr)\n"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert "import []" in out.stdout
+    lines = out.stderr.splitlines()
+    assert lines == [f"ran {argv} 0 []" for argv in GATED]
 
 
 def test_package_has_no_asserts():

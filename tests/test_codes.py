@@ -9,7 +9,9 @@ from cweil.codes import (
     dual_code,
     weight_distribution,
 )
-from tests.constructions import permute_code
+from cweil.database import BUNDLED, load_bundled
+from tests.constructions import (direct_sum, e8, golay24, i2, permute_code, retag,
+                                 table2_codes)
 
 
 def test_repetition_code():
@@ -122,3 +124,45 @@ def test_contains():
 def test_self_dual_dimension_halved():
     i2 = code_from_rows(2, 2, ["11"])
     assert i2.k * 2 == i2.n
+
+
+BUNDLED_BINARY = [rec.code for name in BUNDLED for rec in load_bundled(name).records
+                  if rec.p == 2]
+
+
+def _rows_match_words(C: LinearCode) -> bool:
+    """The 2II check on the rows agrees with doubly-even weights on every word."""
+    every_word = check_type(C, "2I") and all(w.bit_count() % 4 == 0 for w in C.words)
+    return check_type(C, "2II") == every_word
+
+
+def test_2ii_row_check_matches_every_word_on_the_bundled_codes():
+    assert len(BUNDLED_BINARY) == 19
+    assert all(_rows_match_words(C) for C in BUNDLED_BINARY)
+
+
+SELF_DUAL_BLOCKS = [i2(), e8(), golay24(), *table2_codes().values()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_2ii_row_check_matches_every_word_on_random_self_dual_codes(data):
+    # direct sums of self-dual blocks, singly even once an i2 or a 2I block
+    # is among them, under a random coordinate permutation
+    parts = data.draw(st.lists(st.sampled_from(SELF_DUAL_BLOCKS), min_size=1, max_size=4)
+                      .filter(lambda ps: sum(C.n for C in ps) <= 24))
+    C = direct_sum(*parts)
+    C = retag(permute_code(C, data.draw(st.permutations(range(C.n)))), "2II")
+    assert check_type(C, "2I")
+    assert _rows_match_words(C)
+
+
+def test_a_singly_even_code_tagged_2ii_is_refused():
+    C = retag(direct_sum(e8(), i2(), i2(), i2(), i2()), "2II")
+    assert check_type(C, "2I") and not check_type(C)
+    # and the oracle agrees: not every word is doubly even
+    assert not all(w.bit_count() % 4 == 0 for w in C.words)
+
+
+def test_loading_a_2ii_file_builds_no_codewords():
+    assert all("words" not in vars(rec.code) for rec in load_bundled("codes_2ii_n24").records)

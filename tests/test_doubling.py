@@ -14,6 +14,7 @@ from cweil.database import CodeDatabase, CodeRecord, load_bundled
 from cweil.doubling import (
     MR_EXACT,
     FactoringBudgetError,
+    FormResult,
     _factored,
     basis_expansion,
     const_b,
@@ -325,3 +326,35 @@ def test_predicted_scalar_is_taken_at_the_records_field():
     assert rep.theoretical == Fraction(8, 5)
     assert "predicted scalar (proven): 8/5" in rep.to_text()
     assert predicted_scalar("Q", 4, 1, db.records) == (Fraction(8, 5), True)
+
+
+# --- the result and record classes: value equality, hashing, repr --------
+
+
+def test_code_record_equality_hash_and_repr():
+    rec = CodeRecord("e8", e8(), 1344)
+    same = CodeRecord("e8", e8(), 1344, "")
+    assert rec == same and hash(rec) == hash(same) and len({rec, same}) == 1
+    assert rec != CodeRecord("e8", e8(), 1343) and rec != CodeRecord("e8x", e8(), 1344)
+    assert CodeRecord("e8", e8()).aut is None and CodeRecord("e8", e8()).note == ""
+    assert (rec.p, rec.n, rec.tag) == (2, 8, "2II")
+    assert repr(rec) == ("CodeRecord(name='e8', code=LinearCode(p=2, [8,4], tag=2II), "
+                         "aut=1344, note='')")
+    with pytest.raises(AttributeError):
+        rec.aut = 1
+
+
+def test_results_compare_by_value():
+    db = load_bundled("codes_2i_n16")
+    a, b = verify_doubling("2I", 16, 1, db), verify_doubling("2I", 16, 1, db)
+    assert a == b and a.basis == b.basis and a.forms == b.forms
+    assert a.basis is not b.basis and a.basis.dimension == 2
+    fr = a.forms[0]
+    assert repr(fr) == (f"FormResult(scalar={fr.scalar!r}, residual_zero=True, "
+                        f"theoretical={fr.theoretical!r})")
+    assert hash(fr) == hash(FormResult(fr.scalar, fr.residual_zero, fr.theoretical))
+    assert fr != FormResult(fr.scalar + 1, fr.residual_zero, fr.theoretical)
+    with pytest.raises(TypeError):
+        hash(a)  # it holds Polys, which are unhashable
+    with pytest.raises(AttributeError):
+        a.basis.N = 8

@@ -9,6 +9,7 @@ from cweil.cyclo import CycNum, sqrt_prime_power
 from cweil.poly import (
     Poly,
     apply_operator,
+    combine,
     conj_poly,
     index_vector,
     inner_product,
@@ -17,6 +18,7 @@ from cweil.poly import (
     tuple_profile,
     var_index,
 )
+from tests.closures import cycnum_inner_product, fold_combine
 from tests.test_cliffordweil import _run_python_O
 
 
@@ -208,3 +210,53 @@ def test_poly_checks_survive_python_O():
         "Poly(p=2, g=1, N=8, 1 terms) of conductor 8",
         "the term (3, 3): CycNum(8, 1) does not fit 2 variables, degree 8 and conductor 8",
     ]
+
+
+# --- the integer-numerator kernels against their term-by-term oracles ----
+
+# conductor -> field size: Q(zeta_8) and Q(zeta_12) both have degree 4
+FIELDS = {8: 2, 12: 3}
+
+
+def _cyc(draw, n):
+    nums = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    return CycNum(n, nums, draw(st.integers(1, 4)))
+
+
+def _cyc_poly(draw, n, N=3):
+    ms = list(monomial_exponents(FIELDS[n], N))
+    picked = draw(st.lists(st.sampled_from(ms), max_size=len(ms), unique=True))
+    return Poly(FIELDS[n], 1, N, n, {m: _cyc(draw, n) for m in picked})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(sorted(FIELDS)), data=st.data())
+def test_inner_product_and_combine_match_their_oracles(n, data):
+    a, b = _cyc_poly(data.draw, n), _cyc_poly(data.draw, n)
+    assert inner_product(a, b) == cycnum_inner_product(a, b)
+    rationals = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        c = _cyc(data.draw, n) if data.draw(st.booleans()) else data.draw(rationals)
+        pairs.append((c, _cyc_poly(data.draw, n)))
+    if pairs and data.draw(st.booleans()):  # a pair and its negative cancel
+        c, x = data.draw(st.sampled_from(pairs))
+        pairs.append((-c, x))
+    got = combine(pairs, a)
+    assert got == fold_combine(pairs, a)
+    assert all(got.terms.values())
+
+
+def test_combine_drops_cancelled_terms_and_refuses_shape_mismatches():
+    z = CycNum.zeta_pow(8, 1)
+    a = P({(2, 0): z, (1, 1): 1})
+    b = P({(2, 0): 1, (0, 2): z})
+    got = combine([(1, a), (-z, b)], a)
+    assert got == fold_combine([(1, a), (-z, b)], a)
+    assert set(got.terms) == {(1, 1), (0, 2)}  # z * x0^2 cancelled
+    assert not combine([(z, a), (-z, a)], a).terms
+    assert combine([], a) == Poly.zero(2, 1, 2, 8)
+    for bad in [(1, P({(3, 0): 1})), (1, P({(1, 0, 0, 1): 1}, g=2)),
+                (1, P({(1, 1, 0): 1}, p=3, n=12)), (CycNum.one(12), a)]:
+        with pytest.raises(ValueError):
+            combine([(1, a), bad], a)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cweil.poly import Poly, conj_poly, inner_product
 from cweil.siegelphi import (
@@ -16,6 +18,7 @@ from cweil.siegelphi import (
     phi_op_w,
 )
 from cweil.weightenum import cwe
+from tests.closures import fraction_rref
 from tests.constructions import d16_plus, e8, i2, table2_codes
 from tests.test_cliffordweil import _run_python_O
 from tests.test_poly import monomial_exponents
@@ -202,3 +205,32 @@ def test_tail_length_checks_survive_python_O():
     out = _run_python_O(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["the tail (0, 1) does not have j = 1 coordinates"] * 2
+
+
+RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of rationals with zero rows, repeated rows and dependent columns mixed in."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = [Fraction(0)] * ncols if draw(st.booleans()) or not rows else \
+            [x * draw(RATIONALS) for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    if ncols > 2 and draw(st.booleans()):  # column 2 = a * column 0 + b * column 1
+        a, b = draw(RATIONALS), draw(RATIONALS)
+        for row in rows:
+            row[2] = a * row[0] + b * row[1]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_the_fraction_elimination(rows):
+    want = [row[:] for row in rows]
+    want_pivots = fraction_rref(want)
+    assert _rref(rows) == want_pivots
+    assert rows == want
+    assert all(type(x) is Fraction for row in rows for x in row)

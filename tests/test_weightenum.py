@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cweil.codes import LinearCode, code_from_rows
 from cweil.cyclo import CycNum
-from cweil.database import load_bundled
+from cweil.database import BUNDLED, load_bundled
 from cweil.poly import tuple_profile
 from cweil.siegelphi import phi_op
 from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
@@ -221,3 +221,9 @@ def test_popcount_kernel_refuses_odd_p_and_genus_0():
     for g in (0, 3):
         with pytest.raises(ValueError, match="g = 1 or 2"):
             cwe_binary_fast(e8(), g)
+
+
+@pytest.mark.parametrize("rec", [rec for name in BUNDLED for rec in load_bundled(name).records
+                                 if rec.p == 2], ids=lambda rec: rec.name)
+def test_genus1_histogram_matches_generic_on_every_bundled_binary_code(rec):
+    assert cwe_binary_fast(rec.code, 1) == cwe_generic(rec.code, 1)
