@@ -16,10 +16,11 @@ from math import factorial
 from .autgroup import aut_order
 from .cliffordweil import (
     ClosureError,
+    Operator,
     center_order,
     coset_labels,
     eisenstein_coset,
-    generators,
+    generator_cells,
     group_closure,
     parabolic_closure,
     predicted_orders,
@@ -324,7 +325,8 @@ def _selftest_checks():
     def check_unitarity():
         for tag, g, p in [("2I", 1, 2), ("2I", 2, 2), ("2II", 1, 2),
                           ("2II", 2, 2), ("Q", 1, 3), ("Q1", 1, 3)]:
-            if not all(op.is_unitary() for op in generators(tag, g, p, reduced=False)):
+            if not all(Operator.from_cells(p, g, *cells).is_unitary()
+                       for cells in generator_cells(tag, g, p, reduced=False)):
                 return False
         return True
 

@@ -8,25 +8,21 @@ The group C_g attached to a self-dual code type is generated by
           w agreeing with v off the coordinates a, for the k = r kernel pairs
           (a, b) = (i, i), i <= r: the partial Fourier transform.
 
-Each kind is built one way, as phase cells of `_phase_operator`.  A form's
+Each kind is built one way, as phase cells (`generator_cells`).  A form's
 diagonal terms are (a x^2 + b x) / den by the per-type table FORM_RULE, and
 h_r's Fourier operator (`_fourier_cells`) takes any list of kernel pairs.
+With our substitution convention, "act by A, then act by B" is the matrix
+product A*B.
 
-An Operator stores its matrix as an int64 array of power-basis numerators
-over a single common denominator, normalised by gcd.  Every product of
-operators, Operator.__matmul__ included, is one integer matmul against the
-right factor, or a stack of right factors, with the cyclotomic structure
-constants folded in (`_fold`, `_batch_mul`).  With our substitution
-convention, "act by A, then act by B" is the matrix product A*B.  Every
-int64 product first bounds its partial sums and raises Int64OverflowError
-rather than wrap.
-
-The orders and the coset index need no Operator and no numpy.  C_g acts on
-Omega, the lines of the rows reached from the x_v under the generators,
-each taken modulo the central phases mu_z, z = |Z|, in Python ints
-(`_Rows`: per phase cell, one product with a power of zeta in the one
+The orders, the coset index and membership need no matrix product.  C_g
+acts on Omega, the lines of the rows reached from the x_v under the
+generators, each taken modulo the central phases mu_z, z = |Z|, in Python
+ints (`_Rows`: per phase cell, one product with a power of zeta in the one
 cyclotomic multiply `cyclo.mul_nums`).  Omega holds every x_v, so only the
-identity fixes its vectors, and C_g is this permutation group.
+identity fixes its vectors, and C_g is this permutation group.  An element
+is its permutation of Omega; its matrix, an Operator of CycNum rows, is read
+off that permutation when it is asked for: when the point of x_v goes to
+the line of row c with the phase zeta_z^a, row v is zeta_z^a row c.
 `_LineAction` stores the monomial subgroup H = <m_u, d_phi>
 (Nebe-Rains-Sloane, Self-Dual Codes and Invariant Theory, ch. 5), which
 fixes x_0, and certifies by orbit-stabiliser that the stabiliser of the
@@ -58,21 +54,10 @@ from itertools import product as iproduct
 from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
-from ._lazy import lazy_import
 from .codes import rref
-from .cyclo import (
-    CycNum,
-    _power_table,
-    conj_table,
-    mul_nums,
-    mul_table,
-    phi_degree,
-    sqrt_prime_power,
-)
+from .cyclo import CycNum, _power_table, mul_nums, phi_degree, sqrt_prime_power
 from .poly import Poly, apply_operator, index_vector, var_index
 from .weightenum import run_conductor
-
-np = lazy_import("numpy")
 
 # |Z|, and the predicted closure orders |Z| * |ker lambda|^2 * |G_g| at desk
 # scale; everything larger goes through the mass-formula route instead.
@@ -99,89 +84,48 @@ class ClosureError(ValueError):
     """A closure or coset layout failed one of its certifying checks."""
 
 
-class Int64OverflowError(ValueError):
-    """An int64 operator product could exceed 2^63 - 1 and wrap silently."""
-
-
-def _absmax(a: np.ndarray) -> int:
-    return max(int(a.max()), -int(a.min()))
-
-
-def _check_int64(bound: int, what: str) -> None:
-    """Raise unless the Python-int bound on every partial sum fits in int64."""
-    if bound >= 2**63:
-        raise Int64OverflowError(f"{what} could overflow int64 (bound {bound})")
-
-
 def center_order(tag: str, p: int) -> int:
     z = CENTER_ORDER[tag]
     return 4 * p if z is None else z
 
 
 class Operator:
-    """A p^g x p^g matrix over Q(zeta_n), gcd-normalised int64 numerators."""
+    """A p^g x p^g matrix over Q(zeta_n), held as its rows of CycNums."""
 
-    __slots__ = ("p", "g", "n", "den", "arr")
+    __slots__ = ("p", "g", "n", "rows")
 
-    def __init__(self, p: int, g: int, n: int, arr: np.ndarray, den: int):
-        arr = np.asarray(arr, dtype=np.int64)
-        d = p**g
-        if den <= 0 or arr.shape != (d, d, phi_degree(n)):
-            raise ValueError(f"an operator needs den > 0 and shape {(d, d, phi_degree(n))}, "
-                             f"got den = {den} and shape {arr.shape}")
-        g_all = int(np.gcd.reduce(np.abs(arr), axis=None))
-        g_all = gcd(g_all, den)
-        if g_all > 1:
-            arr = arr // g_all
-            den //= g_all
-        arr.setflags(write=False)
-        self.p, self.g, self.n, self.den, self.arr = p, g, n, den, arr
+    def __init__(self, p: int, g: int, n: int, rows):
+        d, rows = p**g, tuple(tuple(row) for row in rows)
+        if len(rows) != d or any(len(row) != d for row in rows):
+            raise ValueError(f"an operator needs {d} x {d} entries")
+        self.p, self.g, self.n, self.rows = p, g, n, rows
 
     @staticmethod
-    def identity(p: int, g: int, n: int) -> "Operator":
-        d = p**g
-        arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-        arr[range(d), range(d), 0] = 1
-        return Operator(p, g, n, arr, 1)
+    def from_cells(p: int, g: int, cells, scale: CycNum | None = None) -> "Operator":
+        """The matrix with entry scale * zeta_n^k at each cell (i, j, k), else 0
+        (None for 1), as `generator_cells` gives each generator."""
+        n, d = run_conductor(p), p**g
+        rows = [[CycNum.zero(n)] * d for _ in range(d)]
+        for i, j, k in cells:
+            x = CycNum.zeta_pow(n, k)
+            rows[i][j] = x if scale is None else scale * x
+        return Operator(p, g, n, rows)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same(self, (other.p, other.g, other.n))
-        raw, den = _batch_mul(self.arr[None], np.array([self.den]),
-                              _fold(other.arr, mul_table(self.n)), other.den)
-        return Operator(self.p, self.g, self.n, raw[0], int(den[0]))
-
-    def conj_t(self) -> "Operator":
-        C = conj_table(self.n)
-        arr = np.einsum("jis,su->iju", self.arr, C)
-        return Operator(self.p, self.g, self.n, arr, self.den)
-
-    def fingerprint(self) -> bytes:
-        return _keys(self.arr[None], np.array([self.den], dtype=np.int64))[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return (
-            (self.p, self.g, self.n, self.den) == (other.p, other.g, other.n, other.den)
-            and np.array_equal(self.arr, other.arr)
-        )
-
-    def entry(self, i: int, j: int) -> CycNum:
-        return CycNum(self.n, tuple(int(x) for x in self.arr[i, j]), self.den)
-
-    def entries(self):
-        d = self.p**self.g
-        return [[self.entry(i, j) for j in range(d)] for i in range(d)]
+    def entries(self) -> list:
+        return [list(row) for row in self.rows]
 
     def apply(self, a: Poly) -> Poly:
         _check_same(self, (a.p, a.g, a.conductor))
-        return apply_operator(a, self.entries())
+        return apply_operator(a, self.rows)
 
     def is_unitary(self) -> bool:
-        return self @ self.conj_t() == Operator.identity(self.p, self.g, self.n)
+        """A A* = 1, A* the conjugate transpose, entry by entry."""
+        zero, conj = CycNum.zero(self.n), [[x.conj() for x in row] for row in self.rows]
+        return all(sum((a * b for a, b in zip(row, other)), zero) == int(i == j)
+                   for i, row in enumerate(self.rows) for j, other in enumerate(conj))
 
     def __repr__(self):
-        return f"Operator(p={self.p}, g={self.g}, den={self.den})"
+        return f"Operator(p={self.p}, g={self.g}, n={self.n})"
 
 
 def _check_same(op: Operator, pgn: tuple) -> None:
@@ -265,18 +209,6 @@ def _phase(n: int, frac: Fraction) -> int:
     return int(k) % n
 
 
-def _phase_operator(p: int, g: int, cells, scale: CycNum | None = None) -> Operator:
-    """The matrix with entry scale * zeta_n^k at each cell (i, j, k), else 0 (None for 1)."""
-    d, n = p**g, run_conductor(p)
-    table = _power_table(n)[:n]
-    if scale is not None:
-        table = [mul_nums(n, t, scale.nums) for t in table]
-    arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
-    for i, j, k in cells:
-        arr[i, j] = table[k]
-    return Operator(p, g, n, arr, 1 if scale is None else scale.den)
-
-
 def _m_cells(u, p: int, g: int):
     """(cells, scale) of m_u, the variable permutation x_v -> x_{uv}."""
     u = [list(map(int, row)) for row in u]
@@ -351,72 +283,13 @@ def _primitive_root(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> tuple:
-    """C_g's generators as (cells, scale) for _phase_operator: the m_u, the d_phi
+    """C_g's generators as (cells, scale) for Operator.from_cells: the m_u, the d_phi
     (reduced generating sets, or every one of them), then h_1 .. h_g; memoised, as tuples."""
     ms = gl_generators(p, g) if reduced else gl_matrices(p, g)
     forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
     return tuple((tuple(cells), scale) for cells, scale in
                  [_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
                  + [_h_cells(r, g, p) for r in range(1, g + 1)])
-
-
-def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
-    """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
-    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)]
-
-
-
-@lru_cache(maxsize=None)
-def _table_bound(table: bytes) -> int:
-    """max |T[s,t,u]| of an int64 structure-constant table, taken once per table."""
-    return _absmax(np.frombuffer(table, dtype=np.int64))
-
-
-def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """X with the structure constants folded in, as a (d*phi) x (d*phi) matrix.
-
-    Xt[(k,s),(j,u)] = sum_t X[k,j,t] T[s,t,u], so that A @ X is the integer
-    matmul A[(i),(k,s)] @ Xt of A's numerators.  A stack of X folds to a
-    stack of Xt.
-    """
-    d, _, phi = x.shape[-3:]
-    _check_int64(_absmax(x) * _table_bound(T.tobytes()) * phi, "folding an operator")
-    return np.einsum("...kjt,stu->...ksju", x, T).reshape(x.shape[:-3] + (d * phi, d * phi))
-
-
-def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden):
-    """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
-
-    xt is X folded by _fold; the stack is widened to int64 here, before any
-    bound, and the products are one int64 matmul.  Given a stack of folded
-    X and their dens, the product f takes the f-th.  Operator.__matmul__ is
-    the stack of one.
-    """
-    m, d, _, phi = arrs.shape
-    arrs, dens = np.asarray(arrs, np.int64), np.asarray(dens, np.int64)
-    _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, int(dens.max()) * int(np.max(xden))),
-                 "a batched operator product")
-    raw = np.matmul(arrs.reshape(m, d, d * phi), xt).reshape(arrs.shape)
-    out = dens * xden
-    common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
-    raw //= common[:, None, None, None]
-    out //= common
-    return raw, out
-
-
-def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
-    """Fingerprints of normalised elements: the bytes of (den, numerators).
-
-    An element whose entries all fit in int8 is written in int8, any other
-    in int64; the two lengths differ, so equal keys still mean equal
-    elements.
-    """
-    flat = np.concatenate([dens[:, None], arrs.reshape(dens.size, -1)], axis=1)
-    small = (flat.min(axis=1) >= -128) & (flat.max(axis=1) < 128)
-    b8, s = flat.astype(np.int8).tobytes(), flat.shape[1]
-    return [b8[i * s:(i + 1) * s] if small[i] else flat[i].tobytes()
-            for i in range(dens.size)]
-
 
 
 def predicted_orders(tag: str, g: int, p: int) -> tuple[int, int]:
@@ -583,30 +456,28 @@ class _LineAction:
         k = (u[0] - self.units[0]) % z  # x_0 u = zeta_z^k x_0
         return (c, k) if itemgetter(*u)(self.shift[-k % z]) in self.H else None
 
-    def locate(self, op: Operator):
-        """The c with op in P_g t_c, or None when op is not in C_g."""
+    def locate(self, op) -> int | None:
+        """The c with op in P_g t_c, or None when op is not in C_g.  op is any
+        exact matrix with `entries()`, each row taken over the lcm of its
+        entries' denominators."""
         _check_same(op, (self.p, self.g, self.n))
-        lines = [self.kernel.canon(op.den, row) for row in op.arr.tolist()]
+        lines = [self.kernel.canon(den, [[x * (den // c.den) for x in c.nums] for c in row])
+                 for row in op.entries() for den in [lcm(*(c.den for c in row))]]
         if any(line is None or line[1] not in self.where for line in lines):
             return None
         found = self._sift(tuple(self.where[row] * self.z + a for a, row in lines))
         return found and found[0]
 
-    @lru_cache(maxsize=None)
-    def _word(self, tree: str, j: int) -> Operator:
-        """Element j of H ("hparent") or of t ("tparent"), multiplied out."""
-        parent = getattr(self, tree)[j]
-        if parent is None:
-            return Operator.identity(self.p, self.g, self.n)
-        i, s = parent
-        return self._word(tree, i) @ _phase_operator(self.p, self.g, *self.cells[s])
-
-    def operator(self, i: int) -> Operator:
-        """Element i = H[i % |H|] zeta_z^k t[i // |P_g|], k = i // |H| % z."""
-        h, d = len(self.hs), self.p**self.g
-        zeta = _phase_operator(self.p, self.g, [(v, v, i // h % self.z * self.n // self.z)
-                                                for v in range(d)])
-        return self._word("hparent", i % h) @ zeta @ self._word("tparent", i // self.parabolic)
+    def element(self, i: int) -> Operator:
+        """Element i = H[i % |H|] zeta_z^k t[i // |P_g|], k = i // |H| % z, read
+        off its permutation: when x_v's point goes to c z + a, row v is
+        zeta_z^a rows[c]."""
+        h, z, n, phases = len(self.hs), self.z, self.n, self.kernel.phases
+        images = itemgetter(*itemgetter(*self.hs[i % h])(self.shift[i // h % z]))(
+            self.t[i // self.parabolic])
+        return Operator(self.p, self.g, n, [
+            [CycNum(n, mul_nums(n, b, phases[a]) if a else b, den) for b in nums]
+            for a, (den, nums) in ((x % z, self.rows[x // z]) for x in images)])
 
 
 # cached on every datum it checks, so a changed prediction is certified afresh
@@ -622,22 +493,24 @@ class _OnDemand:
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, i: int):
-        return self.f(range(self.size)[i])
+    def __getitem__(self, i):
+        picked = range(self.size)[i]
+        return list(map(self.f, picked)) if isinstance(i, slice) else self.f(picked)
 
 
 class CertifiedGroup(_OnDemand):
     """C_g, the cosets P_g t_c over the orbit of [x_0], or P_g alone: element
-    i lies in P_g t_(i // |P_g|).  Indexing builds it as an Operator, and
-    membership reads an Operator's action on the lines."""
+    i lies in P_g t_(i // |P_g|).  Indexing reads an element's Operator off
+    its permutation of the lines, and membership reads any exact matrix's
+    action on them."""
 
     def __init__(self, tag: str, g: int, p: int, whole: bool):
         action = _line_action(tag, g, p, *predicted_orders(tag, g, p), center_order(tag, p))
         self.action, self.cosets = action, len(action.t) if whole else 1
-        super().__init__(action.parabolic * self.cosets, action.operator)
+        super().__init__(action.parabolic * self.cosets, action.element)
         self.order = self.size
 
-    def __contains__(self, op: Operator) -> bool:
+    def __contains__(self, op) -> bool:
         c = self.action.locate(op)
         return c is not None and c < self.cosets
 

@@ -25,10 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from ._lazy import lazy_import
-
-np = lazy_import("numpy")
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
@@ -89,33 +85,6 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
                 shifted[j] -= lead * c[j]
         rows.append(tuple(shifted))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def mul_table(n: int) -> np.ndarray:
-    """Structure constants T[s,t,u] with z^s * z^t = sum_u T[s,t,u] z^u.
-
-    int64 ndarray of shape (phi, phi, phi); shared by the fast operator
-    kernel (einsum over this tensor multiplies whole matrices at once).
-    """
-    phi = phi_degree(n)
-    rows = _power_table(n)
-    T = np.zeros((phi, phi, phi), dtype=np.int64)
-    for s in range(phi):
-        for t in range(phi):
-            T[s, t, :] = rows[s + t]
-    return T
-
-
-@lru_cache(maxsize=None)
-def conj_table(n: int) -> np.ndarray:
-    """Matrix C with conj(z^k) = z^(-k) = sum_u C[k,u] z^u  (int64, phi x phi)."""
-    phi = phi_degree(n)
-    rows = _power_table(n)
-    C = np.zeros((phi, phi), dtype=np.int64)
-    for k in range(phi):
-        C[k, :] = rows[(n - k) % n]
-    return C
 
 
 def mul_nums(n: int, a, b) -> list[int]:

@@ -1,12 +1,21 @@
 """Test-side oracles of the Clifford-Weil groups: matrix closures, the
 doubling representatives tau_r and the embedding Delta.
 
-The library certifies |C_g|, |P_g| and the coset index from the permutation
-action of C_g on the lines of the x_v orbit, in Python ints.  This module
-keeps the matrix route that it replaced, as the independent oracle of that
-certificate: `close_group` closes a group of int64 operators breadth first,
-and `orbit_closure` certifies a group as the monomial subgroup H plus one
-coset rep per vector in the orbit of x_0, by Schreier's lemma over batched
+The library holds a group element as its permutation of the lines of the
+x_v orbit, in Python ints, and reads its matrix off that permutation as
+CycNum rows.  This module keeps the int64 matrix route that it replaced, as
+the independent oracle of that read-off and of the certificate.  `Operator`
+stores a matrix as int64 power-basis numerators over one common
+denominator, and each product is one integer matmul with the cyclotomic
+structure constants `mul_table` folded in (`_fold`, `_batch_mul`); a
+product that could pass int64 raises Int64OverflowError rather than wrap.
+`generators` builds C_g's generators from the library's `generator_cells`,
+and `word_operator` multiplies out element i of a certified group from the
+words of its factors in them: the oracle of the read-off
+`CertifiedGroup[i]`, which `as_int64` converts for comparison.
+`close_group` closes a group of int64 operators breadth first, and
+`orbit_closure` certifies a group as the monomial subgroup H plus one coset
+rep per vector in the orbit of x_0, by Schreier's lemma over batched
 operator products.  `full_closure` stores every element of C_g, by a
 breadth-first coset closure over H with no orbit and no Schreier step, and
 `stored_parabolic` every element of P_g, by the plain closure of its
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -32,24 +41,228 @@ from cweil.cliffordweil import (
     PREDICTED_ORDER,
     PREDICTED_PARABOLIC,
     ClosureError,
-    Operator,
     QuadraticForm,
-    _batch_mul,
     _check_same,
     _d_cells,
-    _fold,
     _fourier_cells,
-    _keys,
-    _phase_operator,
     center_order,
-    generators,
+    generator_cells,
     predicted_orders,
 )
-from cweil.cyclo import CycNum, conj_table, mul_nums, mul_table, phi_degree
-from cweil.poly import Poly, mono_factorial
+from cweil.cyclo import CycNum, _power_table, mul_nums, phi_degree
+from cweil.poly import Poly, apply_operator, mono_factorial
 from cweil.weightenum import run_conductor
 
 CLOSURE_CAP = 200_000
+
+
+# --- the int64 matrix kernel ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def mul_table(n: int) -> np.ndarray:
+    """Structure constants T[s,t,u] with z^s * z^t = sum_u T[s,t,u] z^u.
+
+    int64 ndarray of shape (phi, phi, phi); shared by the fast operator
+    kernel (einsum over this tensor multiplies whole matrices at once).
+    """
+    phi = phi_degree(n)
+    rows = _power_table(n)
+    T = np.zeros((phi, phi, phi), dtype=np.int64)
+    for s in range(phi):
+        for t in range(phi):
+            T[s, t, :] = rows[s + t]
+    return T
+
+
+@lru_cache(maxsize=None)
+def conj_table(n: int) -> np.ndarray:
+    """Matrix C with conj(z^k) = z^(-k) = sum_u C[k,u] z^u  (int64, phi x phi)."""
+    phi = phi_degree(n)
+    rows = _power_table(n)
+    C = np.zeros((phi, phi), dtype=np.int64)
+    for k in range(phi):
+        C[k, :] = rows[(n - k) % n]
+    return C
+
+
+class Int64OverflowError(ValueError):
+    """An int64 operator product could exceed 2^63 - 1 and wrap silently."""
+
+
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
+
+
+def _check_int64(bound: int, what: str) -> None:
+    """Raise unless the Python-int bound on every partial sum fits in int64."""
+    if bound >= 2**63:
+        raise Int64OverflowError(f"{what} could overflow int64 (bound {bound})")
+
+
+class Operator:
+    """A p^g x p^g matrix over Q(zeta_n), gcd-normalised int64 numerators."""
+
+    __slots__ = ("p", "g", "n", "den", "arr")
+
+    def __init__(self, p: int, g: int, n: int, arr: np.ndarray, den: int):
+        arr = np.asarray(arr, dtype=np.int64)
+        d = p**g
+        if den <= 0 or arr.shape != (d, d, phi_degree(n)):
+            raise ValueError(f"an operator needs den > 0 and shape {(d, d, phi_degree(n))}, "
+                             f"got den = {den} and shape {arr.shape}")
+        g_all = int(np.gcd.reduce(np.abs(arr), axis=None))
+        g_all = gcd(g_all, den)
+        if g_all > 1:
+            arr = arr // g_all
+            den //= g_all
+        arr.setflags(write=False)
+        self.p, self.g, self.n, self.den, self.arr = p, g, n, den, arr
+
+    @staticmethod
+    def identity(p: int, g: int, n: int) -> "Operator":
+        d = p**g
+        arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
+        arr[range(d), range(d), 0] = 1
+        return Operator(p, g, n, arr, 1)
+
+    def __matmul__(self, other: "Operator") -> "Operator":
+        _check_same(self, (other.p, other.g, other.n))
+        raw, den = _batch_mul(self.arr[None], np.array([self.den]),
+                              _fold(other.arr, mul_table(self.n)), other.den)
+        return Operator(self.p, self.g, self.n, raw[0], int(den[0]))
+
+    def conj_t(self) -> "Operator":
+        C = conj_table(self.n)
+        arr = np.einsum("jis,su->iju", self.arr, C)
+        return Operator(self.p, self.g, self.n, arr, self.den)
+
+    def fingerprint(self) -> bytes:
+        return _keys(self.arr[None], np.array([self.den], dtype=np.int64))[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return (
+            (self.p, self.g, self.n, self.den) == (other.p, other.g, other.n, other.den)
+            and np.array_equal(self.arr, other.arr)
+        )
+
+    def entry(self, i: int, j: int) -> CycNum:
+        return CycNum(self.n, tuple(int(x) for x in self.arr[i, j]), self.den)
+
+    def entries(self):
+        d = self.p**self.g
+        return [[self.entry(i, j) for j in range(d)] for i in range(d)]
+
+    def apply(self, a: Poly) -> Poly:
+        _check_same(self, (a.p, a.g, a.conductor))
+        return apply_operator(a, self.entries())
+
+    def is_unitary(self) -> bool:
+        return self @ self.conj_t() == Operator.identity(self.p, self.g, self.n)
+
+    def __repr__(self):
+        return f"Operator(p={self.p}, g={self.g}, den={self.den})"
+
+
+def as_int64(op) -> Operator:
+    """The int64 Operator of any exact matrix with `entries()` (a library
+    Operator read off its permutation), over the lcm of its denominators."""
+    rows = op.entries()
+    den = lcm(*(c.den for row in rows for c in row))
+    return Operator(op.p, op.g, op.n, [[[x * (den // c.den) for x in c.nums] for c in row]
+                                       for row in rows], den)
+
+
+def _phase_operator(p: int, g: int, cells, scale: CycNum | None = None) -> Operator:
+    """The matrix with entry scale * zeta_n^k at each cell (i, j, k), else 0 (None for 1)."""
+    d, n = p**g, run_conductor(p)
+    table = _power_table(n)[:n]
+    if scale is not None:
+        table = [mul_nums(n, t, scale.nums) for t in table]
+    arr = np.zeros((d, d, phi_degree(n)), dtype=np.int64)
+    for i, j, k in cells:
+        arr[i, j] = table[k]
+    return Operator(p, g, n, arr, 1 if scale is None else scale.den)
+
+
+def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
+    """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
+    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)]
+
+
+@lru_cache(maxsize=None)
+def _table_bound(table: bytes) -> int:
+    """max |T[s,t,u]| of an int64 structure-constant table, taken once per table."""
+    return _absmax(np.frombuffer(table, dtype=np.int64))
+
+
+def _fold(x: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """X with the structure constants folded in, as a (d*phi) x (d*phi) matrix.
+
+    Xt[(k,s),(j,u)] = sum_t X[k,j,t] T[s,t,u], so that A @ X is the integer
+    matmul A[(i),(k,s)] @ Xt of A's numerators.  A stack of X folds to a
+    stack of Xt.
+    """
+    d, _, phi = x.shape[-3:]
+    _check_int64(_absmax(x) * _table_bound(T.tobytes()) * phi, "folding an operator")
+    return np.einsum("...kjt,stu->...ksju", x, T).reshape(x.shape[:-3] + (d * phi, d * phi))
+
+
+def _batch_mul(arrs: np.ndarray, dens: np.ndarray, xt: np.ndarray, xden):
+    """Normalised products (arrs[f]/dens[f]) @ (X/xden) for a whole stack.
+
+    xt is X folded by _fold; the stack is widened to int64 here, before any
+    bound, and the products are one int64 matmul.  Given a stack of folded
+    X and their dens, the product f takes the f-th.  Operator.__matmul__ is
+    the stack of one.
+    """
+    m, d, _, phi = arrs.shape
+    arrs, dens = np.asarray(arrs, np.int64), np.asarray(dens, np.int64)
+    _check_int64(max(_absmax(arrs) * _absmax(xt) * d * phi, int(dens.max()) * int(np.max(xden))),
+                 "a batched operator product")
+    raw = np.matmul(arrs.reshape(m, d, d * phi), xt).reshape(arrs.shape)
+    out = dens * xden
+    common = np.gcd(np.gcd.reduce(np.abs(raw).reshape(m, -1), axis=1), out)
+    raw //= common[:, None, None, None]
+    out //= common
+    return raw, out
+
+
+def _keys(arrs: np.ndarray, dens: np.ndarray) -> list:
+    """Fingerprints of normalised elements: the bytes of (den, numerators).
+
+    An element whose entries all fit in int8 is written in int8, any other
+    in int64; the two lengths differ, so equal keys still mean equal
+    elements.
+    """
+    flat = np.concatenate([dens[:, None], arrs.reshape(dens.size, -1)], axis=1)
+    small = (flat.min(axis=1) >= -128) & (flat.max(axis=1) < 128)
+    b8, s = flat.astype(np.int8).tobytes(), flat.shape[1]
+    return [b8[i * s:(i + 1) * s] if small[i] else flat[i].tobytes()
+            for i in range(dens.size)]
+
+
+@lru_cache(maxsize=None)
+def _word(action, tree: str, j: int) -> Operator:
+    """Element j of the certified action's H ("hparent") or t ("tparent"),
+    multiplied out."""
+    parent = getattr(action, tree)[j]
+    if parent is None:
+        return Operator.identity(action.p, action.g, action.n)
+    i, s = parent
+    return _word(action, tree, i) @ _phase_operator(action.p, action.g, *action.cells[s])
+
+
+def word_operator(action, i: int) -> Operator:
+    """Element i = H[i % |H|] zeta_z^k t[i // |P_g|], k = i // |H| % z, of a
+    certified group's action, as the product of its factors' words."""
+    h, d = len(action.hs), action.p**action.g
+    zeta = _phase_operator(action.p, action.g, [(v, v, i // h % action.z * action.n // action.z)
+                                                for v in range(d)])
+    return _word(action, "hparent", i % h) @ zeta @ _word(action, "tparent", i // action.parabolic)
+
 
 
 def center_generator(tag: str, p: int, g: int) -> Operator:

@@ -28,6 +28,7 @@ from cweil.database import CodeDatabase, load_bundled
 from cweil.doubling import const_c, const_conj, verify_doubling
 from cweil.poly import Poly, parse_poly
 from cweil.weightenum import cwe
+from tests import closures
 from tests.constructions import e8
 from tests.test_database import serialize_db
 
@@ -106,7 +107,7 @@ def test_group_exits_1_when_a_parabolic_rep_lies_outside_the_group(capsys, monke
     # i = zeta_4 is not in the real group C_1 of type 2I (order 16).  With |Z|
     # taken as 4 (and the orders 32 and 8 it predicts), i is a coset rep of
     # P = <H, i> in H x mu_4, and it makes P no subgroup of G
-    assert cw._phase_operator(2, 1, [(0, 0, 2), (1, 1, 2)]) not in group_closure("2I", 1, 2)
+    assert closures._phase_operator(2, 1, [(0, 0, 2), (1, 1, 2)]) not in group_closure("2I", 1, 2)
     monkeypatch.setitem(cw.CENTER_ORDER, "2I", 4)
     monkeypatch.setitem(PREDICTED_ORDER, ("2I", 1, 2), 32)
     monkeypatch.setitem(cw.PREDICTED_PARABOLIC, ("2I", 1, 2), 8)
@@ -581,6 +582,7 @@ def test_record_at_max_length_fits_a_memory_limit(tmp_path, argv):
 
 
 NUMPY_FREE = [
+    "selftest",
     "constants --type 2II --length 24 --genus 1 --factorial",
     "group --type 2II --genus 2",
     "group --type Q1 --genus 1 --field 3 --parabolic",
@@ -620,6 +622,19 @@ def test_commands_without_array_work_never_run_numpy():
     assert "import []" in out.stdout
     lines = out.stderr.splitlines()
     assert lines == [f"ran {argv} 0 []" for argv in NUMPY_FREE]
+
+
+def test_group_and_phi_modules_bind_no_numpy():
+    # only the aut search binds numpy, deferred: the group elements are read
+    # off their permutations and the cyclotomic arithmetic is pure Python
+    code = (
+        "import sys\n"
+        "import cweil.cliffordweil, cweil.siegelphi\n"
+        "print(sorted(m for m in ('numpy', 'cweil._lazy') if m in sys.modules))\n"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 # the gated benchmark jobs (perfbench/workloads.py)

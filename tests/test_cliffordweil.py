@@ -19,41 +19,43 @@ import cweil.cliffordweil as cw
 from cweil.cliffordweil import (
     PREDICTED_ORDER,
     ClosureError,
-    Int64OverflowError,
-    Operator,
     QuadraticForm,
     all_quadforms,
     center_order,
     coset_labels,
     eisenstein_coset,
-    generators,
     gl_generators,
     gl_matrices,
     group_closure,
     parabolic_closure,
     seed_orbit,
     seed_poly,
-    _batch_mul,
     _d_cells,
-    _fold,
     _h_cells,
-    _keys,
     _m_cells,
-    _phase_operator,
 )
-from cweil.cyclo import CycNum, mul_table, phi_degree
+from cweil.cyclo import CycNum, phi_degree
 from cweil.poly import Poly, apply_operator, serialize_poly
 from cweil.weightenum import cwe, run_conductor
 from tests import closures
 from tests.closures import (
     CLOSURE_CAP,
+    Int64OverflowError,
+    Operator,
+    _batch_mul,
+    _fold,
+    _keys,
+    _phase_operator,
+    as_int64,
     center_generator,
     close_group,
     delta_embed,
     factored_keys,
     full_closure,
+    generators,
     generic_coset_labels,
     matrix_coset_labels,
+    mul_table,
     orbit_group,
     orbit_parabolic,
     power_sum,
@@ -93,7 +95,12 @@ def test_closure_and_coset_orders(key):
     P = parabolic_closure(tag, g, p)
     assert G.order == order
     assert P.order == parab
-    assert len(coset_labels(G, P)[0]) == ncosets
+    reps, label = coset_labels(G, P)
+    assert len(reps) == ncosets
+    # a slice reads each element it picks
+    assert [op.entries() for op in G[0:2]] == [G[0].entries(), G[1].entries()]
+    assert [op.entries() for op in reps[-2:]] == [reps[-2].entries(), reps[-1].entries()]
+    assert label[parab - 1:parab + 1] == [0, 1]
 
 
 @pytest.mark.parametrize("key", [("2I", 1, 2), ("2II", 1, 2), ("Q", 1, 3), ("2II", 2, 2)])
@@ -109,6 +116,46 @@ def test_generators_unitary(key):
     tag, g, p = key
     for op in generators(tag, g, p):
         assert op.is_unitary()
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_cycnum_operator_unitarity(key):
+    # every generator built from its cells is the oracle's matrix, and
+    # unitary; h_1 without its scalar p^(-1/2), 2 * identity, and x_v -> x_0
+    # (unit rows that are not orthogonal), are not
+    tag, g, p = key
+    for cells in cw.generator_cells(tag, g, p, reduced=False):
+        op = cw.Operator.from_cells(p, g, *cells)
+        assert as_int64(op) == _phase_operator(p, g, *cells)
+        assert op.is_unitary()
+    assert not cw.Operator.from_cells(p, g, _h_cells(1, g, p)[0]).is_unitary()
+    one = cw.Operator.from_cells(p, g, [(v, v, 0) for v in range(p**g)])
+    assert one.is_unitary()
+    assert not cw.Operator(p, g, one.n, [[2 * x for x in row] for row in one.rows]).is_unitary()
+    assert not cw.Operator(p, g, one.n, [one.rows[0]] * p**g).is_unitary()
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_elements_read_off_their_permutation_match_their_words(key):
+    # oracle: element i multiplied out, in int64, from the words of
+    # H[i % |H|], zeta_z^k and t_(i // |P|) in the generators
+    G, P = group_closure(*key), parabolic_closure(*key)
+    rng = random.Random(23)
+    picks = [0, P.order - 1, P.order, G.order - 1] + [rng.randrange(G.order) for _ in range(25)]
+    for i in picks:
+        op = G[i]
+        assert op in G
+        assert G.action.locate(op) == i // P.order
+        assert as_int64(op) == closures.word_operator(G.action, i)
+    # the rep of a nontrivial coset lies outside P
+    assert G[P.order] not in P
+    # a row is read over the lcm of its entries' denominators: with one
+    # entry of x_0's row scaled by its denominator, the row's norm is no
+    # longer 1, and the matrix is in no unitary group
+    rows = G[P.order].entries()
+    w = next(w for w, x in enumerate(rows[0]) if x.den > 1)
+    rows[0][w] = rows[0][w] * rows[0][w].den
+    assert cw.Operator(op.p, op.g, op.n, rows) not in G
 
 
 @pytest.mark.parametrize(
@@ -181,7 +228,8 @@ def _matmul_bfs(gens) -> set:
                                  ("Q", 1, 3), ("Q1", 1, 3)])
 def test_coset_closure_matches_plain_matmul_bfs(key):
     G = group_closure(*key)
-    assert {(op.den, op.arr.tobytes()) for op in G} == _matmul_bfs(generators(*key))
+    assert {(op.den, op.arr.tobytes()) for op in map(as_int64, G)} == \
+        _matmul_bfs(generators(*key))
 
 
 @pytest.mark.parametrize("key", [("2II", 2, 2), ("Q1", 1, 3)])
@@ -251,7 +299,7 @@ def test_parabolic_by_orbit_holds_the_plain_closure(key):
     assert set(keys) == set(oracle.index)
     # the certified P_g = H x mu_z builds the same elements from its words
     certified = parabolic_closure(*key)
-    assert {op.fingerprint() for op in certified} == set(oracle.index)
+    assert {as_int64(op).fingerprint() for op in certified} == set(oracle.index)
 
 
 @pytest.mark.parametrize("tag", ["2I", "2II"])
@@ -280,7 +328,7 @@ def test_coset_labels_match_generic_labelling(tag):
     reps, label = coset_labels(G, P)
 
     def oracle_coset(op) -> int:
-        return expect[oracle.index[op.fingerprint()]]
+        return expect[oracle.index[as_int64(op).fingerprint()]]
 
     assert sorted(map(oracle_coset, reps)) == list(range(len(reps)))
     for i in random.Random(5).sample(range(G.order), 40):
@@ -432,12 +480,11 @@ def test_closure_refuses_an_int64_overflow():
 def test_int64_refusal_survives_python_O():
     code = (
         "import sys\n"
-        "from cweil import cliffordweil as cw\n"
-        "from tests.closures import close_group\n"
-        "one = cw.Operator.identity(2, 1, 8)\n"
+        "from tests import closures\n"
+        "one = closures.Operator.identity(2, 1, 8)\n"
         "try:\n"
-        "    close_group([cw.Operator(2, 1, 8, one.arr * 2, 1)])\n"
-        "except cw.Int64OverflowError as exc:\n"
+        "    closures.close_group([closures.Operator(2, 1, 8, one.arr * 2, 1)])\n"
+        "except closures.Int64OverflowError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(3)\n"
     )
@@ -506,7 +553,7 @@ def test_schreier_certificate_survives_python_O():
         "import sys\n"
         "from cweil import cliffordweil as cw\n"
         "from tests import closures\n"
-        "closures._monomial_subgroup = lambda tag, g, p: closures.close_group(cw.generators(tag, g, p)[:1])\n"
+        "closures._monomial_subgroup = lambda tag, g, p: closures.close_group(closures.generators(tag, g, p)[:1])\n"
         "cw.PREDICTED_ORDER[('2II', 1, 2)] = 48\n"
         "try:\n"
         "    closures.orbit_group('2II', 1, 2)\n"
@@ -561,7 +608,10 @@ def test_generator_inputs_raise(make):
     lambda: Operator.identity(2, 1, 8).apply(Poly.monomial(2, 2, 8, (1, 0, 0, 0))),
     lambda: delta_embed(Operator.identity(2, 1, 8), Operator.identity(2, 2, 8)),
     lambda: gl_generators(2, 3),
-], ids=["den", "shape", "matmul", "apply", "delta", "gl-genus"])
+    lambda: cw.Operator(2, 1, 8, [[CycNum.zero(8)] * 2]),
+    lambda: cw.Operator.from_cells(2, 1, [(0, 0, 0), (1, 1, 0)]).apply(
+        Poly.monomial(2, 2, 8, (1, 0, 0, 0))),
+], ids=["den", "shape", "matmul", "apply", "delta", "gl-genus", "rows", "cycnum-apply"])
 def test_operator_inputs_raise(make):
     with pytest.raises(ValueError):
         make()
@@ -653,7 +703,7 @@ def test_orbit_average_matches_coset_rep_power_sum(tag, g, N, p, orbit):
     reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
     used = range(p**g) if tag in ("2I", "2II") else range(1)
     forms: dict = {}
-    for rep in reps:
+    for rep in map(as_int64, reps):
         for v in used:
             form = forms.setdefault((rep.den, rep.arr[v].tobytes()),
                                     [rep.den, rep.arr[v].tolist(), 0])
@@ -689,7 +739,8 @@ def test_orbit_rows_are_the_coset_rep_rows_mod_center(tag, g, N, p, orbit):
         return frozenset(tuple(c * u for c in row) for u in zetas)
 
     rows = [cls([CycNum(n, a, den) for a in nums]) for den, nums in seed_orbit(tag, g, p)]
-    reps = coset_labels(group_closure(tag, g, p), parabolic_closure(tag, g, p))[0]
+    reps = list(map(as_int64, coset_labels(group_closure(tag, g, p),
+                                           parabolic_closure(tag, g, p))[0]))
     used = range(d) if tag in ("2I", "2II") else range(1)
     assert len(set(rows)) == len(rows)
     assert set(rows) == {cls([rep.entry(v, w) for w in range(d)]) for rep in reps for v in used}

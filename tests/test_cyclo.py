@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cweil
-from cweil.cyclo import (
-    CycNum,
-    conj_table,
-    cyclotomic_poly,
-    mul_table,
-    phi_degree,
-    sqrt_prime_power,
-)
+from cweil.cyclo import CycNum, cyclotomic_poly, phi_degree, sqrt_prime_power
+from tests.closures import conj_table, mul_table
 from tests.test_cliffordweil import _run_python_O
 
 CONDUCTORS = [1, 2, 3, 4, 8, 12, 20, 24]
