@@ -148,14 +148,15 @@ def test_elements_read_off_their_permutation_match_their_words(key):
         assert G.action.locate(op) == i // P.order
         assert as_int64(op) == closures.word_operator(G.action, i)
     # the rep of a nontrivial coset lies outside P
-    assert G[P.order] not in P
+    rep = G[P.order]
+    assert rep not in P
     # a row is read over the lcm of its entries' denominators: with one
     # entry of x_0's row scaled by its denominator, the row's norm is no
     # longer 1, and the matrix is in no unitary group
-    rows = G[P.order].entries()
+    rows = rep.entries()
     w = next(w for w, x in enumerate(rows[0]) if x.den > 1)
     rows[0][w] = rows[0][w] * rows[0][w].den
-    assert cw.Operator(op.p, op.g, op.n, rows) not in G
+    assert cw.Operator(rep.p, rep.g, rep.n, rows) not in G
 
 
 @pytest.mark.parametrize(
