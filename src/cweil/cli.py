@@ -227,7 +227,8 @@ def cmd_constants(args) -> int:
         lines += [f"c = {text(c)}", f"c*N! = {text(c * factorial(N), args.factorial)}"]
     try:
         r = mass_range(tag, N)  # b's denominator prod (p^2g + p^i) exceeds each p^max(2g, i)
-        refuse_past_limit(max(sum(r), 2 * g * len(r)))
+        top = len(r) * (r[0] + r[-1]) // 2 if r else 0  # sum(r), with no loop over N/2 terms
+        refuse_past_limit(max(top, 2 * g * len(r)))
         b = const_b(tag, N, g, p)
     except ValueError:
         lines.append("b: no mass-formula normalization for this type")

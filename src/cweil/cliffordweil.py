@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .codes import rref
@@ -78,6 +78,15 @@ PREDICTED_PARABOLIC = {
     ("Q", 1, 3): 24,
     ("Q1", 1, 3): 216,
 }
+
+# eisenstein_coset refuses a degree N with N * C(N + d - 1, d - 1) past this
+# budget, d = p^g: the digits of N-digit coefficients on every monomial of
+# degree N, which also bounds the power tables (N powers of up to N digits
+# per distinct entry) and invariant_monomials' reach tables.  At the largest
+# N it admits, the six triples take 0.7 to 4.6 s and at most 49 MB of RSS on
+# a 2-core x86-64 VM (2I at g = 1, N = 5792, is the slowest); 2II at g = 1
+# and N = 200000 used to exhaust a 1 GB address space.
+COSET_BUDGET = 1 << 25
 
 
 class ClosureError(ValueError):
@@ -647,7 +656,11 @@ def eisenstein_coset(tag: str, g: int, N: int, p: int = 2) -> Poly:
         raise ValueError(f"N = {N} is negative")
     if N % center_order(tag, p):
         raise ValueError(f"N = {N} not divisible by |Z| = {center_order(tag, p)}")
-    rows = seed_orbit(tag, g, p)
+    rows = seed_orbit(tag, g, p)  # refuses a triple with no predicted order: p^g is small
+    d = p**g
+    if N * comb(N + d - 1, d - 1) > COSET_BUDGET:
+        raise ValueError(f"--length {N} at --genus {g} is past the coset average's size "
+                         f"budget: N * C(N + {d - 1}, {d - 1}) > {COSET_BUDGET}")
     if N == 0:  # the seed is the constant 1 (seed_poly), and so is its average
         return seed_poly(tag, g, 0, p)
     n, D = run_conductor(p), lcm(*(den for den, _ in rows))

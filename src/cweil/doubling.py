@@ -136,8 +136,9 @@ def predicted_scalar(tag: str, N: int, g: int, recs) -> tuple[Fraction, bool]:
 def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase, p: int = 2) -> Poly:
     """E_g as b_g * sum over classes of (N!/|Aut|) * cwe_g."""
     recs = db.complete_records(tag, N)
+    forms = [cwe(rec.code, g) for rec in recs]  # refuses a huge g before b builds p^g
     b = _sw_norm(tag, N, g, p)
-    pairs = [(b * Fraction(factorial(N), rec.aut), cwe(rec.code, g)) for rec in recs]
+    pairs = [(b * Fraction(factorial(N), rec.aut), f) for rec, f in zip(recs, forms)]
     return combine(pairs, pairs[0][1])
 
 

@@ -13,8 +13,9 @@ swaps x_01 and x_10, and when C holds the all-ones word, as every self-dual
 binary code does, adding it to c_1 or c_2 permutes the variables.
 Everything else, genus 0 and genus >= 3 included, runs the definition,
 which is also the kernels' oracle.  Genus 0 is the degenerate case: one
-empty tuple, cwe_0 = x^N in the single variable.  Both paths refuse more
-than DEFAULT_BUDGET tuples.
+empty tuple, cwe_0 = x^N in the single variable.  The kernels refuse more
+than DEFAULT_BUDGET tuples, and the definition more than GENERIC_BUDGET
+units of work (N + p^g per tuple).
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .codes import LinearCode
 from .poly import Poly, var_index
 
 DEFAULT_BUDGET = 1 << 32
+# The definition builds, for each of the |C|^g tuples, the N columns and the
+# p^g exponents of its monomial, about 1e7 of those units a second: e8 at
+# genus 5 (2^20 tuples, 8 + 32 units each) takes 4.2 s on a 2-core x86-64
+# VM, and F16 at genus 3 (2^24 tuples) ran past a minute.
+GENERIC_BUDGET = 1 << 26
 
 
 def run_conductor(p: int) -> int:
@@ -44,8 +50,11 @@ def cwe(C: LinearCode, g: int) -> Poly:
 
 def cwe_generic(C: LinearCode, g: int) -> Poly:
     """Definition-level path: loop over tuples, count vector occurrences."""
-    if len(C.words) ** g > DEFAULT_BUDGET:
-        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
+    # 2^g <= p^g bounds g before p^g or |C|^g is built
+    if g >= GENERIC_BUDGET.bit_length() or \
+            len(C.words) ** g * (C.n + C.p**g) > GENERIC_BUDGET:
+        raise ValueError(f"{len(C.words)}^{g} tuples of length {C.n} in {C.p}^{g} variables "
+                         f"exceed the budget {GENERIC_BUDGET}")
     p, n, d = C.p, C.n, C.p**g
     # each codeword as its tuple of coordinates (unpacked once for p = 2)
     vecs = [tuple((w >> i) & 1 for i in range(n)) if p == 2 else w for w in C.words]

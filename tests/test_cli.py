@@ -217,6 +217,17 @@ def test_constants_refuses_a_long_genus_before_computing_it(tag, length, genus):
                           f"for printing an integer\n")
 
 
+def test_constants_refuses_a_long_2i_length_in_bounded_time():
+    # b's bound summed the N/2 exponents of its factors one by one: 4.8 s at
+    # N = 571683848, and hours at this length
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    out = _python("-m", "cweil.cli", "constants", "--type", "2I", "--length", str(10**12),
+                  "--genus", "1", timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"error: --length {10**12} and --genus 1 give a scalar")
+
+
 @pytest.mark.parametrize("tag, length, genus", [("2II", 8, 30), ("2I", 16, 24)])
 def test_constants_factorial_ends_in_bounded_time(tag, length, genus):
     # trial division to 10^6 leaves 647- and 346-bit cofactors of these
@@ -581,6 +592,19 @@ def test_record_at_max_length_fits_a_memory_limit(tmp_path, argv):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "2II", "--length", "200000", "--genus", "1"],
+    ["--type", "2I", "--length", "120", "--genus", "2", "--compare"],
+])
+def test_coset_average_past_its_size_budget_is_refused_under_a_memory_limit(argv):
+    # --length 200000 at genus 1 used to end in a MemoryError traceback here
+    out = _python("-m", "cweil.cli", "eisenstein", *argv, "--method", "coset",
+                  preexec_fn=_limit_address_space)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"error: --length {argv[3]} at --genus {argv[5]} is past")
+    assert "Traceback" not in out.stderr
+
+
 NUMPY_FREE = [
     "selftest",
     "constants --type 2II --length 24 --genus 1 --factorial",
@@ -603,14 +627,14 @@ NUMPY_FREE = [
 
 
 def test_commands_without_array_work_never_run_numpy():
-    # numpy's package body imports its submodules, so none of them in
-    # sys.modules means it never ran; a deferred `numpy` entry may be there.
-    # OpenSSL's `_hashlib` must not load either: it costs ~3.6 MB of RSS
+    # no `numpy` or `numpy.*` entry in sys.modules: only the aut search
+    # imports it.  OpenSSL's `_hashlib` must not load either: it costs
+    # ~3.6 MB of RSS
     code = (
         "import sys\n"
         "def ran():\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m.startswith('numpy.') or m == '_hashlib')\n"
+        "    return sorted(m for m in sys.modules if m == 'numpy'\n"
+        "                  or m.startswith('numpy.') or m == '_hashlib')\n"
         "import cweil.cli\n"
         "print('import', ran())\n"
         f"for argv in {NUMPY_FREE!r}:\n"
@@ -630,11 +654,30 @@ def test_group_and_phi_modules_bind_no_numpy():
     code = (
         "import sys\n"
         "import cweil.cliffordweil, cweil.siegelphi\n"
-        "print(sorted(m for m in ('numpy', 'cweil._lazy') if m in sys.modules))\n"
+        "print(sorted(m for m in ('numpy',) if m in sys.modules))\n"
     )
     out = _python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def test_commands_without_array_work_run_with_numpy_unimportable():
+    # a meta-path finder refuses numpy and its submodules; the import of the
+    # package and every command but the aut search must not notice
+    code = (
+        "import sys\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' or name.startswith('numpy.'):\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "import cweil.cli\n"
+        f"for argv in {NUMPY_FREE!r}:\n"
+        "    print('ran', argv, cweil.cli.main(argv.split()), file=sys.stderr)\n"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines() == [f"ran {argv} 0" for argv in NUMPY_FREE]
 
 
 # the gated benchmark jobs (perfbench/workloads.py)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -672,6 +672,19 @@ def test_eisenstein_genus1_tetracode():
 def test_eisenstein_rejects_bad_weight():
     with pytest.raises(ValueError):
         eisenstein_coset("2II", 1, 4)
+
+
+@pytest.mark.parametrize("tag,g,p", sorted(PREDICTED_ORDER))
+def test_eisenstein_refuses_the_least_length_past_the_size_budget(monkeypatch, tag, g, p):
+    # refused from the inputs alone, before any monomial or power table
+    monkeypatch.setattr(cw, "invariant_monomials", None)
+    z, d = center_order(tag, p), p**g
+    N = z
+    while N * comb(N + d - 1, d - 1) <= cw.COSET_BUDGET:
+        N += z
+    assert N > 48
+    with pytest.raises(ValueError, match=f"--length {N} at --genus {g}"):
+        eisenstein_coset(tag, g, N, p)
 
 
 @pytest.mark.parametrize("tag,g,N,p", [

@@ -115,6 +115,13 @@ def test_averaged_equals_coset_average_genus2():
     assert eisenstein_coset("2I", 2, 16) == eisenstein_sw("2I", 16, 2, db16)
 
 
+def test_averaged_enumerator_refuses_a_huge_genus_before_its_normalization():
+    # b's factors p^g + p^i used to be built first: 2^(2^32 + 15) ran past
+    # any time limit
+    with pytest.raises(ValueError, match="exceed the budget"):
+        eisenstein_sw("2II", 16, 2**32 + 15, load_bundled("codes_2ii_n16"))
+
+
 def test_no_averaging_normalization_for_type_q():
     with pytest.raises(ValueError):
         const_b("Q", 4, 1, 3)

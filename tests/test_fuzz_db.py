@@ -1,4 +1,4 @@
-"""Fuzz the database boundary with mutated bundled files.
+"""Fuzz the command-line boundary: mutated database files, and argv.
 
 Two properties of the exit-code contract.  parse_db either returns a
 CodeDatabase or raises DbParseError, whatever the text.  Each subcommand
@@ -6,16 +6,20 @@ that reads a database, run with --db on a mutated file, exits 0, 1 or 2
 and never ends in a traceback.  The mutations are line deletions,
 duplications and swaps, token swaps and character edits; a third property
 edits the file's bytes, with arbitrary bytes and truncated multi-byte UTF-8
-sequences, and writes them in binary.
+sequences, and writes them in binary.  A fourth runs every subcommand on
+argv drawn from wide integer ranges and from each choice flag's choices
+plus junk, with no --db.
 
 Every example runs in one worker process under a 1 GB address-space limit,
 so that a regression that allocates without bound fails the test instead
-of exhausting the machine.  The worker runs `cweil.cli.main` in-process: a
-traceback at the command line is exactly an exception escaping `main`.
+of exhausting the machine, and under a time limit of TIME_LIMIT_S, so that
+one that runs without bound fails too.  The worker runs `cweil.cli.main`
+in-process: a traceback at the command line is exactly an exception
+escaping `main`.
 """
-
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -24,33 +28,58 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cweil
-from cweil.database import BUNDLED, _bundled_text
+from cweil.codes import TYPES
+from cweil.database import BUNDLED, _bundled_text, bundled_index
 from tests.test_cli import _limit_address_space
 
+# A CLI example still running after this long is a finding: the worker
+# reports it as "time limit" (SIGALRM), and one that does not reply within
+# a further 10 s is killed.
+TIME_LIMIT_S = 20
+
 WORKER = r"""
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, signal, sys, traceback
 from cweil.cli import main
 from cweil.database import DbParseError, CodeDatabase, parse_db
 
-path = sys.argv[1]
+
+class TimeLimit(BaseException):  # not an Exception: nothing in main catches it
+    pass
+
+
+def alarm(signum, frame):
+    raise TimeLimit
+
+
+signal.signal(signal.SIGALRM, alarm)
+path, limit = sys.argv[1], float(sys.argv[2])
 for line in sys.stdin:
     argv, text, binary = json.loads(line)
     try:
         if argv is None:
             res = "db" if isinstance(parse_db(text), CodeDatabase) else "other"
         else:
-            if binary:
+            if text is None:  # argv as it is, with no database file
+                pass
+            elif binary:
                 with open(path, "wb") as fh:
                     fh.write(bytes.fromhex(text))
+                argv = argv + ["--db", path]
             else:
                 with open(path, "w") as fh:
                     fh.write(text)
+                argv = argv + ["--db", path]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
+                signal.setitimer(signal.ITIMER_REAL, limit)
                 try:
-                    res = main(argv + ["--db", path])
+                    res = main(argv)
                 except SystemExit as exc:
                     res = exc.code
+                except TimeLimit:
+                    res = "time limit"
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
     except DbParseError:
         res = "refused"
     except Exception:
@@ -60,7 +89,7 @@ for line in sys.stdin:
 
 # The files the CLI property mutates, with the (type, length, field) that the
 # commands ask for.  The length-24 file is left to the parse property:
-# `certify` recomputes its nine orders, about 1 s each.
+# `certify` recomputes its nine orders, 0.04 to 0.7 s each.
 CLI_FILES = {
     "codes_2ii_n8": ("2II", 8, 2),
     "codes_2i_n16": ("2I", 16, 2),
@@ -84,20 +113,24 @@ def _commands(name: str, tag: str, n: int, p: int) -> list[list[str]]:
 
 @pytest.fixture(scope="module")
 def worker(tmp_path_factory):
-    """Send (argv, text) to the worker; argv None means parse_db(text), and
-    bytes for text are written to the file as they are."""
+    """Send (argv, text) to the worker; argv None means parse_db(text), text
+    None runs argv with no --db, and bytes for text are written to the file
+    as they are."""
     path = tmp_path_factory.mktemp("fuzz") / "db.txt"
     src = os.path.dirname(os.path.dirname(cweil.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    with subprocess.Popen([sys.executable, "-c", WORKER, str(path)], env=env, text=True,
-                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    with subprocess.Popen([sys.executable, "-c", WORKER, str(path), str(TIME_LIMIT_S)],
+                          env=env, text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                           preexec_fn=_limit_address_space) as proc:
 
         def ask(argv, text):
             binary = isinstance(text, bytes)
             proc.stdin.write(json.dumps([argv, text.hex() if binary else text, binary]) + "\n")
             proc.stdin.flush()
+            if not select.select([proc.stdout], [], [], TIME_LIMIT_S + 10)[0]:
+                proc.kill()
+                raise AssertionError(f"the worker hung on {argv} with\n{text}")
             reply = proc.stdout.readline()
             assert reply, f"the worker died on {argv} with\n{text}"
             return json.loads(reply)
@@ -184,3 +217,53 @@ def test_cli_on_a_byte_mutated_db_keeps_the_exit_code_contract(worker, case, whi
     fname, data = case
     argv = _commands(name, *CLI_FILES[fname])[which]
     assert worker(argv, data) in (0, 1, 2), (argv, data)
+
+
+# The argv property: per subcommand, its flags.  Integers come from wide
+# ranges, with the bundled lengths, multiples of 4 and small genera and
+# fields mixed in, so that many runs get past the checks; a choice flag
+# takes one of its choices nine times in ten and junk otherwise, and
+# --type with --length is often the kind of a bundled dataset.
+WIDE = st.integers(-(10**12), 10**12) | st.sampled_from([2**31 - 1, 2**32 + 15, 10**40])
+LENGTH = st.integers(-2, 1500).map(lambda k: 4 * k) | st.integers(-8, 6000) | WIDE
+GENUS = st.integers(-1, 6) | st.integers(-1, 6) | st.integers(-100, 10**4) | WIDE
+FIELD = st.sampled_from([2, 3]) | st.integers(-4, 1000) | WIDE
+JUNK = st.text(alphabet="abcdeIQ2-_ ", max_size=5)
+
+
+def choice(options) -> st.SearchStrategy:
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(sorted(options)) if i else JUNK)
+
+
+def flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    return values.map(lambda v: [name, str(v)])
+
+
+def switch(name: str) -> st.SearchStrategy:
+    return st.sampled_from([[], [name]])
+
+
+CODE = flag("--code", choice(bundled_index()[0]))
+KIND = (st.sampled_from(sorted(bundled_index()[1])) | st.tuples(choice(TYPES), LENGTH)).map(
+    lambda kind: ["--type", kind[0], "--length", str(kind[1])])
+ARGV = {
+    "cwe": [CODE, flag("--genus", GENUS), switch("--tuples")],
+    "cusp": [KIND, flag("--genus", GENUS), switch("--polys")],
+    "verify-doubling": [KIND, flag("--genus", GENUS), switch("--factorial")],
+    "eisenstein": [KIND, flag("--genus", GENUS), flag("--field", FIELD),
+                   flag("--method", choice(["coset", "siegel-weil"])), switch("--compare")],
+    "constants": [KIND, flag("--genus", GENUS), flag("--field", FIELD), switch("--factorial")],
+    "group": [flag("--type", choice(TYPES)), flag("--genus", GENUS), flag("--field", FIELD),
+              switch("--parabolic")],
+    "aut": [CODE, switch("--recompute")],
+    "certify": [st.just([]) | flag("--file", choice(BUNDLED))],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_cli_on_drawn_argv_keeps_the_exit_code_contract(worker, command, data):
+    argv = [command] + [x for part in ARGV[command] for x in data.draw(part)]
+    assert worker(argv, None) in (0, 1, 2), argv

@@ -128,6 +128,17 @@ def test_budget_refused():
         cwe(golay24(), 3)
 
 
+@pytest.mark.parametrize("name, g", [("F16", 3), ("e8", 6), ("e8", 2**31 - 1), ("e8", 10**12)])
+def test_definition_refuses_past_its_budget_without_building_the_tuple_count(name, g):
+    # F16 at genus 3 ran past a minute, and e8 at genus 2^31 - 1 built
+    # 16^g before comparing it: a MemoryError under a 1 GB limit
+    C = table2_codes()[name] if name == "F16" else e8()
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="exceed the budget"):
+        cwe(C, g)
+    assert time.monotonic() - start < 1
+
+
 def test_tetracode_cwe1():
     prof = tuple_profile(cwe(tetracode(), 1))
     # 9 words: 1 zero word and 8 of weight 3; ternary variables x_0, x_1, x_2
