@@ -17,6 +17,7 @@ one that runs without bound fails too.  The worker runs `cweil.cli.main`
 in-process: a traceback at the command line is exactly an exception
 escaping `main`.
 """
+
 import json
 import os
 import select
@@ -59,15 +60,9 @@ for line in sys.stdin:
         if argv is None:
             res = "db" if isinstance(parse_db(text), CodeDatabase) else "other"
         else:
-            if text is None:  # argv as it is, with no database file
-                pass
-            elif binary:
-                with open(path, "wb") as fh:
-                    fh.write(bytes.fromhex(text))
-                argv = argv + ["--db", path]
-            else:
-                with open(path, "w") as fh:
-                    fh.write(text)
+            if text is not None:  # else argv runs as it is, with no database file
+                with open(path, "wb" if binary else "w") as fh:
+                    fh.write(bytes.fromhex(text) if binary else text)
                 argv = argv + ["--db", path]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
