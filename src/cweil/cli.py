@@ -1,7 +1,8 @@
 """Command-line driver: enumerators, groups, cusp bases, verification.
 
 Exit codes: 0 success (and verification match), 1 verification mismatch or
-failed structure check, 2 usage or input errors.
+failed structure check, 2 usage or input errors.  `main` alone maps an
+exception to its code: a ClosureError to 1, a CliError or ValueError to 2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .codes import TYPES, field_fits, is_prime, mass_range
 from .database import (
     BUNDLED,
     CodeDatabase,
-    DbParseError,
     _bundled_text,
     bundled_index,
     load_bundled,
@@ -70,7 +70,7 @@ def _read_db(path: str) -> CodeDatabase:
     text = _read_text(path)
     try:
         return parse_db(text)
-    except (DbParseError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
@@ -116,10 +116,7 @@ def _check_field(tag: str, p: int) -> None:
 def cmd_cwe(args) -> int:
     _check_genus(args.genus, 0)
     rec = _find_code(args)
-    try:
-        f = cwe(rec.code, args.genus)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    f = cwe(rec.code, args.genus)
     if args.tuples:
         print(f"cwe type={rec.tag} code={rec.name} N={rec.n} genus={args.genus}")
         for m, c in sorted(tuple_profile(f).items()):
@@ -135,10 +132,7 @@ def cmd_cusp(args) -> int:
     recs = db.matching(args.type, args.length)
     if not recs:
         raise CliError(f"no codes of type {args.type} length {args.length}")
-    try:
-        basis = cusp_basis({r.name: r.code for r in recs}, args.genus)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    basis = cusp_basis({r.name: r.code for r in recs}, args.genus)
     print(basis.to_text(include_polys=args.polys))
     return 0
 
@@ -146,12 +140,8 @@ def cmd_cusp(args) -> int:
 def cmd_verify_doubling(args) -> int:
     _check_genus(args.genus, 1)
     db = _db_for(args, args.type, args.length)
-    try:
-        rep = verify_doubling(args.type, args.length, args.genus, db)
-        text = rep.to_text(factorial_form=args.factorial)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print(text)
+    rep = verify_doubling(args.type, args.length, args.genus, db)
+    print(rep.to_text(factorial_form=args.factorial))
     return 0 if rep.match else 1
 
 
@@ -169,14 +159,11 @@ def cmd_eisenstein(args) -> int:
         db = _db_for(args, tag, N)
         return eisenstein_sw(tag, N, g, db, p)
 
-    try:
-        if not args.compare:
-            E = by_coset() if args.method == "coset" else by_sw()
-            sys.stdout.write(serialize_poly(E))
-            return 0
-        Ec, Es = by_coset(), by_sw()
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if not args.compare:
+        E = by_coset() if args.method == "coset" else by_sw()
+        sys.stdout.write(serialize_poly(E))
+        return 0
+    Ec, Es = by_coset(), by_sw()
     if Ec == Es:
         print(f"type={tag} N={N} genus={g}: coset and mass-formula averages agree")
         print("ratio: 1")
@@ -247,15 +234,9 @@ def cmd_constants(args) -> int:
 def cmd_group(args) -> int:
     tag, g, p = args.type, args.genus, args.field
     _check_genus(g, 1)
-    try:
-        G = group_closure(tag, g, p)
-        P = parabolic_closure(tag, g, p)
-        reps = coset_labels(G, P)[0]  # P lies in G, and its cosets tile G
-    except ClosureError as exc:  # a failed structure check, not a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        raise CliError(str(exc))
+    G = group_closure(tag, g, p)
+    P = parabolic_closure(tag, g, p)
+    reps = coset_labels(G, P)[0]  # P lies in G, and its cosets tile G
     # both closures are certified against their predicted orders
     order, parabolic = predicted_orders(tag, g, p)
     print(f"type={tag} genus={g} field={p}")
@@ -272,10 +253,7 @@ def cmd_aut(args) -> int:
     rec = _find_code(args)
     order = rec.aut
     if order is None or args.recompute:
-        try:
-            order = aut_order(rec.code)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        order = aut_order(rec.code)
     print(f"aut {rec.name} = {order}")
     return 0
 
@@ -285,10 +263,7 @@ def cmd_certify(args) -> int:
         sources = [(args.db, _read_text(args.db))]
     else:
         names = [args.file] if args.file else BUNDLED
-        try:
-            sources = [(name, _bundled_text(name)) for name in names]
-        except ValueError as exc:
-            raise CliError(str(exc))
+        sources = [(name, _bundled_text(name)) for name in names]
     failures = 0
     for label, text in sources:
         # every check at every length: no digest shortcut, no length cutoff
@@ -516,9 +491,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # ClosureError too: a failed certificate
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ClosureError) else 2
 
 
 if __name__ == "__main__":

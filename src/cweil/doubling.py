@@ -133,28 +133,26 @@ def predicted_scalar(tag: str, N: int, g: int, recs) -> tuple[Fraction, bool]:
     return const_c(tag, N, g, recs[0].p) * factorial(N), True
 
 
+def _classes(tag: str, N: int, g: int, db: CodeDatabase) -> list:
+    """(name, N!/|Aut C|, cwe_g(C)) for each class C in db.complete_records(tag, N)."""
+    return [(rec.name, Fraction(factorial(N), rec.aut), cwe(rec.code, g))
+            for rec in db.complete_records(tag, N)]
+
+
 def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase, p: int = 2) -> Poly:
     """E_g as b_g * sum over classes of (N!/|Aut|) * cwe_g."""
-    recs = db.complete_records(tag, N)
-    forms = [cwe(rec.code, g) for rec in recs]  # refuses a huge g before b builds p^g
+    classes = _classes(tag, N, g, db)  # refuses a huge g before b builds p^g
     b = _sw_norm(tag, N, g, p)
-    pairs = [(b * Fraction(factorial(N), rec.aut), f) for rec, f in zip(recs, forms)]
-    return combine(pairs, pairs[0][1])
+    return combine([(b * m, w) for _, m, w in classes], classes[0][2])
 
 
 def doubling_pairing_sw(tag: str, N: int, g: int, db: CodeDatabase, f: Poly) -> Poly:
     """<D(E_2g), f>_g computed the Siegel-Weil way over classified codes."""
     if f.N != N or f.g != g:
         raise ValueError("f has the wrong length or genus")
-    recs = db.complete_records(tag, N)
     b2 = const_b(tag, N, g, f.p)
-    pairs = []
-    for rec in recs:
-        w = cwe(rec.code, g)
-        pairing = inner_product(w, f)
-        if pairing:
-            pairs.append((factorial(N) * b2 * Fraction(1, rec.aut) * pairing, w))
-    return combine(pairs, f)
+    return combine([(b2 * m * pairing, w) for _, m, w in _classes(tag, N, g, db)
+                    if (pairing := inner_product(w, f))], f)
 
 
 # --- verification reports ----------------------------------------------
@@ -335,17 +333,9 @@ def basis_expansion(f: Poly, tag: str, N: int, g: int, db: CodeDatabase):
     """
     if phi_op(f, 1):
         raise ValueError("input is not a cusp form (nonzero Phi image)")
-    recs = db.complete_records(tag, N)
-    b = const_b(tag, N, g, f.p)
-    cfull = predicted_scalar(tag, N, g, recs)[0]
-    out, pairs = [], []
-    for rec in recs:
-        w = cwe(rec.code, g)
-        coef = (b / cfull) * Fraction(factorial(N), rec.aut) * inner_product(
-            f, w
-        ).as_rational()
-        out.append((rec.name, coef))
-        pairs.append((coef, w))
-    if combine(pairs, f) != f:
+    classes = _classes(tag, N, g, db)
+    scale = const_b(tag, N, g, f.p) / predicted_scalar(tag, N, g, db.complete_records(tag, N))[0]
+    out = [(name, scale * m * inner_product(f, w).as_rational(), w) for name, m, w in classes]
+    if combine([(coef, w) for _, coef, w in out], f) != f:
         raise ValueError("basis expansion failed to reconstruct the input")
-    return out
+    return [(name, coef) for name, coef, _ in out]

@@ -13,9 +13,9 @@ swaps x_01 and x_10, and when C holds the all-ones word, as every self-dual
 binary code does, adding it to c_1 or c_2 permutes the variables.
 Everything else, genus 0 and genus >= 3 included, runs the definition,
 which is also the kernels' oracle.  Genus 0 is the degenerate case: one
-empty tuple, cwe_0 = x^N in the single variable.  The kernels refuse more
-than DEFAULT_BUDGET tuples, and the definition more than GENERIC_BUDGET
-units of work (N + p^g per tuple).
+empty tuple, cwe_0 = x^N in the single variable.  Both paths refuse more
+than BUDGET units of work: N + p^g per tuple for the definition, one per
+unordered pair of the words it keeps for the genus-2 kernel.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from itertools import product
 from .codes import LinearCode
 from .poly import Poly, var_index
 
-DEFAULT_BUDGET = 1 << 32
-# The definition builds, for each of the |C|^g tuples, the N columns and the
-# p^g exponents of its monomial, about 1e7 of those units a second: e8 at
-# genus 5 (2^20 tuples, 8 + 32 units each) takes 4.2 s on a 2-core x86-64
-# VM, and F16 at genus 3 (2^24 tuples) ran past a minute.
-GENERIC_BUDGET = 1 << 26
+# About 1e7 units a second on a 2-core x86-64 VM.  The definition builds, for
+# each of the |C|^g tuples, the N columns and the p^g exponents of its
+# monomial: e8 at genus 5 (2^20 tuples, 8 + 32 units each) takes 4.2 s, and
+# F16 at genus 3 (2^24 tuples) ran past a minute.  The genus-2 kernel reads
+# one word pair per unit: i2^14 (2^25 pairs) takes 2.9 s, and i2^16 ran 47 s.
+BUDGET = 1 << 26
 
 
 def run_conductor(p: int) -> int:
@@ -51,10 +51,9 @@ def cwe(C: LinearCode, g: int) -> Poly:
 def cwe_generic(C: LinearCode, g: int) -> Poly:
     """Definition-level path: loop over tuples, count vector occurrences."""
     # 2^g <= p^g bounds g before p^g or |C|^g is built
-    if g >= GENERIC_BUDGET.bit_length() or \
-            len(C.words) ** g * (C.n + C.p**g) > GENERIC_BUDGET:
+    if g >= BUDGET.bit_length() or len(C.words) ** g * (C.n + C.p**g) > BUDGET:
         raise ValueError(f"{len(C.words)}^{g} tuples of length {C.n} in {C.p}^{g} variables "
-                         f"exceed the budget {GENERIC_BUDGET}")
+                         f"exceed the budget {BUDGET}")
     p, n, d = C.p, C.n, C.p**g
     # each codeword as its tuple of coordinates (unpacked once for p = 2)
     vecs = [tuple((w >> i) & 1 for i in range(n)) if p == 2 else w for w in C.words]
@@ -73,8 +72,6 @@ def cwe_binary_fast(C: LinearCode, g: int) -> Poly:
     if C.p != 2 or C.n > 64 or g not in (1, 2):
         raise ValueError(f"the popcount kernel needs p = 2, N <= 64 and g = 1 or 2, "
                          f"got p = {C.p}, N = {C.n}, g = {g}")
-    if len(C.words) ** g > DEFAULT_BUDGET:
-        raise ValueError(f"{len(C.words)}^{g} tuples exceed the budget {DEFAULT_BUDGET}")
     n = C.n
     if g == 1:
         counts = {(n - w, w): k for w, k in Counter(map(int.bit_count, C.words)).items()}
@@ -99,6 +96,9 @@ def _genus2_counts(words, n: int) -> dict:
     """
     top = 1 << (n - 1)
     klein = 2 * top - 1 in words
+    kept = len(words) >> klein  # |R|, or |C|
+    if kept * kept // 2 > BUDGET:
+        raise ValueError(f"{kept}^2/2 word pairs exceed the budget {BUDGET}")
     classes: dict[int, list] = {}
     for w in words:
         if not (klein and w & top):

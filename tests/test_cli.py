@@ -71,16 +71,27 @@ def test_group_structure_check(capsys):
     assert "coset index: 6" in out
 
 
-def test_failed_order_certificate_exits_1(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, want_out, want_err", [
+    (["group", "--type", "2I", "--genus", "1"], "",
+     "error: closure has order 16, predicted 17\n"),
+    (["eisenstein", "--type", "2I", "--length", "8", "--genus", "1", "--method", "coset"], "",
+     "error: orbit of 4 rows does not divide the index 17/4\n"),
+    (["selftest"], "ok   generator unitarity at genus <= 2\n",
+     "error: closure has order 16, predicted 17\n"),
+], ids=["group", "eisenstein", "selftest"])
+def test_failed_order_certificate_exits_1(capsys, monkeypatch, argv, want_out, want_err):
     monkeypatch.setitem(PREDICTED_ORDER, ("2I", 1, 2), 17)
-    group_closure.cache_clear()
+    caches = (group_closure, cw.seed_orbit)
+    for f in caches:
+        f.cache_clear()
     try:
-        code, out, err = run(capsys, "group", "--type", "2I", "--genus", "1")
+        code, out, err = run(capsys, *argv)
     finally:
-        group_closure.cache_clear()
+        for f in caches:
+            f.cache_clear()
     assert code == 1
-    assert out == ""
-    assert err == "error: closure has order 16, predicted 17\n"
+    assert out == want_out
+    assert err == want_err
 
 
 def test_group_command_stores_no_group_but_h(capsys):
@@ -896,3 +907,14 @@ def test_aut_certifies_a_code_past_length_24(tmp_path, capsys):
                               "certify: all checks passed\n")
     code, out, _ = run(capsys, "aut", "--recompute", "--db", str(db), "--code", "i2x13")
     assert (code, out) == (0, "aut i2x13 = 51011754393600\n")
+
+
+def test_cwe_on_a_db_code_past_the_genus_2_budget_exits_2_at_once(tmp_path, capsys):
+    # i2^16 at length 32: its 2^15 kept words make 2^29 pairs, which ran 47 s
+    rows = "".join(f"gen {'0' * i}11{'0' * (30 - i)}\n" for i in range(0, 32, 2))
+    db = tmp_path / "i2x16.txt"
+    db.write_text(f"code i2x16\nfield 2\ntype 2I\nlength 32\n{rows}end\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, "cwe", "--db", str(db), "--code", "i2x16", "--genus", "2")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (2, "", "error: 32768^2/2 word pairs exceed the budget 67108864\n")

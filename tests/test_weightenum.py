@@ -123,7 +123,7 @@ def test_permutation_invariance():
 
 
 def test_budget_refused():
-    # 4096^3 = 2^36 codeword triples exceed DEFAULT_BUDGET = 2^32
+    # 4096^3 = 2^36 codeword triples, 24 + 8 units each, exceed BUDGET = 2^26
     with pytest.raises(ValueError, match="exceed the budget"):
         cwe(golay24(), 3)
 
@@ -136,6 +136,16 @@ def test_definition_refuses_past_its_budget_without_building_the_tuple_count(nam
     start = time.monotonic()
     with pytest.raises(ValueError, match="exceed the budget"):
         cwe(C, g)
+    assert time.monotonic() - start < 1
+
+
+def test_genus2_kernel_refuses_past_its_budget():
+    # i2^15 holds 1, so the kernel keeps 2^14 words: 2^27 unordered pairs
+    # exceed BUDGET = 2^26 (i2^14's 2^25 pairs take about 3 s)
+    C = direct_sum(*[i2()] * 15)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="16384\\^2/2 word pairs exceed the budget"):
+        cwe(C, 2)
     assert time.monotonic() - start < 1
 
 
