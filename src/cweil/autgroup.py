@@ -27,8 +27,8 @@ Intended scale: p = 2 and a 2^k x N word-column incidence of at most 2^18
 entries, which every code of length 24 and i2^13 at length 26 meet.  A
 length-16 code takes 10 to 30 ms, a length-24 doubly-even code 0.04 to
 0.2 s, and d24_plus, whose weight-12 class is needed to span it, about
-0.6 s.  Other fields raise ValueError; a larger code, or a search past
-NODE_LIMIT nodes, answers "unknown".
+0.6 s.  Other fields raise ValueError, and so does a search with numpy
+absent; a larger code, or a search past NODE_LIMIT nodes, answers "unknown".
 """
 
 from __future__ import annotations
@@ -251,7 +251,10 @@ def aut_order(C: LinearCode):
     if C.n << C.k > 1 << 18:  # the 2^k x N incidence, refused before any word is built
         return "unknown"
     global np
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ValueError(f"the aut search needs numpy, which does not import: {exc}") from None
     S = _AutSearch(C)
     gens: list = []
     order = 1

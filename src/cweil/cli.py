@@ -16,6 +16,7 @@ from math import factorial
 
 from .autgroup import aut_order
 from .cliffordweil import (
+    PREDICTED_ORDER,
     ClosureError,
     Operator,
     center_order,
@@ -157,7 +158,7 @@ def cmd_eisenstein(args) -> int:
 
     def by_sw():
         db = _db_for(args, tag, N)
-        return eisenstein_sw(tag, N, g, db, p)
+        return eisenstein_sw(tag, N, g, db)
 
     if not args.compare:
         E = by_coset() if args.method == "coset" else by_sw()
@@ -299,12 +300,8 @@ def _selftest_checks():
     n2, n3 = run_conductor(2), run_conductor(3)
 
     def check_unitarity():
-        for tag, g, p in [("2I", 1, 2), ("2I", 2, 2), ("2II", 1, 2),
-                          ("2II", 2, 2), ("Q", 1, 3), ("Q1", 1, 3)]:
-            if not all(Operator.from_cells(p, g, *cells).is_unitary()
-                       for cells in generator_cells(tag, g, p, reduced=False)):
-                return False
-        return True
+        return all(Operator.from_cells(p, g, *cells).is_unitary()
+                   for tag, g, p in PREDICTED_ORDER for cells in generator_cells(tag, g, p))
 
     def check_invariance():
         for tag, g, p, n in [("2I", 1, 2, n2), ("2II", 1, 2, n2), ("Q", 1, 3, n3)]:

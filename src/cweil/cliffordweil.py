@@ -8,9 +8,11 @@ The group C_g attached to a self-dual code type is generated by
           w agreeing with v off the coordinates a, for the k = r kernel pairs
           (a, b) = (i, i), i <= r: the partial Fourier transform.
 
-Each kind is built one way, as phase cells (`generator_cells`).  A form's
-diagonal terms are (a x^2 + b x) / den by the per-type table FORM_RULE, and
-h_r's Fourier operator (`_fourier_cells`) takes any list of kernel pairs.
+Each kind is built one way, as phase cells (i, j, k): the entry zeta_n^k at
+(i, j), n = 8 or 4p.  A form's diagonal terms are (a x^2 + b x) / den by the
+per-type table FORM_RULE, den and p dividing n, and h_r's Fourier operator
+(`_fourier_cells`) takes any list of kernel pairs.  `generator_cells` gives
+one generating set; the tests build the textbook one as its oracle.
 With our substitution convention, "act by A, then act by B" is the matrix
 product A*B.
 
@@ -48,7 +50,6 @@ average is C_g-invariant, so every other coefficient is exactly 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, gcd, lcm, prod
@@ -161,8 +162,9 @@ class QuadraticForm:
     """diagonal labels (a, b), a lone a standing for (a, 0), plus a strictly
     upper-triangular F_p part.
 
-    Evaluation is a rational mod 1: sum_i (a_i v_i^2 + b_i v_i) / den +
-    sum_{i<j} v_i m_ij v_j / p by FORM_RULE, on integer lifts 0..p-1.
+    phi(v) is the k in range(n) with exp(2 pi i phi(v)) = zeta_n^k, n the
+    conductor: phi(v) = sum_i (a_i v_i^2 + b_i v_i) / den + sum_{i<j}
+    v_i m_ij v_j / p mod 1 by FORM_RULE, on integer lifts 0..p-1.
     """
 
     __slots__ = ("tag", "g", "p", "diag", "offdiag")
@@ -178,22 +180,12 @@ class QuadraticForm:
                 raise ValueError(f"off-diagonal entry {m} at {(i, j)} for genus {g}, field {p}")
         self.offdiag = off
 
-    def __call__(self, v) -> Fraction:
-        p, den = self.p, FORM_RULE[self.tag][0] or self.p
-        total = Fraction(0)
-        for (a, b), x in zip(self.diag, v):
-            total += Fraction(a * (x % p) ** 2 + b * (x % p), den)
-        for (i, j), m in self.offdiag.items():
-            total += Fraction((v[i] * m * v[j]) % p, p)
-        return total % 1
-
-
-def all_quadforms(tag: str, g: int, p: int):
-    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    for diag in iproduct(_form_labels(tag, p), repeat=g):
-        for ms in iproduct(range(p), repeat=len(pairs)):
-            off = {pos: m for pos, m in zip(pairs, ms) if m}
-            yield QuadraticForm(tag, g, p, diag, off)
+    def __call__(self, v) -> int:
+        p, n = self.p, run_conductor(self.p)
+        step = n // (FORM_RULE[self.tag][0] or p)  # den divides n
+        total = sum(a * (x % p) ** 2 + b * (x % p) for (a, b), x in zip(self.diag, v)) * step
+        total += sum(v[i] * m * v[j] for (i, j), m in self.offdiag.items()) * (n // p)
+        return total % n
 
 
 def basis_quadforms(tag: str, g: int, p: int):
@@ -208,14 +200,6 @@ def basis_quadforms(tag: str, g: int, p: int):
 
 
 # --- generators ---------------------------------------------------------
-
-
-def _phase(n: int, frac: Fraction) -> int:
-    """The k in 0..n-1 with exp(2 pi i * frac) = zeta_n^k."""
-    k = frac * n
-    if k.denominator != 1:
-        raise ValueError(f"exp(2 pi i * {frac}) is not in Q(zeta_{n})")
-    return int(k) % n
 
 
 def _m_cells(u, p: int, g: int):
@@ -233,8 +217,7 @@ def _m_cells(u, p: int, g: int):
 
 def _d_cells(phi: QuadraticForm):
     """(cells, scale) of d_phi, the diagonal phase x_v -> exp(2 pi i phi(v)) x_v."""
-    p, g, n = phi.p, phi.g, run_conductor(phi.p)
-    return [(idx, idx, _phase(n, phi(index_vector(idx, p, g)))) for idx in range(p**g)], None
+    return [(i, i, phi(index_vector(i, phi.p, phi.g))) for i in range(phi.p**phi.g)], None
 
 
 def _fourier_cells(pairs: list, g: int, p: int):
@@ -248,8 +231,8 @@ def _fourier_cells(pairs: list, g: int, p: int):
             w = list(v)
             for a, x in zip(free, vals):
                 w[a] = x
-            phase = Fraction(sum(w[a] * v[b] for a, b in pairs), p)
-            cells.append((idx, var_index(w, p), _phase(n, phase)))
+            k = n // p * sum(w[a] * v[b] for a, b in pairs) % n
+            cells.append((idx, var_index(w, p), k))
     return cells, sqrt_prime_power(p, len(pairs), n) / p ** len(pairs)  # p^(-k/2), exactly
 
 
@@ -258,16 +241,6 @@ def _h_cells(r: int, g: int, p: int):
     if not 1 <= r <= g:
         raise ValueError(f"h_r needs 1 <= r <= g, got r = {r}, g = {g}")
     return _fourier_cells([(i, i) for i in range(r)], g, p)
-
-
-def gl_matrices(p: int, g: int):
-    """All of GL_g(F_p) (g <= 2 scale)."""
-    out = []
-    for flat in iproduct(range(p), repeat=g * g):
-        u = [list(flat[i * g : (i + 1) * g]) for i in range(g)]
-        if len(rref(p, u)) == g:
-            out.append(u)
-    return out
 
 
 def gl_generators(p: int, g: int):
@@ -291,13 +264,12 @@ def _primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def generator_cells(tag: str, g: int, p: int, reduced: bool = True) -> tuple:
-    """C_g's generators as (cells, scale) for Operator.from_cells: the m_u, the d_phi
-    (reduced generating sets, or every one of them), then h_1 .. h_g; memoised, as tuples."""
-    ms = gl_generators(p, g) if reduced else gl_matrices(p, g)
-    forms = basis_quadforms(tag, g, p) if reduced else all_quadforms(tag, g, p)
+def generator_cells(tag: str, g: int, p: int) -> tuple:
+    """C_g's generators as (cells, scale) for Operator.from_cells: the m_u of
+    gl_generators, the d_phi of basis_quadforms, then h_1 .. h_g; memoised, as tuples."""
     return tuple((tuple(cells), scale) for cells, scale in
-                 [_m_cells(u, p, g) for u in ms] + [_d_cells(phi) for phi in forms]
+                 [_m_cells(u, p, g) for u in gl_generators(p, g)]
+                 + [_d_cells(phi) for phi in basis_quadforms(tag, g, p)]
                  + [_h_cells(r, g, p) for r in range(1, g + 1)])
 
 
@@ -562,7 +534,7 @@ def coset_labels(G: CertifiedGroup, P: CertifiedGroup):
 # Nebe-Rains-Sloane, ch. 5).  E_g is C_g-invariant, and d_phi, which lies
 # in P_g <= C_g, multiplies x^m by zeta_n^(sum_v m_v k_v), k_v the phases of
 # its cells.  So the coefficient of x^m is 0 unless sum_v m_v k_v = 0 mod n
-# for every d_phi, and the reduced generators suffice, as d_phi d_psi =
+# for every d_phi, and the d_phi of basis_quadforms suffice, as d_phi d_psi =
 # d_(phi+psi).  `invariant_monomials` walks only those m (119 of 2,925 for
 # 2II at g = 2, N = 24), and `eisenstein_coset` sums each of their
 # coefficients over the rows of O.
@@ -603,9 +575,9 @@ def seed_orbit(tag: str, g: int, p: int = 2) -> tuple:
 
 
 def invariant_monomials(tag: str, g: int, N: int, p: int = 2) -> list:
-    """The exponent tuples m of degree N with sum_v m_v k_v = 0 mod n for the
-    phases k_v of every diagonal generator d_phi: the only monomials that a
-    C_g-invariant form of degree N can hold.
+    """The exponent tuples m of degree N with sum_v m_v phi(v) = 0 mod n for
+    every phi of basis_quadforms: the only monomials that a C_g-invariant
+    form of degree N can hold.
 
     Depth first over the variables, carrying the residues that the variables
     still to come must add; reach[v][left] holds those that the variables
@@ -613,8 +585,8 @@ def invariant_monomials(tag: str, g: int, N: int, p: int = 2) -> list:
     monomial.
     """
     n, d = run_conductor(p), p**g
-    phases = list(zip(*([k for _, _, k in cells] for cells, _ in generator_cells(tag, g, p)
-                        if all(i == j for i, j, _ in cells))))  # phases[v]: x_v's, per d_phi
+    forms = basis_quadforms(tag, g, p)
+    phases = [tuple(phi(index_vector(v, p, g)) for phi in forms) for v in range(d)]
 
     def add(r: tuple, v: int, e: int) -> tuple:
         return tuple((a + e * k) % n for a, k in zip(r, phases[v]))

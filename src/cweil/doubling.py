@@ -139,10 +139,10 @@ def _classes(tag: str, N: int, g: int, db: CodeDatabase) -> list:
             for rec in db.complete_records(tag, N)]
 
 
-def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase, p: int = 2) -> Poly:
-    """E_g as b_g * sum over classes of (N!/|Aut|) * cwe_g."""
+def eisenstein_sw(tag: str, N: int, g: int, db: CodeDatabase) -> Poly:
+    """E_g as b_g * sum over classes of (N!/|Aut|) * cwe_g, at the classes' field."""
     classes = _classes(tag, N, g, db)  # refuses a huge g before b builds p^g
-    b = _sw_norm(tag, N, g, p)
+    b = _sw_norm(tag, N, g, classes[0][2].p)
     return combine([(b * m, w) for _, m, w in classes], classes[0][2])
 
 

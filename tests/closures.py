@@ -10,7 +10,10 @@ denominator, and each product is one integer matmul with the cyclotomic
 structure constants `mul_table` folded in (`_fold`, `_batch_mul`); a
 product that could pass int64 raises Int64OverflowError rather than wrap.
 `generators` builds C_g's generators from the library's `generator_cells`,
-and `word_operator` multiplies out element i of a certified group from the
+or the textbook generating set, every m_u and every d_phi
+(`textbook_cells`, over `gl_matrices` and `all_quadforms`), whose phases
+`form_value` checks against the rational definition of a form, and
+`word_operator` multiplies out element i of a certified group from the
 words of its factors in them: the oracle of the read-off
 `CertifiedGroup[i]`, which `as_int64` converts for comparison.
 `close_group` closes a group of int64 operators breadth first, and
@@ -33,22 +36,28 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from cweil.cliffordweil import (
+    FORM_RULE,
     PREDICTED_ORDER,
     PREDICTED_PARABOLIC,
     ClosureError,
     QuadraticForm,
     _check_same,
     _d_cells,
+    _form_labels,
     _fourier_cells,
+    _h_cells,
+    _m_cells,
     center_order,
     generator_cells,
     predicted_orders,
 )
+from cweil.codes import rref
 from cweil.cyclo import CycNum, _power_table, mul_nums, phi_degree
 from cweil.poly import Poly, apply_operator, mono_factorial
 from cweil.weightenum import run_conductor
@@ -188,8 +197,53 @@ def _phase_operator(p: int, g: int, cells, scale: CycNum | None = None) -> Opera
 
 
 def generators(tag: str, g: int, p: int, reduced: bool = True) -> list:
-    """Generators of C_g: the m_u and d_phi, then h_1 .. h_g."""
-    return [_phase_operator(p, g, *c) for c in generator_cells(tag, g, p, reduced)]
+    """Generators of C_g: the m_u and d_phi, then h_1 .. h_g; the library's
+    generating set, or the textbook one."""
+    cells = generator_cells(tag, g, p) if reduced else textbook_cells(tag, g, p)
+    return [_phase_operator(p, g, *c) for c in cells]
+
+
+# --- the textbook generating set ------------------------------------------
+
+
+def gl_matrices(p: int, g: int):
+    """All of GL_g(F_p) (g <= 2 scale)."""
+    out = []
+    for flat in iproduct(range(p), repeat=g * g):
+        u = [list(flat[i * g : (i + 1) * g]) for i in range(g)]
+        if len(rref(p, u)) == g:
+            out.append(u)
+    return out
+
+
+def all_quadforms(tag: str, g: int, p: int):
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    for diag in iproduct(_form_labels(tag, p), repeat=g):
+        for ms in iproduct(range(p), repeat=len(pairs)):
+            off = {pos: m for pos, m in zip(pairs, ms) if m}
+            yield QuadraticForm(tag, g, p, diag, off)
+
+
+def form_value(phi: QuadraticForm, v) -> Fraction:
+    """phi(v) by its definition, a rational mod 1: sum_i (a_i v_i^2 + b_i v_i) / den
+    + sum_{i<j} v_i m_ij v_j / p by FORM_RULE, on integer lifts 0..p-1."""
+    p, den = phi.p, FORM_RULE[phi.tag][0] or phi.p
+    total = Fraction(0)
+    for (a, b), x in zip(phi.diag, v):
+        total += Fraction(a * (x % p) ** 2 + b * (x % p), den)
+    for (i, j), m in phi.offdiag.items():
+        total += Fraction((v[i] * m * v[j]) % p, p)
+    return total % 1
+
+
+@lru_cache(maxsize=None)
+def textbook_cells(tag: str, g: int, p: int) -> tuple:
+    """Every m_u and every d_phi, then h_1 .. h_g (Nebe-Rains-Sloane, ch. 5),
+    as (cells, scale) in the library's cell format."""
+    return tuple((tuple(cells), scale) for cells, scale in
+                 [_m_cells(u, p, g) for u in gl_matrices(p, g)]
+                 + [_d_cells(phi) for phi in all_quadforms(tag, g, p)]
+                 + [_h_cells(r, g, p) for r in range(1, g + 1)])
 
 
 @lru_cache(maxsize=None)

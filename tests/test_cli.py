@@ -672,16 +672,21 @@ def test_group_and_phi_modules_bind_no_numpy():
     assert out.stdout == "[]\n"
 
 
+# a meta-path finder that refuses numpy and its submodules
+BLOCK_NUMPY = (
+    "import sys\n"
+    "class NoNumpy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' or name.startswith('numpy.'):\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, NoNumpy())\n"
+)
+
+
 def test_commands_without_array_work_run_with_numpy_unimportable():
-    # a meta-path finder refuses numpy and its submodules; the import of the
-    # package and every command but the aut search must not notice
-    code = (
-        "import sys\n"
-        "class NoNumpy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' or name.startswith('numpy.'):\n"
-        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
-        "sys.meta_path.insert(0, NoNumpy())\n"
+    # the import of the package and every command but the aut search must
+    # not notice
+    code = BLOCK_NUMPY + (
         "import cweil.cli\n"
         f"for argv in {NUMPY_FREE!r}:\n"
         "    print('ran', argv, cweil.cli.main(argv.split()), file=sys.stderr)\n"
@@ -689,6 +694,24 @@ def test_commands_without_array_work_run_with_numpy_unimportable():
     out = _python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines() == [f"ran {argv} 0" for argv in NUMPY_FREE]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    ("aut --code golay24 --recompute", 2, "", "error: {refusal}\n"),
+    ("cwe --db {db} --code e8 --genus 1", 2, "", "error: {db}: {refusal}\n"),
+    ("certify --file codes_2ii_n8", 1, "FAIL codes_2ii_n8: {refusal}\ncertify: 1 FAILED\n", ""),
+], ids=["aut-recompute", "db-recheck", "certify"])
+def test_the_aut_search_refuses_with_numpy_unimportable(argv, code, stdout, stderr):
+    # the aut search is the one numpy user: with numpy absent it refuses
+    # through the exit-code contract, never in a traceback
+    names = {"db": os.path.join(os.path.dirname(cweil.__file__), "data", "codes_2ii_n8.txt"),
+             "refusal": "the aut search needs numpy, which does not import: "
+                        "No module named 'numpy'"}
+    out = _python("-c", BLOCK_NUMPY + "import cweil.cli\nsys.exit(cweil.cli.main(sys.argv[1:]))",
+                  *argv.format(**names).split())
+    assert "Traceback" not in out.stderr
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (code, stdout.format(**names), stderr.format(**names))
 
 
 # the gated benchmark jobs (perfbench/workloads.py)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb, lcm
 
 import numpy as np
@@ -20,12 +21,10 @@ from cweil.cliffordweil import (
     PREDICTED_ORDER,
     ClosureError,
     QuadraticForm,
-    all_quadforms,
     center_order,
     coset_labels,
     eisenstein_coset,
     gl_generators,
-    gl_matrices,
     group_closure,
     parabolic_closure,
     seed_orbit,
@@ -35,7 +34,7 @@ from cweil.cliffordweil import (
     _m_cells,
 )
 from cweil.cyclo import CycNum, phi_degree
-from cweil.poly import Poly, apply_operator, serialize_poly
+from cweil.poly import Poly, apply_operator, index_vector, serialize_poly
 from cweil.weightenum import cwe, run_conductor
 from tests import closures
 from tests.closures import (
@@ -46,14 +45,17 @@ from tests.closures import (
     _fold,
     _keys,
     _phase_operator,
+    all_quadforms,
     as_int64,
     center_generator,
     close_group,
     delta_embed,
     factored_keys,
+    form_value,
     full_closure,
     generators,
     generic_coset_labels,
+    gl_matrices,
     matrix_coset_labels,
     mul_table,
     orbit_group,
@@ -61,6 +63,7 @@ from tests.closures import (
     power_sum,
     stored_parabolic,
     tau_operator,
+    textbook_cells,
 )
 from tests.constructions import e8, tetracode
 
@@ -124,7 +127,7 @@ def test_cycnum_operator_unitarity(key):
     # unitary; h_1 without its scalar p^(-1/2), 2 * identity, and x_v -> x_0
     # (unit rows that are not orthogonal), are not
     tag, g, p = key
-    for cells in cw.generator_cells(tag, g, p, reduced=False):
+    for cells in textbook_cells(tag, g, p):
         op = cw.Operator.from_cells(p, g, *cells)
         assert as_int64(op) == _phase_operator(p, g, *cells)
         assert op.is_unitary()
@@ -170,11 +173,31 @@ def test_center_scalar_order(tag, p, z):
 
 def test_quadform_eval():
     phi = QuadraticForm("2II", 2, 2, (1, 2), {(0, 1): 1})
-    assert phi((1, 1)) == Fraction(1, 4)  # 1/4 + 2/4 + 1/2 mod 1
-    assert phi((0, 1)) == Fraction(1, 2)
-    assert QuadraticForm("2I", 1, 2, (1,))((1,)) == Fraction(1, 2)
-    assert QuadraticForm("Q", 1, 3, (2,))((2,)) == Fraction(2, 3)
-    assert QuadraticForm("Q1", 1, 3, ((1, 2),))((2,)) == Fraction(2, 3)
+    assert phi((1, 1)) == 2  # 1/4 + 2/4 + 1/2 mod 1 = 2/8
+    assert phi((0, 1)) == 4
+    assert QuadraticForm("2I", 1, 2, (1,))((1,)) == 4
+    assert QuadraticForm("Q", 1, 3, (2,))((2,)) == 8  # 2/3 = 8/12
+    assert QuadraticForm("Q1", 1, 3, ((1, 2),))((2,)) == 8
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTED_ORDER))
+def test_integer_phases_match_the_rational_definition(key):
+    # phi(v) = k means exp(2 pi i phi(v)) = zeta_n^k: k / n is the form's
+    # value mod 1, for every form and every v; so is each Fourier cell's k,
+    # against sum w_a v_b / p, on h_r's kernel pairs and on crossed ones
+    tag, g, p = key
+    n = run_conductor(p)
+    for phi in all_quadforms(tag, g, p):
+        for v in iproduct(range(p), repeat=g):
+            k = phi(v)
+            assert k in range(n) and Fraction(k, n) == form_value(phi, v)
+    kernels = [[(i, i) for i in range(r)] for r in range(1, g + 1)]
+    if g == 2:
+        kernels.append([(0, 1), (1, 0)])
+    for pairs in kernels:
+        for i, j, k in cw._fourier_cells(pairs, g, p)[0]:
+            v, w = index_vector(i, p, g), index_vector(j, p, g)
+            assert Fraction(k, n) == Fraction(sum(w[a] * v[b] for a, b in pairs), p) % 1
 
 
 def test_quadform_counts():
@@ -595,8 +618,7 @@ def test_cusp_and_generator_checks_survive_python_O():
     lambda: QuadraticForm("2II", 2, 2, (1, 0), {(1, 0): 1}),
     lambda: QuadraticForm("Q", 2, 3, (1, 0), {(0, 1): 3}),
     lambda: tau_operator("2I", 1, 2),
-    lambda: cw._phase(8, Fraction(1, 3)),
-], ids=["diag-length", "offdiag-order", "offdiag-range", "tau-r", "phase"])
+], ids=["diag-length", "offdiag-order", "offdiag-range", "tau-r"])
 def test_generator_inputs_raise(make):
     with pytest.raises(ValueError):
         make()

@@ -217,8 +217,9 @@ def test_cli_on_a_byte_mutated_db_keeps_the_exit_code_contract(worker, case, whi
 # The argv property: per subcommand, its flags.  Integers come from wide
 # ranges, with the bundled lengths, multiples of 4 and small genera and
 # fields mixed in, so that many runs get past the checks; a choice flag
-# takes one of its choices nine times in ten and junk otherwise, and
-# --type with --length is often the kind of a bundled dataset.
+# takes one of its choices nine times in ten and junk otherwise, --type
+# with --length is often the kind of a bundled dataset, and --field is most
+# often the field of the drawn --type.
 WIDE = st.integers(-(10**12), 10**12) | st.sampled_from([2**31 - 1, 2**32 + 15, 10**40])
 LENGTH = st.integers(-2, 1500).map(lambda k: 4 * k) | st.integers(-8, 6000) | WIDE
 GENUS = st.integers(-1, 6) | st.integers(-1, 6) | st.integers(-100, 10**4) | WIDE
@@ -238,6 +239,14 @@ def switch(name: str) -> st.SearchStrategy:
     return st.sampled_from([[], [name]])
 
 
+def with_field(kind: st.SearchStrategy) -> st.SearchStrategy:
+    """kind's flags, --type first, then --field: the type's own field (2 for
+    a junk type) unless a draw from 0..3 is 3, else one from FIELD."""
+    own = {"2I": 2, "2II": 2, "Q": 3, "Q1": 3}
+    return st.tuples(kind, st.integers(0, 3), FIELD).map(
+        lambda t: t[0] + ["--field", str(own.get(t[0][1], 2) if t[1] < 3 else t[2])])
+
+
 CODE = flag("--code", choice(bundled_index()[0]))
 KIND = (st.sampled_from(sorted(bundled_index()[1])) | st.tuples(choice(TYPES), LENGTH)).map(
     lambda kind: ["--type", kind[0], "--length", str(kind[1])])
@@ -245,10 +254,10 @@ ARGV = {
     "cwe": [CODE, flag("--genus", GENUS), switch("--tuples")],
     "cusp": [KIND, flag("--genus", GENUS), switch("--polys")],
     "verify-doubling": [KIND, flag("--genus", GENUS), switch("--factorial")],
-    "eisenstein": [KIND, flag("--genus", GENUS), flag("--field", FIELD),
+    "eisenstein": [with_field(KIND), flag("--genus", GENUS),
                    flag("--method", choice(["coset", "siegel-weil"])), switch("--compare")],
-    "constants": [KIND, flag("--genus", GENUS), flag("--field", FIELD), switch("--factorial")],
-    "group": [flag("--type", choice(TYPES)), flag("--genus", GENUS), flag("--field", FIELD),
+    "constants": [with_field(KIND), flag("--genus", GENUS), switch("--factorial")],
+    "group": [with_field(flag("--type", choice(TYPES))), flag("--genus", GENUS),
               switch("--parabolic")],
     "aut": [CODE, switch("--recompute")],
     "certify": [st.just([]) | flag("--file", choice(BUNDLED))],
