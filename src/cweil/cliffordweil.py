@@ -162,9 +162,9 @@ class QuadraticForm:
     """diagonal labels (a, b), a lone a standing for (a, 0), plus a strictly
     upper-triangular F_p part.
 
-    phi(v) is the k in range(n) with exp(2 pi i phi(v)) = zeta_n^k, n the
-    conductor: phi(v) = sum_i (a_i v_i^2 + b_i v_i) / den + sum_{i<j}
-    v_i m_ij v_j / p mod 1 by FORM_RULE, on integer lifts 0..p-1.
+    The form's value sum_i (a_i v_i^2 + b_i v_i) / den + sum_{i<j} v_i m_ij v_j / p
+    mod 1 by FORM_RULE, on integer lifts 0..p-1, is k / n: phi(v) returns the
+    k in range(n), n the conductor, with exp(2 pi i phi(v)) = zeta_n^k.
     """
 
     __slots__ = ("tag", "g", "p", "diag", "offdiag")
