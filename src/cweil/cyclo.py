@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
+from operator import index
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +138,11 @@ class CycNum:
     __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, nums, den: int = 1):
+        den = index(den)  # ints only: a float, Fraction or str raises TypeError
         if den == 0:
             raise ZeroDivisionError(f"CycNum with denominator 0 over Q(zeta_{n})")
         phi = phi_degree(n)
-        nums = tuple(int(a) for a in nums)
+        nums = tuple(map(index, nums))
         if len(nums) != phi:
             raise ValueError(f"{len(nums)} numerators for Q(zeta_{n}), whose degree is {phi}")
         if den < 0:
@@ -159,9 +162,10 @@ class CycNum:
 
     @staticmethod
     def from_rat(n: int, r) -> "CycNum":
-        r = Fraction(r)
-        phi = phi_degree(n)
-        return CycNum(n, (r.numerator,) + (0,) * (phi - 1), r.denominator)
+        """The exact rational r (an int, a Fraction, any numbers.Rational) in Q(zeta_n)."""
+        if not isinstance(r, Rational):
+            raise TypeError(f"CycNum.from_rat needs an exact rational, got {type(r).__name__} {r!r}")
+        return CycNum(n, (r.numerator,) + (0,) * (phi_degree(n) - 1), r.denominator)
 
     @staticmethod
     def zero(n: int) -> "CycNum":

@@ -157,7 +157,12 @@ def inner_product(a: Poly, b: Poly) -> CycNum:
             total = [x * (top // den) for x in total]
             den = top
         k = top // d * mono_factorial(m)
-        for u, x in enumerate(mul_nums(n, ca.nums, conj_nums(n, cb.nums))):
+        if cb.is_rational():  # conj(b_m) = b_m
+            k *= cb.nums[0]
+            nums = ca.nums
+        else:
+            nums = mul_nums(n, ca.nums, conj_nums(n, cb.nums))
+        for u, x in enumerate(nums):
             total[u] += k * x
     return CycNum(n, total, den)
 

@@ -28,12 +28,16 @@ which expands only the monomials that every d_phi fixes.  The last three
 are the term-by-term forms of the exact linear algebra, the oracles of the
 integer-numerator kernels that replaced them: `fraction_rref` of the
 fraction-free `siegelphi._rref`, `cycnum_inner_product` of
-`poly.inner_product`, and `fold_combine` of `poly.combine`.  Nothing in
-the cweil package imports this module.
+`poly.inner_product`, and `fold_combine` of `poly.combine`.
+`row_genus2_counts` builds the genus-2 counts one byte row per word and
+weight class, the oracle of the packed-int blocks of
+`weightenum._genus2_counts` where `cwe_generic` is past its budget.  Nothing
+in the cweil package imports this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import product as iproduct
@@ -719,3 +723,38 @@ def fold_combine(pairs, like: Poly) -> Poly:
     for c, a in pairs:
         total = total + c * a
     return total
+
+
+def row_genus2_counts(words, n: int) -> Counter:
+    """The genus-2 counts of weightenum._genus2_counts, one byte row per word.
+
+    For each kept c1 and each weight class at or after its own, the row holds
+    |c1 AND c2| for every later c2, one popcount call per pair; each
+    unordered pair of distinct words adds both orders, and each word adds
+    its diagonal.  The all-ones expansion is the kernel's, with no budget.
+    """
+    top = 1 << (n - 1)
+    klein = 2 * top - 1 in words
+    classes: dict[int, list] = {}
+    for w in words:
+        if not (klein and w & top):
+            classes.setdefault(w.bit_count(), []).append(w)
+    order = sorted(classes.items())
+    bins: Counter = Counter()
+    for i, (w1, cls1) in enumerate(order):
+        bins[n - w1, 0, 0, w1] = len(cls1)
+        for j, c1 in enumerate(cls1):
+            for w2, cls2 in order[i:]:
+                row = bytes(map(int.bit_count, map(c1.__and__, cls2[j + 1:] if w2 == w1 else cls2)))
+                for n11 in range(max(0, w1 + w2 - n), w1 + 1):
+                    if k := row.count(n11):
+                        a = n - w1 - w2 + n11
+                        for key in ((a, w2 - n11, w1 - n11, n11), (a, w1 - n11, w2 - n11, n11)):
+                            bins[key] += k
+    if not klein:
+        return bins
+    counts: Counter = Counter()
+    for (a, b, c, d), k in bins.items():
+        for key in ((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)):
+            counts[key] += k
+    return counts

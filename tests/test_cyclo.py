@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +151,25 @@ def test_conj_table_matches_scalar_path():
         for k in range(phi_degree(n)):
             got = CycNum(n, tuple(int(x) for x in C[k]), 1)
             assert got == CycNum.zeta_pow(n, k).conj()
+
+
+def test_numerators_and_rationals_must_be_exact():
+    # int(0.5) truncated CycNum(8, (0.5, 0, 0, 0)) to 0, and from_rat took
+    # the float 0.1 as 3602879701896397/2^55 and parsed the string "1/3"
+    for nums in [(0.5, 0, 0, 0), (1.0, 0, 0, 0), (Fraction(1, 2), 0, 0, 0), ("1", 0, 0, 0)]:
+        with pytest.raises(TypeError):
+            CycNum(8, nums)
+    for den in [2.0, Fraction(1, 2)]:
+        with pytest.raises(TypeError):
+            CycNum(8, (1, 0, 0, 0), den)
+    for r in [0.1, 2.0, "1/3", "2"]:
+        with pytest.raises(TypeError, match="from_rat needs an exact rational"):
+            CycNum.from_rat(8, r)
+    # numpy ints, as the test oracles pass them, are exact and still accepted
+    assert CycNum(8, np.array([3, 0, 0, 1], dtype=np.int64), 2) == CycNum(8, (3, 0, 0, 1), 2)
+    assert CycNum.from_rat(8, np.int64(-2)) == CycNum.from_rat(8, -2) == -2
+    assert CycNum.from_rat(8, True) == CycNum.one(8)
+    assert CycNum.from_rat(12, Fraction(-4, 6)).coeffs() == (Fraction(-2, 3), 0, 0, 0)
 
 
 def test_bad_construction_raises_under_python_O():

@@ -218,22 +218,34 @@ def test_poly_checks_survive_python_O():
 FIELDS = {8: 2, 12: 3}
 
 
-def _cyc(draw, n):
+def _cyc(draw, n, rational=False):
     nums = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    if rational:
+        nums[1:] = [0] * 3
     return CycNum(n, nums, draw(st.integers(1, 4)))
 
 
-def _cyc_poly(draw, n, N=3):
+def _cyc_poly(draw, n, N=3, rational=st.just(False)):
+    """A Poly of degree N; each coefficient is rational where `rational` draws True."""
     ms = list(monomial_exponents(FIELDS[n], N))
     picked = draw(st.lists(st.sampled_from(ms), max_size=len(ms), unique=True))
-    return Poly(FIELDS[n], 1, N, n, {m: _cyc(draw, n) for m in picked})
+    return Poly(FIELDS[n], 1, N, n, {m: _cyc(draw, n, draw(rational)) for m in picked})
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from(sorted(FIELDS)), data=st.data())
 def test_inner_product_and_combine_match_their_oracles(n, data):
-    a, b = _cyc_poly(data.draw, n), _cyc_poly(data.draw, n)
+    # b is all rational half the time (inner_product's conj(b_m) = b_m
+    # branch alone), and otherwise mixes rational and irrational terms
+    a = _cyc_poly(data.draw, n)
+    b = _cyc_poly(data.draw, n, rational=st.just(True) if data.draw(st.booleans()) else st.booleans())
     assert inner_product(a, b) == cycnum_inner_product(a, b)
+    # integer counts, as cwe passes them, make the same Poly as their Fractions
+    counts = {m: data.draw(st.integers(-5, 5)) for m in b.terms}
+    as_ints = Poly(FIELDS[n], 1, 3, n, counts)
+    assert as_ints == Poly(FIELDS[n], 1, 3, n, {m: Fraction(k) for m, k in counts.items()})
+    assert {m: c.as_rational() for m, c in as_ints.terms.items()} == {
+        m: k for m, k in counts.items() if k}
     rationals = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
     pairs = []
     for _ in range(data.draw(st.integers(0, 4))):

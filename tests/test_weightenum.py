@@ -10,7 +10,9 @@ from cweil.cyclo import CycNum
 from cweil.database import BUNDLED, load_bundled
 from cweil.poly import tuple_profile
 from cweil.siegelphi import phi_op
-from cweil.weightenum import cwe, cwe_binary_fast, cwe_generic
+from cweil import weightenum
+from cweil.weightenum import _genus2_counts, cwe, cwe_binary_fast, cwe_generic
+from tests.closures import row_genus2_counts
 from tests.constructions import (direct_sum, e7, e8, golay24, i2, permute_code, table2_codes,
                                  tetracode)
 
@@ -220,6 +222,44 @@ def test_genus2_kernel_matches_generic_on_both_branches(make, has_ones):
     C = make()
     assert ((1 << C.n) - 1 in C.words) == has_ones
     assert cwe_binary_fast(C, 2) == cwe_generic(C, 2)
+
+
+@pytest.mark.parametrize("rec", [rec for name in BUNDLED for rec in load_bundled(name).records
+                                 if rec.p == 2], ids=lambda rec: rec.name)
+def test_genus2_blocks_match_the_row_oracle_on_every_bundled_binary_code(rec):
+    # the nine length-24 codes are past cwe_generic's budget, so the per-word
+    # row builder is their oracle
+    C = rec.code
+    assert dict(_genus2_counts(C.words, C.n)) == dict(row_genus2_counts(C.words, C.n))
+
+
+def _slot_code(n: int, has_ones: bool) -> LinearCode:
+    # six random words and one of weight n - 1, all with bit 0 clear, so 1
+    # lies in C only when it is added
+    rng = random.Random(n)
+    words = [rng.getrandbits(n) & ~1 for _ in range(6)] + [(1 << n) - 2]
+    C = code_from_rows(2, n, [_bits(w, n) for w in words + [(1 << n) - 1] * has_ones])
+    assert ((1 << n) - 1 in C.words) == has_ones
+    return C
+
+
+@pytest.mark.parametrize("has_ones", [False, True], ids=["no-1", "with-1"])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+def test_genus2_blocks_match_the_row_oracle_at_the_slot_widths(n, has_ones):
+    # a slot is 1, 2, 4 or 8 bytes as n passes 8, 16 and 32; without 1 the
+    # diagonal of the weight n - 1 word puts n - 1 (63 at n = 64) in a slot
+    C = _slot_code(n, has_ones)
+    assert dict(_genus2_counts(C.words, n)) == dict(row_genus2_counts(C.words, n))
+
+
+@pytest.mark.parametrize("cap", [1, 16, 100])
+def test_genus2_blocks_split_into_chunks_match_the_row_oracle(monkeypatch, cap):
+    # at the default cap only the length-24 codes split a block; a small cap
+    # splits the blocks of small codes into chunks of one c1 (cap 1) or of
+    # several, with a shorter last chunk
+    monkeypatch.setattr(weightenum, "BLOCK_BYTES", cap)
+    for C in (e8(), table2_codes()["F16"], _slot_code(33, False), _slot_code(33, True)):
+        assert dict(_genus2_counts(C.words, C.n)) == dict(row_genus2_counts(C.words, C.n))
 
 
 def test_codes_longer_than_64_take_the_generic_path():
