@@ -143,7 +143,7 @@ def test_definition_refuses_past_its_budget_without_building_the_tuple_count(nam
 
 def test_genus2_kernel_refuses_past_its_budget():
     # i2^15 holds 1, so the kernel keeps 2^14 words: 2^27 unordered pairs
-    # exceed BUDGET = 2^26 (i2^14's 2^25 pairs take about 3 s)
+    # exceed BUDGET = 2^26 (i2^14's 2^25 pairs take about 1.3 s)
     C = direct_sum(*[i2()] * 15)
     start = time.monotonic()
     with pytest.raises(ValueError, match="16384\\^2/2 word pairs exceed the budget"):
