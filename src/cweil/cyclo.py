@@ -164,7 +164,8 @@ class CycNum:
     def from_rat(n: int, r) -> "CycNum":
         """The exact rational r (an int, a Fraction, any numbers.Rational) in Q(zeta_n)."""
         if not isinstance(r, Rational):
-            raise TypeError(f"CycNum.from_rat needs an exact rational, got {type(r).__name__} {r!r}")
+            raise TypeError(f"CycNum.from_rat needs an exact rational, "
+                            f"got {type(r).__name__} {r!r}")
         return CycNum(n, (r.numerator,) + (0,) * (phi_degree(n) - 1), r.denominator)
 
     @staticmethod

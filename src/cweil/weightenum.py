@@ -8,10 +8,10 @@ coefficients summing to |C|^g.
 Binary codes with N <= 64 go to a popcount kernel at genus 1 and 2: at
 genus 1 the exponents are (N - wt c, wt c), and at genus 2 every count
 follows from wt c_1, wt c_2 and |c_1 AND c_2|.  The genus-2 kernel counts
-a little over one pair in eight, with two exact symmetries of C x C: swapping c_1 and c_2 swaps
-x_01 and x_10, and when C holds the all-ones word, as every self-dual
-binary code does, adding it to c_1 or c_2 permutes the variables.  It
-counts in blocks, one per pair of weight classes, in Python ints and
+a little over one pair in eight, with two exact symmetries of C x C:
+swapping c_1 and c_2 swaps x_01 and x_10, and when C holds the all-ones
+word, as every self-dual binary code does, adding it to c_1 or c_2
+permutes the variables.  It counts in blocks, one per pair of weight classes, in Python ints and
 bytes: each class is one int with a slot of 1, 2, 4 or 8 bytes per word
 (N up to 8, 16, 32, 64), so one AND pairs a word with a whole class, and
 one bytes.count per value of |c_1 AND c_2| reads a whole buffer of pairs.
@@ -138,15 +138,15 @@ def _genus2_counts(words, n: int) -> dict:
             step = max(1, BLOCK_BYTES // size)
             a = n - w1 - w2
             for s in range(0, len(cls1), step):
-                row = b"".join([(big & c1 * rep).to_bytes(size, "little")
+                buf = b"".join([(big & c1 * rep).to_bytes(size, "little")
                                 for c1 in cls1[s:s + step]]).translate(_POPCOUNT)
                 if shifts:
-                    x = int.from_bytes(row, "little")
+                    x = int.from_bytes(buf, "little")
                     for sh in shifts:
                         x += x >> sh
-                    row = x.to_bytes(len(row), "little")[::sb]
+                    buf = x.to_bytes(len(buf), "little")[::sb]
                 for n11 in range(max(0, -a), w1 + 1):
-                    if k := row.count(n11):
+                    if k := buf.count(n11):
                         bins[a + n11, w2 - n11, w1 - n11, n11] += k
                         if w2 != w1:
                             bins[a + n11, w1 - n11, w2 - n11, n11] += k

@@ -238,7 +238,8 @@ def test_inner_product_and_combine_match_their_oracles(n, data):
     # b is all rational half the time (inner_product's conj(b_m) = b_m
     # branch alone), and otherwise mixes rational and irrational terms
     a = _cyc_poly(data.draw, n)
-    b = _cyc_poly(data.draw, n, rational=st.just(True) if data.draw(st.booleans()) else st.booleans())
+    all_rational = data.draw(st.booleans())
+    b = _cyc_poly(data.draw, n, rational=st.just(True) if all_rational else st.booleans())
     assert inner_product(a, b) == cycnum_inner_product(a, b)
     # integer counts, as cwe passes them, make the same Poly as their Fractions
     counts = {m: data.draw(st.integers(-5, 5)) for m in b.terms}
