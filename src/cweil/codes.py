@@ -160,12 +160,6 @@ def dual_code(C: LinearCode) -> LinearCode:
     return LinearCode(C.p, C.n, rows, C.tag)
 
 
-def weight(word, p: int) -> int:
-    if p == 2:
-        return word.bit_count()
-    return sum(1 for x in word if x)
-
-
 def check_type(C: LinearCode, tag: str | None = None) -> bool:
     """Self-duality plus the extra condition of the (given or stored) tag."""
     tag = tag or C.tag
@@ -180,10 +174,3 @@ def check_type(C: LinearCode, tag: str | None = None) -> bool:
     if tag == "Q1":
         return C.contains((1,) * C.n)
     return True
-
-
-def weight_distribution(C: LinearCode) -> tuple[int, ...]:
-    dist = [0] * (C.n + 1)
-    for w in C.words:
-        dist[weight(w, C.p)] += 1
-    return tuple(dist)

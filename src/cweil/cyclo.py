@@ -173,10 +173,6 @@ class CycNum:
         return CycNum(n, (0,) * phi_degree(n), 1)
 
     @staticmethod
-    def one(n: int) -> "CycNum":
-        return CycNum.from_rat(n, 1)
-
-    @staticmethod
     def zeta_pow(n: int, k: int) -> "CycNum":
         """z^k, reduced."""
         return CycNum(n, _power_table(n)[k % n], 1)
@@ -203,15 +199,6 @@ class CycNum:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CycNum(self.n, tuple(-a for a in self.nums), self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -20,15 +20,17 @@ Format, one record per block::
 passing its type check, names must be unique, a declared-complete set must
 have the declared count, and a recorded aut order is recomputed and
 compared.  Only binary codes may record one, as `aut_order` computes no
-other.  When every record of a `complete 2I N` or `complete 2II N` block
-carries an order, the block must satisfy the mass identity: each N!/|Aut|
-is an integer and their sum is the number of self-dual codes of that type
-and length.
+other, and every recorded order must be at least 1 and divide N!, as
+|Aut C| does, at every length.  When every record of a `complete 2I N` or
+`complete 2II N` block carries an order, the block must satisfy the mass
+identity: the sum of the N!/|Aut| is the number of self-dual codes of that
+type and length.
 
 How far the aut orders are recomputed depends on where the file comes from:
 
-* a user file: at length <= `AUT_CHECK_MAX_LENGTH`; longer orders are kept
-  as declared, and the mass identity is then their check at load;
+* a user file: at length <= `AUT_CHECK_MAX_LENGTH`; a longer order that
+  divides N! is kept as declared, and the mass identity of a `complete`
+  block is then its check at load;
 * a bundled file whose bytes have the sha256 recorded in `CERTIFIED`: none.
   The test suite recomputes every order of every bundled file and checks
   the manifest against the files, so these bytes were certified already;
@@ -196,14 +198,7 @@ def _check_mass(tag: str, n: int, recs: list[CodeRecord], lineno: int) -> None:
     On labelled coordinates there are ∏ (2^i + 1) self-dual codes of type
     2I or 2II and length n, over the i of `codes.mass_range`.
     """
-    mass = 0
-    for rec in recs:
-        if rec.aut < 1 or math.factorial(n) % rec.aut:
-            raise DbParseError(
-                lineno, f"complete {tag} {n}: record {rec.name!r} has aut {rec.aut}, "
-                f"which does not divide {n}!"
-            )
-        mass += math.factorial(n) // rec.aut
+    mass = sum(math.factorial(n) // rec.aut for rec in recs)  # _finish_record: each divides n!
     expected = math.prod(2**i + 1 for i in mass_range(tag, n))
     if mass != expected:
         raise DbParseError(
@@ -232,6 +227,8 @@ def _finish_record(cur: dict, verify_aut: float) -> CodeRecord:
         raise DbParseError(
             lineno, f"record {name!r} records aut {aut}, but only binary orders can be checked"
         )
+    if aut is not None and (aut < 1 or math.factorial(n) % aut):  # |Aut C| divides n!
+        raise DbParseError(lineno, f"record {name!r} has aut {aut}, which does not divide {n}!")
     if aut is not None and code.n <= verify_aut:
         computed = aut_order(code)
         if computed != aut:

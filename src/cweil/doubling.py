@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .codes import mass_range
 from .database import CodeDatabase
-from .poly import Poly, combine, conj_poly, inner_product, mono_factorial
+from .poly import Poly, combine, conj_poly, inner_product
 from .siegelphi import CuspBasis, cusp_basis, phi_op
 from .weightenum import cwe
 
@@ -60,11 +60,6 @@ def product_bipartite(a: Poly, b: Poly) -> dict:
     if (a.p, a.g, a.N, a.conductor) != (b.p, b.g, b.N, b.conductor):
         raise ValueError("product_bipartite needs two polynomials of one shape")
     return {my: cy * a for my, cy in b.terms.items()}
-
-
-def pair_y(P: dict, f: Poly) -> Poly:
-    """Inner product in the y variables of a dmap image; conjugate-linear in f."""
-    return combine([(f.coeff(my).conj() * mono_factorial(my), px) for my, px in P.items()], f)
 
 
 # --- Siegel-Weil normalizations and the closed-form constants -----------

@@ -21,8 +21,6 @@ from math import factorial, lcm, prod
 
 from .cyclo import CycNum, conj_nums, mul_nums, phi_degree
 
-Coeff = CycNum | Fraction | int
-
 
 def var_index(v, p: int) -> int:
     """Encode v in F_p^g as an integer, most significant coordinate first."""
@@ -70,11 +68,6 @@ class Poly:
     def zero(p: int, g: int, N: int, conductor: int) -> "Poly":
         return Poly(p, g, N, conductor, {})
 
-    @staticmethod
-    def monomial(p: int, g: int, conductor: int, exps, coeff: Coeff = 1) -> "Poly":
-        exps = tuple(exps)
-        return Poly(p, g, sum(exps), conductor, {exps: coeff})
-
     # --- ring structure ------------------------------------------------
 
     def _like(self, other: "Poly", degree: bool = False):
@@ -83,17 +76,6 @@ class Poly:
                 degree and self.N != other.N and self.terms and other.terms):
             raise ValueError(f"{other!r} of conductor {other.conductor} does not match "
                              f"{self!r} of conductor {self.conductor}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._like(other, degree=True)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return Poly(self.p, self.g, self.N if self.terms else other.N, self.conductor, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -113,12 +95,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, k) -> "Poly":
-        return Poly(
-            self.p, self.g, self.N, self.conductor,
-            {m: c / k for m, c in self.terms.items()},
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -130,9 +106,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(p={self.p}, g={self.g}, N={self.N}, {len(self.terms)} terms)"
-
-    def coeff(self, exps) -> CycNum:
-        return self.terms.get(tuple(exps), CycNum.zero(self.conductor))
 
 
 def mono_factorial(m) -> int:
@@ -225,7 +198,7 @@ def apply_operator(a: Poly, mat) -> Poly:
             if e:
                 piece = img_pow(v, e) if piece is None else piece * img_pow(v, e)
         if piece is None:  # constant monomial (N = 0)
-            piece = Poly.monomial(a.p, a.g, a.conductor, (0,) * d)
+            piece = Poly(a.p, a.g, 0, a.conductor, {(0,) * d: 1})
         return piece
 
     pieces = ((c, image(m)) for m, c in a.terms.items())

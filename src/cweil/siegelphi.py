@@ -57,12 +57,9 @@ def phi_op_w(a: Poly, j: int, w) -> Poly:
     return Poly(a.p, a.g - j, a.N, a.conductor, out)
 
 
-def lift_op(a: Poly, j: int = 1) -> Poly:
-    """phi_{g,j}: re-embed by appending a zero tail to every variable."""
-    return lift_op_w(a, j, (0,) * j)
-
-
 def lift_op_w(a: Poly, j: int, w) -> Poly:
+    """Re-embed by appending the tail w to every variable: w = 0 gives
+    phi_{g,j}, the right inverse of Phi_{g,j}."""
     w = tuple(int(x) % a.p for x in w)
     if len(w) != j:
         raise ValueError(f"the tail {w} does not have j = {j} coordinates")

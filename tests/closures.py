@@ -29,6 +29,9 @@ are the term-by-term forms of the exact linear algebra, the oracles of the
 integer-numerator kernels that replaced them: `fraction_rref` of the
 fraction-free `siegelphi._rref`, `cycnum_inner_product` of
 `poly.inner_product`, and `fold_combine` of `poly.combine`.
+`weight_distribution` counts a code's words by Hamming weight, and
+`pair_y` pairs a `doubling.dmap` image with a form in its y variables: the
+test-side builders of the doubling checks, which no command needs.
 `row_genus2_counts` builds the genus-2 counts one byte row per word and
 weight class, the oracle of the packed-int blocks of
 `weightenum._genus2_counts` where `cwe_generic` is past its budget.  Nothing
@@ -61,9 +64,9 @@ from cweil.cliffordweil import (
     generator_cells,
     predicted_orders,
 )
-from cweil.codes import rref
+from cweil.codes import LinearCode, rref
 from cweil.cyclo import CycNum, _power_table, mul_nums, phi_degree
-from cweil.poly import Poly, apply_operator, mono_factorial
+from cweil.poly import Poly, apply_operator, combine, mono_factorial
 from cweil.weightenum import run_conductor
 
 CLOSURE_CAP = 200_000
@@ -718,11 +721,27 @@ def cycnum_inner_product(a: Poly, b: Poly) -> CycNum:
 
 
 def fold_combine(pairs, like: Poly) -> Poly:
-    """sum_i c_i * a_i as a fold of Poly `+`, from the zero Poly shaped like `like`."""
-    total = Poly.zero(like.p, like.g, like.N, like.conductor)
+    """sum_i c_i * a_i as a fold of CycNum `+` per monomial, into a Poly shaped like `like`."""
+    total: dict = {}
     for c, a in pairs:
-        total = total + c * a
-    return total
+        for m, t in (c * a).terms.items():
+            total[m] = total[m] + t if m in total else t
+    return Poly(like.p, like.g, like.N, like.conductor, total)
+
+
+def weight_distribution(C: LinearCode) -> tuple[int, ...]:
+    """The number of codewords of C of each Hamming weight 0..n."""
+    dist = [0] * (C.n + 1)
+    for w in C.words:
+        dist[w.bit_count() if C.p == 2 else sum(1 for x in w if x)] += 1
+    return tuple(dist)
+
+
+def pair_y(P: dict, f: Poly) -> Poly:
+    """Inner product in the y variables of a dmap image; conjugate-linear in f."""
+    zero = CycNum.zero(f.conductor)
+    return combine([(f.terms.get(my, zero).conj() * mono_factorial(my), px)
+                    for my, px in P.items()], f)
 
 
 def row_genus2_counts(words, n: int) -> Counter:

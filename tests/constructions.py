@@ -13,13 +13,8 @@ Nothing in the cweil package imports this module.
 
 from __future__ import annotations
 
-from cweil.codes import (
-    LinearCode,
-    check_type,
-    code_from_rows,
-    dual_code,
-    weight_distribution,
-)
+from cweil.codes import LinearCode, check_type, code_from_rows, dual_code
+from tests.closures import weight_distribution
 
 
 def i2() -> LinearCode:

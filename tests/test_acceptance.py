@@ -21,7 +21,7 @@ from cweil.cliffordweil import eisenstein_coset, group_closure, parabolic_closur
 from cweil.cyclo import CycNum
 from cweil.database import load_bundled
 from cweil.doubling import const_c, const_conj, eisenstein_sw, verify_doubling
-from cweil.poly import Poly, tuple_profile
+from cweil.poly import Poly, combine, tuple_profile
 from cweil.siegelphi import cusp_basis
 from cweil.weightenum import cwe
 from tests.test_cliffordweil import delta_cover
@@ -139,20 +139,19 @@ def test_criterion_03_cusp_spaces(capsys):
         codes = {r.name: r.code for r in _records16()}
         cb1 = cusp_basis(codes, 1)
         assert cb1.dimension == 2
-        f1 = Fraction(1, 16) * (cwe(codes["E16"], 1) - cwe(codes["F16"], 1))
+        E16 = cwe(codes["E16"], 1)
+        f1 = combine([(Fraction(1, 16), E16), (Fraction(-1, 16), cwe(codes["F16"], 1))], E16)
         # its symmetrised profile is (12,4) - 4*(10,6) + 6*(8,8)
         assert f1 == _sym_poly({(12, 4): 1, (10, 6): -4, (8, 8): 6}, 2, 16)
-        f2 = Fraction(1, 8) * (cwe(codes["E16"], 1) - cwe(codes["8i2"], 1))
+        f2 = combine([(Fraction(1, 8), E16), (Fraction(-1, 8), cwe(codes["8i2"], 1))], E16)
         assert in_span(f1, cb1.polys) and in_span(f2, cb1.polys)
         assert in_span(cb1.polys[0], [f1, f2]) and in_span(cb1.polys[1], [f1, f2])
 
         cb2 = cusp_basis(codes, 2)
         assert cb2.dimension == 1
-        f = Fraction(1, 8) * (
-            cwe(codes["A8+4i2"], 2)
-            + cwe(codes["F16"], 2)
-            - 2 * cwe(codes["B12+2i2"], 2)
-        )
+        A = cwe(codes["A8+4i2"], 2)
+        f = combine([(Fraction(1, 8), A), (Fraction(1, 8), cwe(codes["F16"], 2)),
+                     (Fraction(-1, 4), cwe(codes["B12+2i2"], 2))], A)
         assert in_span(f, cb2.polys)
 
 

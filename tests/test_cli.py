@@ -324,7 +324,7 @@ def test_verify_doubling_detects_corrupt_data(tmp_path, capsys):
     # mass identity, so the file is rejected at load, like a bad order at N <= 16
     text = serialize_db(load_bundled("codes_2ii_n24"))
     bad = tmp_path / "bad.txt"
-    bad.write_text(text.replace("aut 244823040", "aut 244823042"))
+    bad.write_text(text.replace("aut 244823040", "aut 122411520"))
     code, out, err = run(capsys, "verify-doubling", "--db", str(bad), "--type",
                          "2II", "--length", "24", "--genus", "1")
     assert code == 2
@@ -363,12 +363,26 @@ def test_certify_bundled_file(capsys):
 def test_certify_reports_a_wrong_order(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text(serialize_db(load_bundled("codes_2ii_n8")).replace(
-        "aut 1344", "aut 1343"))
+        "aut 1344", "aut 672"))  # divides 8!, so only the search refuses it
     code, out, _ = run(capsys, "certify", "--db", str(bad))
     assert code == 1
     assert out.startswith(f"FAIL {bad}: line ")
-    assert "claims aut 1343, computed 1344" in out
+    assert "claims aut 672, computed 1344" in out
     assert out.endswith("certify: 1 FAILED\n")
+
+
+@pytest.mark.parametrize("aut", ["-5", "0", str(10**25), "244823041"])
+def test_an_order_that_cannot_be_right_is_refused_at_load(tmp_path, capsys, aut):
+    # a length-24 order outside a complete block is kept as declared, but
+    # only once it is at least 1 and divides 24!
+    bad = tmp_path / "bad.txt"
+    text = database._bundled_text("codes_2ii_n24").replace("complete 2II 24 9\n", "")
+    bad.write_text(text.replace("aut 244823040", f"aut {aut}"))
+    why = f"line 8: record 'golay24' has aut {aut}, which does not divide 24!"
+    assert run(capsys, "aut", "--db", str(bad), "--code", "golay24") == (
+        2, "", f"error: {bad}: {why}\n")
+    assert run(capsys, "certify", "--db", str(bad)) == (
+        1, f"FAIL {bad}: {why}\ncertify: 1 FAILED\n", "")
 
 
 def test_certify_rejects_an_order_on_a_ternary_record(tmp_path, capsys):

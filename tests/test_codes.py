@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cweil.codes import (
-    LinearCode,
-    check_type,
-    code_from_rows,
-    dual_code,
-    weight_distribution,
-)
+from cweil.codes import LinearCode, check_type, code_from_rows, dual_code
 from cweil.database import BUNDLED, load_bundled
+from tests.closures import weight_distribution
 from tests.constructions import (direct_sum, e8, golay24, i2, permute_code, retag,
                                  table2_codes)
 

@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 
 from cweil.autgroup import aut_order
-from cweil.codes import check_type, dual_code, weight_distribution
+from cweil.codes import check_type, dual_code
 from cweil.database import BUNDLED, load_bundled
+from tests.closures import weight_distribution
 from tests.constructions import (
     b12,
     bundled_witnesses,

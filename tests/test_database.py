@@ -1,13 +1,13 @@
 """Code database: bundled datasets, parsing, validation, mass certification."""
 
 import hashlib
+import math
 from importlib import resources
 from math import factorial, prod
 
 import pytest
 
 from cweil import database
-from cweil.codes import weight_distribution
 from cweil.database import (
     BUNDLED,
     CERTIFIED,
@@ -16,6 +16,7 @@ from cweil.database import (
     load_bundled,
     parse_db,
 )
+from tests.closures import weight_distribution
 from tests.test_cliffordweil import _run_python_O
 
 
@@ -125,9 +126,9 @@ def test_edited_bundled_bytes_are_rechecked_at_every_length(monkeypatch):
 
 def test_edited_bundled_aut_order_is_rejected(monkeypatch):
     text = database._bundled_text("codes_2i_n16")
-    edited = text.replace("aut 5160960", "aut 5160961")
+    edited = text.replace("aut 5160960", "aut 2580480")  # divides 16!, so only the search refuses it
     monkeypatch.setattr(database, "_bundled_text", lambda name: edited)
-    with pytest.raises(DbParseError, match="claims aut 5160961, computed 5160960"):
+    with pytest.raises(DbParseError, match="claims aut 2580480, computed 5160960"):
         load_bundled("codes_2i_n16")
 
 
@@ -244,21 +245,39 @@ def test_parse_repeated_key_names_its_line(line):
 
 
 def test_parse_wrong_aut_is_recomputed():
-    bad = E8_BLOCK.replace("aut 1344", "aut 1343")
-    with pytest.raises(DbParseError, match="claims aut 1343, computed 1344"):
+    bad = E8_BLOCK.replace("aut 1344", "aut 672")  # divides 8!, so only the search refuses it
+    with pytest.raises(DbParseError, match="claims aut 672, computed 1344"):
         parse_db(bad)
-    assert parse_db(bad, verify_aut=False).records[0].aut == 1343
+    assert parse_db(bad, verify_aut=False).records[0].aut == 672
 
 
 def test_parse_large_lengths_trust_declared_aut():
-    # above the recheck cutoff the declared order is not recomputed, so
-    # parsing stays fast; in a complete block the mass identity rejects it
+    # above the recheck cutoff a declared order that divides 24! is not
+    # recomputed, so parsing stays fast; in a complete block the mass
+    # identity rejects a wrong one
     text = serialize_db(load_bundled("codes_2ii_n24"))
-    tampered = text.replace("aut 244823040", "aut 244823041")
+    tampered = text.replace("aut 244823040", "aut 122411520")
     with pytest.raises(ValueError, match="complete 2II 24: "):
         parse_db(tampered)
     db = parse_db(tampered.replace("complete 2II 24 9\n", ""))
-    assert db["golay24"].aut == 244823041  # no complete block: kept as declared
+    assert db["golay24"].aut == 122411520  # no complete block: kept as declared
+
+
+@pytest.mark.parametrize("aut", ["-5", "0", str(10**25), "244823041"])
+@pytest.mark.parametrize("length", [8, 24])
+def test_parse_refuses_an_order_that_does_not_divide_n_factorial(aut, length):
+    # |Aut C| divides N!, so any other order is refused on the record's own
+    # line, at every length, inside a complete block or not, recheck or not
+    if length == 8:
+        text, old, line = E8_BLOCK, "aut 1344", 1
+    else:
+        text = serialize_db(load_bundled("codes_2ii_n24")).replace("complete 2II 24 9\n", "")
+        old, line = "aut 244823040", text.splitlines().index("code golay24") + 1
+    name = "e8" if length == 8 else "golay24"
+    for verify_aut in (0, math.inf):
+        with pytest.raises(DbParseError, match=f"^line {line}: record '{name}' has aut {aut}, "
+                                               f"which does not divide {length}!$"):
+            parse_db(text.replace(old, f"aut {aut}"), verify_aut=verify_aut)
 
 
 @pytest.mark.parametrize("old,new,why", [

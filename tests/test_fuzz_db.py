@@ -8,7 +8,10 @@ duplications and swaps, token swaps and character edits; a third property
 edits the file's bytes, with arbitrary bytes and truncated multi-byte UTF-8
 sequences, and writes them in binary.  A fourth runs every subcommand on
 argv drawn from wide integer ranges and from each choice flag's choices
-plus junk, with no --db.
+plus junk, with no --db.  A fifth runs each subcommand that reads a
+database on the same drawn flags with a drawn --db file, which may set
+one record's aut order to any integer, often one that cannot be an order,
+and may drop the file's `complete` line.
 
 Every example runs in one worker process under a 1 GB address-space limit,
 so that a regression that allocates without bound fails the test instead
@@ -23,6 +26,7 @@ import os
 import select
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -271,3 +275,47 @@ ARGV = {
 def test_cli_on_drawn_argv_keeps_the_exit_code_contract(worker, command, data):
     argv = [command] + [x for part in ARGV[command] for x in data.draw(part)]
     assert worker(argv, None) in (0, 1, 2), argv
+
+
+# The drawn --db files: a bundled file with recorded orders, one of whose
+# `aut` lines may take any integer, and whose `complete` line may be gone,
+# so that a length-24 order is kept as declared.  An order below 1, or one
+# that does not divide N!, cannot be right, and every command that loads the
+# file refuses it.  --code names one of the file's codes nine times in ten.
+# `certify` leaves out the length-24 file, whose nine orders it would
+# recompute.
+AUT_FILES = {"codes_2ii_n8": 8, "codes_2i_n16": 16, "codes_2ii_n24": 24}
+
+
+@st.composite
+def drawn_db(draw, command):
+    """(the text of a drawn database file, its code names, whether it holds an
+    impossible order)."""
+    fname = draw(st.sampled_from([f for f, n in AUT_FILES.items()
+                                  if command != "certify" or n <= 16]))
+    n, lines, impossible = AUT_FILES[fname], _bundled_text(fname).splitlines(), False
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("aut ")]))
+        order = int(lines[i].split()[1])
+        aut = draw(st.sampled_from([-5, 0, 10**25]) | st.integers(1, 4).map(order.__floordiv__)
+                   | st.integers(-(10**30), 10**30))
+        lines[i], impossible = f"aut {aut}", aut < 1 or factorial(n) % aut != 0
+    if draw(st.booleans()):
+        lines = [line for line in lines if not line.startswith("complete ")]
+    names = [line.split()[1] for line in lines if line.startswith("code ")]
+    return "\n".join(lines) + "\n", names, impossible
+
+
+@pytest.mark.parametrize("command", ["aut", "certify", "cusp", "cwe", "eisenstein",
+                                     "verify-doubling"])
+@settings(FUZZ, max_examples=20)
+@given(data=st.data())
+def test_cli_on_a_drawn_db_with_drawn_flags_keeps_the_exit_code_contract(worker, command, data):
+    text, names, impossible = data.draw(drawn_db(command))
+    flags = [] if command == "certify" else ARGV[command]  # --file excludes --db
+    flags = [flag("--code", choice(names)) if part is CODE else part for part in flags]
+    argv = [command] + [x for part in flags for x in data.draw(part)]
+    code = worker(argv, text)
+    assert code in (0, 1, 2), (argv, text)
+    if impossible and command != "eisenstein":  # `--method coset` reads no file
+        assert code == (1 if command == "certify" else 2), (argv, text)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cweil.poly import Poly, conj_poly, inner_product
+from cweil.poly import Poly, combine, conj_poly, inner_product
 from cweil.siegelphi import (
     CuspBasis,
     _rref,
     cusp_basis,
-    lift_op,
     lift_op_w,
     phi_op,
     phi_op_w,
@@ -52,8 +51,8 @@ def _random_poly(p, g, N, rng, nterms=6):
 
 
 def test_variable_rules():
-    x0 = Poly.monomial(2, 1, 8, (8, 0))
-    x1 = Poly.monomial(2, 1, 8, (0, 8))
+    x0 = Poly(2, 1, 8, 8, {(8, 0): 1})
+    x1 = Poly(2, 1, 8, 8, {(0, 8): 1})
     assert phi_op(x0).terms.keys() == {(8,)}
     assert not phi_op(x1)
     assert phi_op_w(x1, 1, (1,)).terms.keys() == {(8,)}
@@ -68,8 +67,8 @@ def test_phi_sends_cwe_down_one_genus(code, g):
 
 def test_phi_kills_the_genus1_cusp_form():
     codes = table2_codes()
-    f1 = Fraction(1, 16) * (cwe(codes["E16"], 1) - cwe(codes["F16"], 1))
-    assert not phi_op(f1)
+    E, F = cwe(codes["E16"], 1), cwe(codes["F16"], 1)
+    assert not phi_op(combine([(Fraction(1, 16), E), (Fraction(-1, 16), F)], E))
 
 
 def test_w_zero_is_plain_phi():
@@ -87,7 +86,7 @@ def test_lift_then_phi_is_identity():
             a = _random_poly(2, 1, 6, rng)
             assert phi_op_w(lift_op_w(a, 1, w), 1, w) == a
     a = _random_poly(3, 1, 4, rng)
-    assert phi_op(lift_op(a, 1), 1) == a
+    assert phi_op(lift_op_w(a, 1, (0,)), 1) == a
 
 
 def test_phi_composes_coordinatewise():
@@ -105,12 +104,12 @@ def test_adjointness():
     for _ in range(4):
         q = _random_poly(2, 1, 6, rng)
         a = _random_poly(2, 2, 6, rng)
-        assert inner_product(lift_op(q, 1), a) == inner_product(q, phi_op(a, 1))
+        assert inner_product(lift_op_w(q, 1, (0,)), a) == inner_product(q, phi_op(a, 1))
 
 
 def test_lift_phi_idempotent_and_self_adjoint():
-    monos = [Poly.monomial(2, 1, 8, m) for m in monomial_exponents(2, 8)]
-    E = lambda a: lift_op(phi_op(a, 1), 1)
+    monos = [Poly(2, 1, 8, 8, {m: 1}) for m in monomial_exponents(2, 8)]
+    E = lambda a: lift_op_w(phi_op(a, 1), 1, (0,))
     for a in monos:
         assert E(E(a)) == E(a)
         for b in monos:
@@ -121,8 +120,8 @@ def test_orthogonal_decomposition():
     rng = random.Random(17)
     for _ in range(4):
         q = _random_poly(2, 1, 8, rng)
-        head = lift_op(phi_op(q, 1), 1)
-        tail = q - head
+        head = lift_op_w(phi_op(q, 1), 1, (0,))
+        tail = combine([(1, q), (-1, head)], q)
         assert not phi_op(tail, 1)
         assert not inner_product(head, tail)
 
@@ -133,16 +132,16 @@ def test_cusp_dimensions_and_membership():
     assert cb1.dimension == 2
     E, F = cwe(codes["E16"], 1), cwe(codes["F16"], 1)
     I8 = cwe(codes["8i2"], 1)
-    f1 = Fraction(1, 16) * (E - F)
-    f2 = Fraction(1, 8) * (E - I8)
+    f1 = combine([(Fraction(1, 16), E), (Fraction(-1, 16), F)], E)
+    f2 = combine([(Fraction(1, 8), E), (Fraction(-1, 8), I8)], E)
     assert in_span(f1, cb1.polys) and in_span(f2, cb1.polys)
     assert in_span(cb1.polys[0], [f1, f2]) and in_span(cb1.polys[1], [f1, f2])
 
     cb2 = cusp_basis(codes, 2)
     assert cb2.dimension == 1
-    f = Fraction(1, 8) * (
-        cwe(codes["A8+4i2"], 2) + cwe(codes["F16"], 2) - 2 * cwe(codes["B12+2i2"], 2)
-    )
+    A = cwe(codes["A8+4i2"], 2)
+    f = combine([(Fraction(1, 8), A), (Fraction(1, 8), cwe(codes["F16"], 2)),
+                 (Fraction(-1, 4), cwe(codes["B12+2i2"], 2))], A)
     assert in_span(f, cb2.polys)
 
 
@@ -179,10 +178,7 @@ def test_cusp_basis_combos_reproduce_polys():
     codes = table2_codes()
     cb = cusp_basis(codes, 1)
     for combo, f in zip(cb.combos, cb.polys):
-        rebuilt = sum(
-            (c * cwe(codes[n], 1) for n, c in zip(cb.code_names, combo) if c),
-            Poly.zero(2, 1, 16, 8),
-        )
+        rebuilt = combine([(c, cwe(codes[n], 1)) for n, c in zip(cb.code_names, combo)], f)
         assert rebuilt == f
     text = cb.to_text()
     assert "dim=2" in text and text.count("\n") == 2

@@ -59,12 +59,12 @@ def _profile_value(prof, key, conductor=8):
 
 def test_cwe1_repetition():
     c = cwe(i2(), 1)
-    assert c.terms == {(2, 0): CycNum.one(8), (0, 2): CycNum.one(8)}
+    assert c.terms == {(2, 0): CycNum.from_rat(8, 1), (0, 2): CycNum.from_rat(8, 1)}
 
 
 def test_cwe0_is_power_of_single_variable():
     c = cwe_generic(e8(), 0)
-    assert c.g == 0 and c.terms == {(8,): CycNum.one(8)}
+    assert c.g == 0 and c.terms == {(8,): CycNum.from_rat(8, 1)}
 
 
 def test_genus1_table():
